@@ -7,8 +7,8 @@ they live here exactly once now:
   ``BENCH_*.json`` baseline, but only when the matching environment variable
   names a path (CI's bench-smoke lane refreshes the artifacts; local runs
   stay read-only by default);
-* :func:`best_of` -- best-of-N wall-clock timing, the noise-robust
-  measurement the speedup gates compare.
+* :func:`best_of` / :func:`interleaved_best_of` -- best-of-N wall-clock
+  timing, the noise-robust measurement the speedup gates compare.
 """
 
 import json
@@ -38,10 +38,21 @@ def record_baseline(env_var, key, payload):
 
 def best_of(runs, function):
     """``(best wall seconds, last result)`` over ``runs`` calls of ``function``."""
-    best = float("inf")
-    result = None
+    return interleaved_best_of(runs, function)[0]
+
+
+def interleaved_best_of(runs, *functions):
+    """``[(best wall seconds, last result), ...]`` per function, in order.
+
+    Each of the ``runs`` rounds calls every function once, in turn, so a
+    burst of host load lands on all sides of a ratio gate alike instead of
+    on whichever side happened to be timing when it struck.
+    """
+    best = [float("inf")] * len(functions)
+    results = [None] * len(functions)
     for _ in range(runs):
-        start = time.perf_counter()
-        result = function()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        for index, function in enumerate(functions):
+            start = time.perf_counter()
+            results[index] = function()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return list(zip(best, results))

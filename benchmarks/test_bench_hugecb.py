@@ -119,11 +119,10 @@ def _measure_pair(case_base, requests, runs):
     on = RetrievalEngine(case_base, backend="vectorized", prefilter="bounds")
     off.retrieve_n_best(requests[0], 5)  # warm the matrix caches
     on.retrieve_n_best(requests[0], 5)
-    off_seconds, off_results = gating.best_of(
-        runs, lambda: [off.retrieve_n_best(request, 5) for request in requests]
-    )
-    on_seconds, on_results = gating.best_of(
-        runs, lambda: [on.retrieve_n_best(request, 5) for request in requests]
+    (off_seconds, off_results), (on_seconds, on_results) = gating.interleaved_best_of(
+        runs,
+        lambda: [off.retrieve_n_best(request, 5) for request in requests],
+        lambda: [on.retrieve_n_best(request, 5) for request in requests],
     )
     assert _slim_view(on_results) == _slim_view(off_results)
     return off_seconds, on_seconds, on.backend
@@ -134,7 +133,7 @@ def test_pruned_speedup_on_selective_queries(benchmark, clustered_setup):
     case_base, requests = clustered_setup
 
     def measure():
-        return _measure_pair(case_base, requests, runs=3)
+        return _measure_pair(case_base, requests, runs=5)
 
     off_seconds, on_seconds, backend = benchmark.pedantic(
         measure, rounds=1, iterations=1
@@ -165,7 +164,7 @@ def test_prefilter_overhead_bounded_on_uniform_data(benchmark, workload_setup):
     assert len(requests) >= 8
 
     def measure():
-        return _measure_pair(case_base, requests, runs=3)
+        return _measure_pair(case_base, requests, runs=5)
 
     off_seconds, on_seconds, backend = benchmark.pedantic(
         measure, rounds=1, iterations=1

@@ -77,14 +77,9 @@ def _engine(case_base, **overrides):
     return ServingEngine(case_base, config=ServingConfig(**defaults))
 
 
-def _best_wall_seconds(engine, trace, rounds=3):
-    """Fastest of a few replays (the scheduler-noise-resistant measurement)."""
-    best = None
-    for _ in range(rounds):
-        report = engine.serve(trace)
-        if best is None or report.wall_seconds < best.wall_seconds:
-            best = report
-    return best
+#: Replays per side of a wall-clock comparison; the sides alternate round by
+#: round and each keeps its fastest (see :func:`gating.interleaved_best_of`).
+REPLAY_ROUNDS = 15
 
 
 def _record_baseline(key, payload):
@@ -101,24 +96,29 @@ def test_micro_batch_speedup_gate(benchmark, table3_case_base, table3_generator)
     batched.serve(trace)
 
     def measure():
-        sequential_report = _best_wall_seconds(sequential, trace)
-        batched_report = _best_wall_seconds(batched, trace)
+        (sequential_seconds, sequential_report), (batched_seconds, batched_report) = (
+            gating.interleaved_best_of(
+                REPLAY_ROUNDS,
+                lambda: sequential.serve(trace),
+                lambda: batched.serve(trace),
+            )
+        )
         # Batching must change throughput only -- outcomes stay identical.
         assert batched_report.rankings() == sequential_report.rankings()
         assert (
             [record.status for record in batched_report.served]
             == [record.status for record in sequential_report.served]
         )
-        return sequential_report, batched_report
+        return sequential_seconds, batched_seconds, batched_report
 
-    sequential_report, batched_report = benchmark.pedantic(
+    sequential_seconds, batched_seconds, batched_report = benchmark.pedantic(
         measure, rounds=1, iterations=1
     )
-    speedup = sequential_report.wall_seconds / batched_report.wall_seconds
+    speedup = sequential_seconds / batched_seconds
     _record_baseline("micro_batching", {
         "requests": REQUEST_COUNT,
-        "one_at_a_time_seconds": round(sequential_report.wall_seconds, 4),
-        "micro_batched_seconds": round(batched_report.wall_seconds, 4),
+        "one_at_a_time_seconds": round(sequential_seconds, 4),
+        "micro_batched_seconds": round(batched_seconds, 4),
         "speedup": round(speedup, 1),
         "max_batch": MAX_BATCH,
         "throughput_rps": round(batched_report.metrics["throughput_rps"], 0),
@@ -138,20 +138,25 @@ def test_sharded_merge_bit_identical(benchmark, table3_case_base, table3_generat
     unsharded.serve(trace)
 
     def measure():
-        sharded_report = _best_wall_seconds(sharded, trace)
-        unsharded_report = _best_wall_seconds(unsharded, trace)
+        (sharded_seconds, sharded_report), (unsharded_seconds, unsharded_report) = (
+            gating.interleaved_best_of(
+                REPLAY_ROUNDS,
+                lambda: sharded.serve(trace),
+                lambda: unsharded.serve(trace),
+            )
+        )
         assert sharded_report.rankings() == unsharded_report.rankings()
-        return sharded_report, unsharded_report
+        return sharded_seconds, unsharded_seconds
 
-    sharded_report, unsharded_report = benchmark.pedantic(
+    sharded_seconds, unsharded_seconds = benchmark.pedantic(
         measure, rounds=1, iterations=1
     )
     _record_baseline("sharded_merge", {
         "requests": REQUEST_COUNT,
         "shards": 4,
         "bit_identical": True,
-        "sharded_seconds": round(sharded_report.wall_seconds, 4),
-        "unsharded_seconds": round(unsharded_report.wall_seconds, 4),
+        "sharded_seconds": round(sharded_seconds, 4),
+        "unsharded_seconds": round(unsharded_seconds, 4),
     })
 
 

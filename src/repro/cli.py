@@ -55,7 +55,7 @@ import argparse
 import json
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from .analysis import format_table
@@ -591,8 +591,7 @@ def cmd_serve_trace(args: argparse.Namespace) -> int:
         served_case_base = (
             case_base.copy() if spec.learn and args.engine == "compare" else case_base
         )
-        with spec.build_engine(served_case_base) as engine:
-            report = engine.serve(trace)
+        report = spec.build_engine(served_case_base).serve(trace)
     except ReproError as error:
         print(f"serve-trace: {error}", file=sys.stderr)
         return 2
@@ -605,9 +604,8 @@ def cmd_serve_trace(args: argparse.Namespace) -> int:
 
     exit_code = 0
     if args.engine == "compare":
-        # The reference replay is the inline single-shard golden path, even
-        # when the primary ran with --workers process execution.
-        unsharded = spec.replace(shards=1, execution="inline", workers=0).build_engine(
+        # The reference replay is the single-shard golden path.
+        unsharded = spec.replace(shards=1).build_engine(
             case_base.copy() if spec.learn else case_base
         ).serve(trace)
         mismatches = _report_compare_mismatches(
@@ -650,8 +648,7 @@ def cmd_serve_cluster(args: argparse.Namespace) -> int:
             # Only meaningful when the trace is actually workload-derived:
             # --requests/--random traces ignore --workload entirely.
             apply_failover_outages(fleet, spec.duration_ms * 1000.0)
-        with spec.build_engine(served_case_base, fleet=fleet) as engine:
-            report = engine.serve(trace)
+        report = spec.build_engine(served_case_base, fleet=fleet).serve(trace)
     except ReproError as error:
         print(f"serve-cluster: {error}", file=sys.stderr)
         return 2
@@ -684,10 +681,8 @@ def cmd_serve_cluster(args: argparse.Namespace) -> int:
 
     exit_code = 0
     if args.engine == "compare":
-        # Inline single-device golden reference, even under --workers.
-        single = spec.replace(
-            cluster=False, shards=1, execution="inline", workers=0
-        ).build_engine(
+        # Single-device golden reference.
+        single = spec.replace(cluster=False, shards=1).build_engine(
             case_base.copy() if spec.learn else case_base
         ).serve(trace)
         cluster_rankings = report.rankings()

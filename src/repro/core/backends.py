@@ -291,18 +291,16 @@ class _TypeMatrices:
         values: np.ndarray,
         present: np.ndarray,
     ) -> "_TypeMatrices":
-        """Build from pre-encoded arrays (the shared-memory construction path).
+        """Build from pre-encoded arrays (the image-store reopen path).
 
-        The arrays may be zero-copy views over a
-        :class:`multiprocessing.shared_memory.SharedMemory` buffer exported by
-        another process: nothing is copied here, only the derived column
-        statistics are recomputed.  Row ``i`` must describe
+        The arrays may be zero-copy copy-on-write ``numpy.memmap`` views over
+        a persisted image store: nothing is copied here, only the derived
+        column statistics are recomputed.  Row ``i`` must describe
         ``implementations[i]`` with rows ascending by implementation ID --
         exactly what :meth:`__init__` would have produced from the same
         variant list.  Shape-changing delta events later migrate the arrays
         to private memory naturally (``np.concatenate`` allocates fresh
-        arrays); in-place row rewrites patch the shared buffer, which the
-        single-writer worker protocol makes safe.
+        arrays).
         """
         matrices = cls.__new__(cls)
         matrices.implementations = list(implementations)
@@ -521,11 +519,10 @@ class VectorizedBackend(RetrievalBackend):
         return True
 
     def adopt_matrices(self, cache: Dict[int, _TypeMatrices]) -> None:
-        """Seed the per-type matrix cache wholesale (the shared-memory path).
+        """Seed the per-type matrix cache wholesale (the image-store path).
 
-        A worker process that received pre-built matrices (e.g. zero-copy
-        views over a shared-memory export, see
-        :meth:`_TypeMatrices.from_arrays`) installs them here instead of
+        Pre-built matrices (e.g. zero-copy views over a reopened image store,
+        see :meth:`_TypeMatrices.from_arrays`) are installed here instead of
         re-encoding every implementation row.  The tracker is marked current
         so the first ``ensure_current`` does not wipe the seeded state with a
         full rebuild; later case-base mutations still patch it incrementally

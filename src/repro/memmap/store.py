@@ -8,8 +8,7 @@ attribute matrices -- both O(implementations x attributes) Python loops.
 
 * each type's ``impl_ids`` / ``values`` / ``present`` matrices land as raw
   little-endian array files and reopen as zero-copy ``numpy.memmap`` views
-  feeding :meth:`~repro.core.backends._TypeMatrices.from_arrays` -- the
-  same construction path the shared-memory worker export uses;
+  feeding :meth:`~repro.core.backends._TypeMatrices.from_arrays`;
 * the encoded CB-MEM words (implementation tree + supplemental list) land
   as ``uint16`` files and reopen into a
   :class:`~repro.memmap.image.CaseBaseImage` whose address map is walked

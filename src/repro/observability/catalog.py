@@ -42,10 +42,6 @@ __all__ = [
     "daemon_ready",
     "daemon_pending",
     "daemon_reconfiguring",
-    "worker_pool_workers",
-    "worker_pool_queue_depth",
-    "worker_pool_shm_bytes",
-    "worker_pool_batches",
     "HEALTH_LEVELS",
     "STAGES",
 ]
@@ -237,31 +233,3 @@ def daemon_reconfiguring(registry: MetricsRegistry) -> MetricFamily:
         "1 while queued mutations hold the reconfiguration window open.",
     )
 
-
-def worker_pool_workers(registry: MetricsRegistry) -> MetricFamily:
-    return registry.gauge(
-        "repro_worker_pool_workers",
-        "Live shard-runner worker processes (execution='process').",
-    )
-
-
-def worker_pool_queue_depth(registry: MetricsRegistry) -> MetricFamily:
-    return registry.gauge(
-        "repro_worker_pool_queue_depth",
-        "Messages pending across the worker pool's task queues.",
-    )
-
-
-def worker_pool_shm_bytes(registry: MetricsRegistry) -> MetricFamily:
-    return registry.gauge(
-        "repro_worker_pool_shm_bytes",
-        "Bytes in the live shared-memory matrix export (0 when none).",
-    )
-
-
-def worker_pool_batches(registry: MetricsRegistry) -> MetricFamily:
-    return registry.counter(
-        "repro_worker_pool_batches_total",
-        "Retrieval sub-batches dispatched per worker process.",
-        ("worker",),
-    )

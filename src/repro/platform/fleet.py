@@ -76,109 +76,6 @@ class WorkerSyncEvent:
         return self.start_us + self.duration_us
 
 
-def stream_image_event(
-    worker_name: str,
-    reconfiguration,
-    revision: int,
-    streamed_bytes: int,
-    incremental: bool,
-    now_us: float,
-    *,
-    reconfig_us: Optional[float],
-    fault_injector,
-    retry_policy,
-) -> WorkerSyncEvent:
-    """Model one image stream to one hardware worker, retrying injected faults.
-
-    This is the whole stream algorithm as a pure function of the worker's
-    port controller plus the (stateless) fault plan and retry policy, so the
-    multiprocess fleet mode can run it verbatim inside each worker's OS
-    process while :meth:`DeviceFleet._stream_image` keeps delegating to it
-    inline.  Without a fault injector this is exactly one port transfer (the
-    pre-PR 7 behaviour, bit-for-bit).  With one, each attempt started inside
-    a stream-fault window fails -- a truncated attempt occupies the port for
-    ``factor`` of the modelled duration, a corrupted one for all of it --
-    and the retry policy schedules the next attempt in virtual time with
-    seeded backoff jitter.  The reported sync event spans first start to
-    last end and sums the streamed bytes, so the metrics' ``bytes_streamed``
-    measures traffic, not useful payload.
-    """
-    from ..resilience.retry import derive_rng
-
-    if fault_injector is None:
-        port_event = reconfiguration.schedule(
-            0, streamed_bytes, now_us, duration_us=reconfig_us
-        )
-        return WorkerSyncEvent(
-            worker=worker_name,
-            revision=revision,
-            start_us=port_event.start_us,
-            duration_us=port_event.duration_us,
-            bytes_streamed=streamed_bytes,
-            incremental=incremental,
-        )
-    rng = derive_rng(fault_injector.plan.seed, "stream", worker_name, revision)
-    attempt_at = now_us
-    attempt = 0
-    first_start: Optional[float] = None
-    total_bytes = 0
-    while True:
-        fault = fault_injector.stream_fault(worker_name, attempt_at)
-        if fault is None:
-            port_event = reconfiguration.schedule(
-                0, streamed_bytes, attempt_at, duration_us=reconfig_us
-            )
-            if first_start is None:
-                first_start = port_event.start_us
-            return WorkerSyncEvent(
-                worker=worker_name,
-                revision=revision,
-                start_us=first_start,
-                duration_us=port_event.end_us - first_start,
-                bytes_streamed=total_bytes + streamed_bytes,
-                incremental=incremental,
-                attempts=attempt + 1,
-            )
-        full_duration = (
-            reconfig_us
-            if reconfig_us is not None
-            else reconfiguration.reconfiguration_time_us(streamed_bytes)
-        )
-        if fault.kind == "stream_truncate":
-            fraction = min(1.0, fault.factor)
-            duration = full_duration * fraction
-            streamed = int(streamed_bytes * fraction)
-            status = "failed-truncated"
-        else:
-            duration = full_duration
-            streamed = streamed_bytes
-            status = "failed-corrupted"
-        port_event = reconfiguration.schedule(
-            0, streamed, attempt_at, duration_us=duration, status=status
-        )
-        if first_start is None:
-            first_start = port_event.start_us
-        total_bytes += streamed
-        retry_at = (
-            retry_policy.next_attempt_us(attempt, port_event.end_us, rng=rng)
-            if retry_policy is not None
-            else None
-        )
-        if retry_at is None:
-            return WorkerSyncEvent(
-                worker=worker_name,
-                revision=revision,
-                start_us=first_start,
-                duration_us=port_event.end_us - first_start,
-                bytes_streamed=total_bytes,
-                incremental=incremental,
-                attempts=attempt + 1,
-                status="failed",
-            )
-        attempt += 1
-        attempt_at = retry_at
-
-
 class RetrievalWorker:
     """One retrieval-serving unit bound to a platform device.
 
@@ -349,11 +246,6 @@ class DeviceFleet:
         #: single-attempt path previous releases modelled.
         self.fault_injector = None
         self.retry_policy = None
-        #: Optional :class:`~repro.parallel.fleet_proc.FleetWorkerPool` (the
-        #: ``execution="process"`` fleet mode): when installed, modelled image
-        #: streams run inside each worker's OS process and only the port's
-        #: busy-until scalar is mirrored back (via ``restore_occupancy``).
-        self.process_pool = None
 
     # -- construction -----------------------------------------------------------------
 
@@ -557,33 +449,93 @@ class DeviceFleet:
     ) -> WorkerSyncEvent:
         """Stream one image to one hardware worker, retrying injected faults.
 
-        The algorithm lives in :func:`stream_image_event` so the multiprocess
-        fleet mode can run the identical computation inside each worker's OS
-        process.  When a :attr:`process_pool` is installed the stream runs
-        there instead, and the parent-side port controller mirrors only the
-        returned busy-until occupancy (the single scalar that affects future
-        scheduling; the event log is reporting-only, exactly like journal
-        crash recovery).
+        Without a fault injector this is exactly one port transfer (the
+        pre-PR 7 behaviour, bit-for-bit).  With one, each attempt started
+        inside a stream-fault window fails -- a truncated attempt occupies the
+        port for ``factor`` of the modelled duration, a corrupted one for all
+        of it -- and the retry policy schedules the next attempt in virtual
+        time with seeded backoff jitter.  The reported sync event spans first
+        start to last end and sums the streamed bytes, so the metrics'
+        ``bytes_streamed`` measures traffic, not useful payload.
         """
-        if self.process_pool is not None:
-            event, busy_until_us = self.process_pool.stream_image(
-                worker.name, revision, streamed_bytes, incremental, now_us
+        from ..resilience.retry import derive_rng
+
+        reconfiguration = worker.controller.reconfiguration
+        reconfig_us = self.reconfig_us
+        fault_injector = self.fault_injector
+        retry_policy = self.retry_policy
+        if fault_injector is None:
+            port_event = reconfiguration.schedule(
+                0, streamed_bytes, now_us, duration_us=reconfig_us
             )
-            reconfiguration = worker.controller.reconfiguration
-            if reconfiguration is not None:
-                reconfiguration.restore_occupancy(busy_until_us)
-            return event
-        return stream_image_event(
-            worker.name,
-            worker.controller.reconfiguration,
-            revision,
-            streamed_bytes,
-            incremental,
-            now_us,
-            reconfig_us=self.reconfig_us,
-            fault_injector=self.fault_injector,
-            retry_policy=self.retry_policy,
-        )
+            return WorkerSyncEvent(
+                worker=worker.name,
+                revision=revision,
+                start_us=port_event.start_us,
+                duration_us=port_event.duration_us,
+                bytes_streamed=streamed_bytes,
+                incremental=incremental,
+            )
+        rng = derive_rng(fault_injector.plan.seed, "stream", worker.name, revision)
+        attempt_at = now_us
+        attempt = 0
+        first_start: Optional[float] = None
+        total_bytes = 0
+        while True:
+            fault = fault_injector.stream_fault(worker.name, attempt_at)
+            if fault is None:
+                port_event = reconfiguration.schedule(
+                    0, streamed_bytes, attempt_at, duration_us=reconfig_us
+                )
+                if first_start is None:
+                    first_start = port_event.start_us
+                return WorkerSyncEvent(
+                    worker=worker.name,
+                    revision=revision,
+                    start_us=first_start,
+                    duration_us=port_event.end_us - first_start,
+                    bytes_streamed=total_bytes + streamed_bytes,
+                    incremental=incremental,
+                    attempts=attempt + 1,
+                )
+            full_duration = (
+                reconfig_us
+                if reconfig_us is not None
+                else reconfiguration.reconfiguration_time_us(streamed_bytes)
+            )
+            if fault.kind == "stream_truncate":
+                fraction = min(1.0, fault.factor)
+                duration = full_duration * fraction
+                streamed = int(streamed_bytes * fraction)
+                status = "failed-truncated"
+            else:
+                duration = full_duration
+                streamed = streamed_bytes
+                status = "failed-corrupted"
+            port_event = reconfiguration.schedule(
+                0, streamed, attempt_at, duration_us=duration, status=status
+            )
+            if first_start is None:
+                first_start = port_event.start_us
+            total_bytes += streamed
+            retry_at = (
+                retry_policy.next_attempt_us(attempt, port_event.end_us, rng=rng)
+                if retry_policy is not None
+                else None
+            )
+            if retry_at is None:
+                return WorkerSyncEvent(
+                    worker=worker.name,
+                    revision=revision,
+                    start_us=first_start,
+                    duration_us=port_event.end_us - first_start,
+                    bytes_streamed=total_bytes,
+                    incremental=incremental,
+                    attempts=attempt + 1,
+                    status="failed",
+                )
+            attempt += 1
+            attempt_at = retry_at
 
     def apply_faults(self, injector, retry_policy) -> None:
         """Install the fault-injection harness on this fleet (idempotent).
@@ -613,5 +565,3 @@ class DeviceFleet:
             if reconfiguration is not None:
                 reconfiguration.reset()
             worker.sync_events.clear()
-        if self.process_pool is not None:
-            self.process_pool.reset()

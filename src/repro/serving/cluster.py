@@ -554,16 +554,6 @@ class ClusterServingEngine(ServingEngine):
         )
         self.router.observability = self.observability
         self._replay_sync_events: List[WorkerSyncEvent] = []
-        if self.config.execution == "process":
-            # Multiprocess fleet mode: each device worker's modelled image
-            # streams (and micro-batch counters) run in its own OS process.
-            # Built after ``apply_faults`` so the children capture the final
-            # injector/retry-policy; stream-fault draws are stateless per
-            # (seed, worker, revision), so child-side schedules match inline
-            # bit-for-bit.
-            from ..parallel import FleetWorkerPool
-
-            fleet.process_pool = FleetWorkerPool(fleet)
 
     # -- admission hooks ---------------------------------------------------------------
 
@@ -592,23 +582,12 @@ class ClusterServingEngine(ServingEngine):
                 self.router.record_sync_failure(event.worker, close_us)
         self._observe_sync_events(sync_events)
         self._replay_sync_events.extend(sync_events)
-        decisions = self.router.route_batch(
+        return self.router.route_batch(
             entries,
             close_us,
             default_deadline_us=self.config.deadline_us,
             degrade_to_software=self.config.degrade_to_software,
         )
-        if self.fleet.process_pool is not None:
-            # Ship the routed micro-batch to the consuming worker processes
-            # (fire-and-forget; routing itself already happened above).
-            assigned: Dict[str, int] = {}
-            for decision in decisions:
-                worker = getattr(decision, "worker", "")
-                if worker:
-                    assigned[worker] = assigned.get(worker, 0) + 1
-            for worker, count in assigned.items():
-                self.fleet.process_pool.record_batch(worker, count)
-        return decisions
 
     def _observe_sync_events(
         self, sync_events: Sequence[WorkerSyncEvent]
@@ -723,10 +702,6 @@ class ClusterServingEngine(ServingEngine):
             reconfiguration = worker.controller.reconfiguration
             if reconfiguration is not None and worker.name in ports:
                 reconfiguration.restore_occupancy(float(ports[worker.name]))
-                if self.fleet.process_pool is not None:
-                    self.fleet.process_pool.restore_occupancy(
-                        worker.name, float(ports[worker.name])
-                    )
         health_state = snapshot.get("health")
         if router.health is not None and isinstance(health_state, Mapping):
             router.health.states = {
@@ -813,11 +788,3 @@ class ClusterServingEngine(ServingEngine):
                     1 for event in sync_events if event.status != "applied"
                 ),
             }
-
-    def close(self) -> None:
-        """Release the retrieval pool and the multiprocess fleet (idempotent)."""
-        pool = self.fleet.process_pool
-        if pool is not None:
-            pool.close()
-            self.fleet.process_pool = None
-        super().close()

@@ -1125,10 +1125,6 @@ class ServingDaemon:
             self._batch_count,
             len(self.learn_events),
         )
-        # Release execution resources last: with execution="process" this
-        # stops the shard worker pool (and any fleet worker processes) and
-        # unlinks the shared-memory export after the drain above completed.
-        self.engine.close()
 
     def finish(self) -> ServingReport:
         """Close the serving session and return its final report."""

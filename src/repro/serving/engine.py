@@ -74,12 +74,6 @@ class ServingConfig:
     #: upper bound before the exact kernel re-ranks the survivors; proven
     #: bit-identical to the full scan, with transparent fall-through.
     prefilter: str = "off"
-    #: Execution tier: ``"inline"`` evaluates shards in-process (the golden
-    #: reference path); ``"process"`` fans them out to ``workers`` OS
-    #: processes (see :class:`~repro.parallel.ParallelShardedRetriever`),
-    #: bit-identical to inline by the differential suite.
-    execution: str = "inline"
-    workers: int = 0
     #: Admission / service-time modelling (see
     #: :class:`~repro.serving.admission.AdmissionController`).
     cycle_engine: str = "auto"
@@ -124,21 +118,9 @@ class ServingConfig:
             raise ReproError(
                 f"learn_capacity must be at least 1, got {self.learn_capacity}"
             )
-        if self.execution not in ("inline", "process"):
-            raise ReproError(
-                f"execution must be 'inline' or 'process', got {self.execution!r}"
-            )
         if self.prefilter not in ("off", "bounds"):
             raise ReproError(
                 f"prefilter must be 'off' or 'bounds', got {self.prefilter!r}"
-            )
-        if self.execution == "process" and self.workers < 1:
-            raise ReproError(
-                f"process execution needs at least one worker, got {self.workers}"
-            )
-        if self.execution == "inline" and self.workers != 0:
-            raise ReproError(
-                f"inline execution takes no worker processes, got workers={self.workers}"
             )
 
     def to_dict(self) -> Dict[str, object]:
@@ -598,24 +580,12 @@ class ServingEngine:
         self.scheduler = MicroBatchScheduler(
             max_batch=self.config.max_batch, max_wait_us=self.config.max_wait_us
         )
-        if self.config.execution == "process":
-            # Imported here: repro.parallel builds on the serving shard layer.
-            from ..parallel import ParallelShardedRetriever
-
-            self.retriever = ParallelShardedRetriever(
-                case_base,
-                shard_count=self.config.shard_count,
-                workers=self.config.workers,
-                backend=self.config.backend,
-                prefilter=self.config.prefilter,
-            )
-        else:
-            self.retriever = ShardedRetriever(
-                case_base,
-                shard_count=self.config.shard_count,
-                backend=self.config.backend,
-                prefilter=self.config.prefilter,
-            )
+        self.retriever = ShardedRetriever(
+            case_base,
+            shard_count=self.config.shard_count,
+            backend=self.config.backend,
+            prefilter=self.config.prefilter,
+        )
         self.retriever.observability = self.observability
         # The modelled unit must be the one that would deliver the configured
         # ranking depth, or the "exact" service times describe a different
@@ -920,30 +890,3 @@ class ServingEngine:
                 requests, interarrival_us=interarrival_us, deadline_us=deadline_us
             )
         )
-
-    def with_config(self, **overrides: object) -> "ServingEngine":
-        """A new engine over the same case base with some tunables replaced."""
-        return ServingEngine(
-            self.case_base,
-            config=replace(self.config, **overrides),
-            feasibility=self.admission.feasibility,
-        )
-
-    def close(self) -> None:
-        """Release execution resources (idempotent).
-
-        Inline engines hold nothing to release; ``execution="process"``
-        engines stop their worker pool and unlink the shared-memory export
-        here.  The engine stays usable afterwards -- the parallel retriever
-        respawns transparently on the next batch -- so ``close`` is a drain
-        point, not a poison pill.
-        """
-        close = getattr(self.retriever, "close", None)
-        if close is not None:
-            close()
-
-    def __enter__(self) -> "ServingEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

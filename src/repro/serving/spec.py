@@ -70,11 +70,6 @@ class ServingSpec:
     #: to the full scan by construction, so it is a pure performance axis.
     prefilter: str = "off"
     shards: int = 1
-    #: Execution tier: ``"inline"`` evaluates shards in-process; ``"process"``
-    #: fans them out to ``workers`` OS processes (true multi-core execution,
-    #: bit-identical to inline -- see :mod:`repro.parallel`).
-    execution: str = "inline"
-    workers: int = 0
     max_batch: int = 32
     max_wait_us: float = 500.0
     deadline_us: Optional[float] = None
@@ -167,8 +162,6 @@ class ServingSpec:
             shard_count=self.shards,
             backend=self.backend,
             prefilter=self.prefilter,
-            execution=self.execution,
-            workers=self.workers,
             cycle_engine=cycle_engine if cycle_engine is not None else self.cycle_engine,
             clock_mhz=self.clock_mhz,
             deadline_us=self.deadline_us,
@@ -350,14 +343,6 @@ class ServingSpec:
                               "blocks with a similarity upper bound before exact "
                               "re-ranking (bit-identical results; pays off on "
                               "huge case bases)")
-        sub.add_argument("--workers", type=int, default=0,
-                         help="worker OS processes executing the shards "
-                              "(true multi-core; 0 = inline single-process "
-                              "execution, bit-identical either way)")
-        sub.add_argument("--execution", choices=["auto", "inline", "process"],
-                         default="auto",
-                         help="execution tier; 'auto' picks 'process' when "
-                              "--workers is set and 'inline' otherwise")
         sub.add_argument("--max-batch", type=int, default=32,
                          help="micro-batch size bound (1 = one-at-a-time serving)")
         sub.add_argument("--max-wait-us", type=float, default=500.0,
@@ -432,10 +417,6 @@ class ServingSpec:
         backend = "naive" if engine == "naive" else "vectorized"
         if cluster is None:
             cluster = bool(getattr(args, "cluster", False))
-        workers = int(getattr(args, "workers", defaults.workers) or 0)
-        execution = getattr(args, "execution", "auto")
-        if execution == "auto":
-            execution = "process" if workers > 0 else "inline"
         return cls(
             workloads=tuple(getattr(args, "workload", None) or ()),
             duration_ms=getattr(args, "duration_ms", defaults.duration_ms),
@@ -455,8 +436,6 @@ class ServingSpec:
             backend=backend,
             prefilter=getattr(args, "prefilter", defaults.prefilter),
             shards=getattr(args, "shards", defaults.shards),
-            execution=execution,
-            workers=workers,
             max_batch=getattr(args, "max_batch", defaults.max_batch),
             max_wait_us=getattr(args, "max_wait_us", defaults.max_wait_us),
             deadline_us=getattr(args, "deadline_us", None),
@@ -510,6 +489,18 @@ class ServingSpec:
     def from_wire(cls, payload: Mapping) -> "ServingSpec":
         """Rebuild a spec from :meth:`to_wire` output (version-checked)."""
         schemas.check_envelope(payload, kind="serving-spec")
+        # Specs written before the multi-process execution tier was removed
+        # carry ``execution``/``workers``; inline values describe exactly what
+        # is served today.  A process-tier spec would otherwise serve inline
+        # without a word, so it is refused.
+        execution = payload.get("execution", "inline")
+        workers = payload.get("workers", 0)
+        if execution != "inline" or workers != 0:
+            raise schemas.SchemaError(
+                f"serving-spec asks for the removed process execution tier "
+                f"(execution={execution!r}, workers={workers!r}); shards are "
+                f"evaluated in-process only, so drop both keys"
+            )
         valid = {field.name for field in dataclasses.fields(cls)}
         kwargs = {
             name: value for name, value in payload.items() if name in valid
@@ -532,3 +523,4 @@ class ServingSpec:
         if not isinstance(payload, Mapping):
             raise schemas.SchemaError("a serving-spec document must be a JSON object")
         return cls.from_wire(payload)
+

@@ -148,8 +148,8 @@ class TestEndToEnd:
         )
         assert trace
         spec = ServingSpec(prefilter="bounds")
-        with spec.build_engine(case_base) as engine:
-            report = engine.serve(trace)
+        engine = spec.build_engine(case_base)
+        report = engine.serve(trace)
         assert engine.admission.hardware_unit is None
         statuses = {record.status.value for record in report.served}
         assert statuses == {"served_software"}

@@ -218,14 +218,6 @@ class TestApplicationApiPlumbing:
         assert report.metrics["served"] == len(trace)
         assert report.metrics["cluster"]["devices"] == 3
 
-    def test_with_config_builds_a_sibling_engine(self):
-        engine = ServingEngine(paper_case_base())
-        sibling = engine.with_config(max_batch=1, shard_count=2)
-        assert sibling.case_base is engine.case_base
-        assert sibling.config.max_batch == 1
-        assert sibling.config.shard_count == 2
-        assert engine.config.max_batch == 32
-
 
 class TestCrossBatchBacklog:
     def test_sustained_overload_rejects_even_one_at_a_time(self):

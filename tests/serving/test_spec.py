@@ -9,6 +9,7 @@ import argparse
 
 import pytest
 
+from repro.api.schemas import SchemaError
 from repro.apps import build_scenario
 from repro.core import ReproError
 from repro.core.exceptions import RequestError
@@ -153,6 +154,25 @@ class TestWire:
         assert restored.fault_plan == plan
         # The axis stays optional: absent plans round-trip as None.
         assert ServingSpec.from_wire(ServingSpec().to_wire()).fault_plan is None
+
+    def test_inline_execution_keys_of_old_specs_still_load(self):
+        spec = ServingSpec(shards=2, max_batch=8)
+        document = spec.to_wire()
+        assert "execution" not in document and "workers" not in document
+        document.update(execution="inline", workers=0)
+        assert ServingSpec.from_wire(document) == spec
+
+    @pytest.mark.parametrize("retired", [
+        {"execution": "process", "workers": 2},
+        {"execution": "process"},
+        {"workers": 3},
+        {"execution": "inline", "workers": 1},
+    ])
+    def test_process_tier_specs_fail_loudly(self, retired):
+        document = ServingSpec(shards=2).to_wire()
+        document.update(retired)
+        with pytest.raises(SchemaError, match="removed process execution tier"):
+            ServingSpec.from_wire(document)
 
 
 class TestApplicationApiShims:

@@ -295,6 +295,14 @@ class TestServeTrace:
         assert main(["serve-trace", "--random", "2", "--n-best", "0"]) == 2
         assert "serve-trace: n_best" in capsys.readouterr().err
 
+    def test_removed_workers_flag_is_rejected(self, capsys):
+        # The multi-process execution tier is gone: its flag must fail
+        # loudly rather than silently serve in-process.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve-trace", "--random", "2", "--workers", "2"])
+        assert excinfo.value.code != 0
+        assert "--workers" in capsys.readouterr().err
+
 
 def _tampered_single_device_engine():
     """A ServingEngine subclass that corrupts the unsharded reference replay.
