@@ -28,7 +28,6 @@ import gating
 from repro.core import FunctionRequest
 from repro.platform import DeviceFleet
 from repro.serving import (
-    ClusterServingEngine,
     ServingConfig,
     ServingEngine,
     trace_from_requests,
@@ -79,7 +78,7 @@ def _cluster_engine(case_base, devices, **overrides):
     fleet = DeviceFleet.build(
         case_base, hardware_devices=devices, software_devices=0
     )
-    return ClusterServingEngine(case_base, fleet, config=ServingConfig(**defaults))
+    return ServingEngine(case_base, fleet=fleet, config=ServingConfig(**defaults))
 
 
 def _record_baseline(key, payload):
@@ -132,7 +131,7 @@ def test_fleet_routing_bit_identical_with_single_node_engine(
     fleet = DeviceFleet.build(
         table3_case_base, hardware_devices=FLEET_DEVICES, software_devices=1
     )
-    cluster = ClusterServingEngine(table3_case_base, fleet, config=config)
+    cluster = ServingEngine(table3_case_base, fleet=fleet, config=config)
     single_node.serve(trace)
     cluster.serve(trace)
 
@@ -166,8 +165,8 @@ def test_fleet_wide_learning_stays_bit_identical(
         fleet = DeviceFleet.build(
             cluster_case_base, hardware_devices=FLEET_DEVICES, software_devices=1
         )
-        cluster_report = ClusterServingEngine(
-            cluster_case_base, fleet, config=config
+        cluster_report = ServingEngine(
+            cluster_case_base, fleet=fleet, config=config
         ).serve(trace)
         assert cluster_report.rankings() == single_report.rankings()
         assert (

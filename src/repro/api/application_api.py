@@ -302,7 +302,7 @@ class ApplicationAPI:
         )
 
     def cluster_engine(self, spec=None, *, fleet=None):
-        """A :class:`~repro.serving.ClusterServingEngine` over a device fleet.
+        """A cluster :class:`~repro.serving.ServingEngine` over a device fleet.
 
         The cluster-scale complement of :meth:`serving_engine`: traces are
         replayed through the same micro-batching, screening and sharded

@@ -1120,8 +1120,8 @@ def build_parser() -> argparse.ArgumentParser:
     ServingSpec.add_serving_arguments(sub)
     ServingSpec.add_cluster_arguments(sub)
     sub.add_argument("--cluster", action="store_true",
-                     help="front a multi-device ClusterServingEngine instead "
-                          "of the single-node engine (see --devices / "
+                     help="serve a multi-device fleet instead of the "
+                          "single-node topology (see --devices / "
                           "--software-workers / --reconfig-us)")
     sub.add_argument("--engine", choices=["vectorized", "naive"],
                      default="vectorized",

@@ -25,10 +25,12 @@ that, reusing the PR 4 delta machinery to decide how much must be streamed:
 * a truncated window (or a bounds-table change, which rescales the baked
   similarity constants) streams the full image.
 
-The router (:mod:`repro.serving.cluster`) consults
+The admission router (:mod:`repro.serving.admission`) consults
 :meth:`RetrievalWorker.available_from` -- which folds in reconfiguration-port
 occupancy and scheduled outages -- before assigning work, so a device
 mid-reconfiguration degrades traffic to software or queues it.
+:meth:`DeviceFleet.single_node` is the paper's single node as a fleet: one
+hardware and one software worker whose image adoption costs nothing.
 """
 
 from __future__ import annotations
@@ -95,12 +97,6 @@ class RetrievalWorker:
         (``cycles / clock_mhz``).
     case_base:
         The shared case base; the worker's cached image starts current.
-    unit:
-        The shared host-side retrieval-unit model backing this worker
-        (:class:`~repro.hardware.retrieval_unit.HardwareRetrievalUnit` or
-        :class:`~repro.software.retrieval_sw.SoftwareRetrievalUnit`).
-        Workers of one kind share one unit: it *is* the image every device
-        of that kind mirrors.
     """
 
     def __init__(
@@ -111,7 +107,6 @@ class RetrievalWorker:
         kind: str,
         clock_mhz: float,
         case_base: CaseBase,
-        unit: object = None,
     ) -> None:
         if kind not in (HARDWARE, SOFTWARE):
             raise PlatformError(
@@ -127,7 +122,6 @@ class RetrievalWorker:
         self.controller = controller
         self.kind = kind
         self.clock_mhz = clock_mhz
-        self.unit = unit
         #: Case-base revision the on-device image currently reflects.
         self.image_revision = case_base.revision
         self.sync_events: List[WorkerSyncEvent] = []
@@ -137,11 +131,6 @@ class RetrievalWorker:
     def device(self):
         """The underlying platform device."""
         return self.controller.device
-
-    @property
-    def is_hardware(self) -> bool:
-        """Whether this worker is a hardware retrieval unit."""
-        return self.kind == HARDWARE
 
     # -- availability ---------------------------------------------------------------
 
@@ -210,8 +199,9 @@ class DeviceFleet:
         configuration-port bandwidth model.
     image_words:
         Optional zero-argument callable returning the current CB-MEM image
-        word count (used to size modelled image streams).  Defaults to the
-        hardware workers' shared unit.
+        word count (used to size modelled image streams).  The admission
+        controller serving the fleet installs its hardware unit's counter;
+        a standalone fleet builds one on first use.
     """
 
     def __init__(
@@ -236,7 +226,10 @@ class DeviceFleet:
         self.workers = workers
         self.repository = repository
         self.reconfig_us = reconfig_us
-        self._image_words = image_words
+        self.image_words = image_words
+        #: Case-base revision every worker image last reached (``None`` until
+        #: the first sync); lets :meth:`sync` return after one compare.
+        self._synced_revision: Optional[int] = None
         self.resource_state = SystemResourceState(
             (worker.controller for worker in workers),
             power_budget_mw=power_budget_mw,
@@ -269,60 +262,66 @@ class DeviceFleet:
         software retrieval routine.  All workers run at one clock -- the
         paper's equal-clock comparison, matching the admission controller's
         convention that an explicit ``hardware_config``'s clock takes
-        precedence over ``clock_mhz`` *for the software path too*.  Workers
-        of one kind share one host-side unit model -- the image all devices
-        of that kind mirror.
+        precedence over ``clock_mhz`` *for the software path too*.  The
+        fleet builds no retrieval-unit models: service times are priced by
+        the admission controller that serves it.
         """
         if hardware_devices < 0 or software_devices < 0:
             raise PlatformError("device counts must be non-negative")
         if hardware_devices + software_devices < 1:
             raise PlatformError("a device fleet needs at least one device")
-        from ..hardware.retrieval_unit import HardwareConfig, HardwareRetrievalUnit
-        from ..software.isa import microblaze_cost_model
-        from ..software.retrieval_sw import SoftwareRetrievalUnit
-
-        if hardware_config is None:
-            hardware_config = HardwareConfig(clock_mhz=clock_mhz)
-        clock_mhz = hardware_config.clock_mhz
-        workers: List[RetrievalWorker] = []
-        hardware_unit = None
-        if hardware_devices:
-            hardware_unit = HardwareRetrievalUnit(case_base, config=hardware_config)
-            for index in range(hardware_devices):
-                device = virtex2_3000_fpga(f"fpga{index}")
-                controller = LocalRuntimeController(device, repository)
-                workers.append(RetrievalWorker(
-                    device.name,
-                    controller,
-                    kind=HARDWARE,
-                    clock_mhz=hardware_config.clock_mhz,
-                    case_base=case_base,
-                    unit=hardware_unit,
-                ))
-        if software_devices:
-            software_unit = SoftwareRetrievalUnit(
-                case_base, cost_model=microblaze_cost_model(clock_mhz)
+        if hardware_config is not None:
+            clock_mhz = hardware_config.clock_mhz
+        workers = [
+            RetrievalWorker(
+                f"{prefix}{index}",
+                LocalRuntimeController(device(f"{prefix}{index}"), repository),
+                kind=kind,
+                clock_mhz=clock_mhz,
+                case_base=case_base,
             )
-            for index in range(software_devices):
-                device = host_cpu(f"cpu{index}")
-                controller = LocalRuntimeController(device, repository)
-                workers.append(RetrievalWorker(
-                    device.name,
-                    controller,
-                    kind=SOFTWARE,
-                    clock_mhz=clock_mhz,
-                    case_base=case_base,
-                    unit=software_unit,
-                ))
-        image_words = hardware_unit.image_word_count if hardware_unit is not None else None
+            for prefix, device, kind, count in (
+                ("fpga", virtex2_3000_fpga, HARDWARE, hardware_devices),
+                ("cpu", host_cpu, SOFTWARE, software_devices),
+            )
+            for index in range(count)
+        ]
         return cls(
             case_base,
             workers,
             repository=repository,
             power_budget_mw=power_budget_mw,
             reconfig_us=reconfig_us,
-            image_words=image_words,
         )
+
+    @classmethod
+    def single_node(
+        cls,
+        case_base: CaseBase,
+        *,
+        hardware_clock_mhz: float,
+        software_clock_mhz: float,
+    ) -> "DeviceFleet":
+        """The paper's single node: workers named ``hardware`` and ``software``.
+
+        Its reconfiguration port costs nothing (``reconfig_us=0``): image
+        adoption is free, as in the two-serial-server model the admission
+        gate started from.
+        """
+        workers = [
+            RetrievalWorker(
+                kind,
+                LocalRuntimeController(device(kind)),
+                kind=kind,
+                clock_mhz=clock_mhz,
+                case_base=case_base,
+            )
+            for kind, device, clock_mhz in (
+                (HARDWARE, virtex2_3000_fpga, hardware_clock_mhz),
+                (SOFTWARE, host_cpu, software_clock_mhz),
+            )
+        ]
+        return cls(case_base, workers, reconfig_us=0.0)
 
     # -- queries ----------------------------------------------------------------------
 
@@ -372,11 +371,15 @@ class DeviceFleet:
 
     def image_word_count(self) -> int:
         """Word count of one full on-device CB-MEM image."""
-        if self._image_words is not None:
-            return int(self._image_words())
-        # Software-only fleets never stream images; a zero-sized image keeps
-        # sync a no-op without demanding a hardware unit.
-        return 0
+        if self.image_words is None:
+            # Software-only fleets never stream images; a zero-sized image
+            # keeps sync a no-op without demanding a hardware unit.
+            if not self.hardware_workers:
+                return 0
+            from ..hardware.retrieval_unit import HardwareRetrievalUnit
+
+            self.image_words = HardwareRetrievalUnit(self.case_base).image_word_count
+        return int(self.image_words())
 
     def _stream_words(self, worker: RetrievalWorker) -> Tuple[int, bool]:
         """``(words to stream, incremental?)`` to bring one image current.
@@ -406,10 +409,13 @@ class DeviceFleet:
         opcode from the repository per placement, not per retrieval, so
         their image adoption is modelled as instantaneous.
         """
+        revision = self.case_base.revision
+        if revision == self._synced_revision:
+            return []
         from ..memmap.words import words_to_bytes
 
-        revision = self.case_base.revision
         events: List[WorkerSyncEvent] = []
+        current = True
         for worker in self.workers:
             if worker.image_revision == revision:
                 continue
@@ -424,6 +430,7 @@ class DeviceFleet:
                     # stale so the next sync (the router's probe) retries.
                     worker.sync_events.append(event)
                     events.append(event)
+                    current = False
                     continue
             else:
                 event = WorkerSyncEvent(
@@ -437,6 +444,8 @@ class DeviceFleet:
             worker.image_revision = revision
             worker.sync_events.append(event)
             events.append(event)
+        if current:
+            self._synced_revision = revision
         return events
 
     def _stream_image(

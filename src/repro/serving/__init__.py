@@ -10,17 +10,16 @@ engines (PR 2):
   micro-batching policy;
 * :mod:`repro.serving.shards` -- sharded case-base workers whose per-shard
   rankings merge bit-identically with unsharded retrieval;
-* :mod:`repro.serving.admission` -- deadline-budget admission control driven
-  by exact cycle counts (admit / degrade-to-software / reject) plus
-  allocation-layer feasibility screening;
+* :mod:`repro.serving.admission` -- :class:`AdmissionController`, the one
+  admission gate: deadline-budget routing driven by exact cycle counts
+  (admit / degrade-to-software / reject / requeue) across a
+  :class:`~repro.platform.DeviceFleet` of reconfigurable devices -- the
+  single node is its one-hardware/one-software topology -- plus worker
+  health and allocation-layer feasibility screening;
 * :mod:`repro.serving.metrics` -- throughput, latency percentiles,
   batch-shape histograms and rejection rates;
 * :mod:`repro.serving.engine` -- :class:`ServingEngine`, the facade gluing
-  the pipeline together;
-* :mod:`repro.serving.cluster` -- :class:`ClusterServingEngine` and
-  :class:`ClusterRouter`, routing micro-batches across a
-  :class:`~repro.platform.DeviceFleet` of reconfigurable devices with the
-  two-server admission model generalised to N workers;
+  the pipeline together (single-node, or a cluster when given a fleet);
 * :mod:`repro.serving.spec` -- :class:`ServingSpec`, the one declarative
   schema every engine-construction surface (Python API, CLI, HTTP daemon)
   builds from;
@@ -30,8 +29,8 @@ engines (PR 2):
   (:mod:`repro.core.journal`) and recovers bit-identically on restart;
 * :mod:`repro.resilience` (re-exported here) -- seeded fault injection
   (:class:`FaultPlan` / :class:`FaultInjector`) and the shared
-  :class:`RetryPolicy`; the cluster router tracks per-worker health and adds
-  the ``requeue`` admission rung under injected faults;
+  :class:`RetryPolicy`; the admission router tracks per-worker health and
+  adds the ``requeue`` admission rung under injected faults;
 * :mod:`repro.observability` (re-exported here) -- the span tracer, live
   metrics registry and trace ring behind ``GET /metrics`` (Prometheus text),
   ``GET /trace/<id>`` and ``repro trace``; configured per spec through the
@@ -41,8 +40,12 @@ engines (PR 2):
 
 from ..observability import Observability, ObservabilityConfig
 from ..resilience import FaultInjector, FaultPlan, FaultSpec, RetryPolicy
-from .admission import AdmissionController, AdmissionDecision, AdmissionVerdict
-from .cluster import ClusterDecision, ClusterRouter, ClusterServingEngine, WorkerHealth
+from .admission import (
+    AdmissionController,
+    AdmissionDecision,
+    AdmissionVerdict,
+    WorkerHealth,
+)
 from .daemon import DaemonThread, ServingDaemon, replay_capture, run_daemon
 from .engine import (
     OnlineLearner,
@@ -70,9 +73,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "AdmissionVerdict",
-    "ClusterDecision",
-    "ClusterRouter",
-    "ClusterServingEngine",
     "DaemonThread",
     "FaultInjector",
     "FaultPlan",

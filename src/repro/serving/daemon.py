@@ -257,7 +257,6 @@ class ServingDaemon:
         #: ``/learn`` ingestion mutated the live one.
         self._case_base_snapshot = self.case_base.to_dict() if capture else None
         self.engine = spec.build_engine(self.case_base, feasibility=feasibility)
-        self.is_cluster = getattr(self.engine, "fleet", None) is not None
         self.session: ServingSession = self.engine.session()
         self.max_batch = self.engine.config.max_batch
         self.max_wait_us = self.engine.config.max_wait_us
@@ -295,7 +294,7 @@ class ServingDaemon:
         self.recovery_error: Optional[BaseException] = None
         self._recovery_future: Optional[asyncio.Future] = None
         # -- fault injection (connection / learn faults live at this layer;
-        #    worker and stream faults live in the cluster engine) ----------------
+        #    worker and stream faults live in a cluster's admission router) -----
         self._fault_injector = (
             FaultInjector(spec.fault_plan)
             if spec.fault_plan is not None and len(spec.fault_plan)
@@ -435,7 +434,7 @@ class ServingDaemon:
     @property
     def reconfiguring(self) -> bool:
         """Whether a queued ``/learn`` batch is awaiting fleet propagation."""
-        return self.is_cluster and bool(self._queued_mutations)
+        return self.engine.admission.cluster and bool(self._queued_mutations)
 
     # -- durable journal ----------------------------------------------------------------
 
@@ -553,7 +552,6 @@ class ServingDaemon:
             engine_state if isinstance(engine_state, Mapping) else None
         )
         self.engine = self.spec.build_engine(case_base, feasibility=self._feasibility)
-        self.is_cluster = getattr(self.engine, "fleet", None) is not None
         self._register_daemon_metrics()
         self.session = self.engine.session()
         if isinstance(engine_state, Mapping):
@@ -773,7 +771,10 @@ class ServingDaemon:
             self._queued_mutations.append(list(events))
             return 202, schemas.attach_envelope(
                 "learning-queued",
-                {"queued_events": len(events), "reconfiguring": self.is_cluster},
+                {
+                    "queued_events": len(events),
+                    "reconfiguring": self.engine.admission.cluster,
+                },
             )
         outcome = self._apply_mutations(events)
         # Commit the idle-path application (semantic failures included:
@@ -806,7 +807,7 @@ class ServingDaemon:
             "learn_events_applied": self._learn_applied,
             "queued_mutation_batches": len(self._queued_mutations),
             "reconfiguring": self.reconfiguring,
-            "engine": "cluster" if self.is_cluster else "single",
+            "engine": "cluster" if self.engine.admission.cluster else "single",
             "ready": self.ready,
         }
         if self.journal is not None:
@@ -876,7 +877,7 @@ class ServingDaemon:
             "health",
             {
                 "status": "ok" if self.ready else "starting",
-                "engine": "cluster" if self.is_cluster else "single",
+                "engine": "cluster" if self.engine.admission.cluster else "single",
                 "requests": len(self.trace),
             },
         )
@@ -1081,7 +1082,7 @@ class ServingDaemon:
             "event=serve.start bind=%s:%s engine=%s spec_hash=%s journal=%s",
             self.address[0],
             self.address[1],
-            "cluster" if self.is_cluster else "single",
+            "cluster" if self.engine.admission.cluster else "single",
             self.spec.spec_hash(),
             self._journal_dir or "none",
         )

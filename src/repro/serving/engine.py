@@ -5,8 +5,14 @@ component the ROADMAP's "heavy traffic" north star asks for -- the layer that
 turns a live *stream* of function requests into batched work for the fast
 primitives built in earlier PRs:
 
-    trace -> MicroBatchScheduler -> AdmissionController -> ShardedRetriever
-          -> (PR 1 vectorized backend, PR 2 cycle engines) -> MetricsCollector
+    trace -> MicroBatchScheduler -> AdmissionController (routing onto a
+          DeviceFleet) -> ShardedRetriever -> (PR 1 vectorized backend,
+          PR 2 cycle engines) -> MetricsCollector
+
+Single-node serving is the fleet's one-hardware/one-software topology;
+passing a :class:`~repro.platform.DeviceFleet` serves a cluster instead, with
+the same scheduling, screening, retrieval and learning -- routing changes
+*where* modelled service happens, never *what* is retrieved.
 
 Replays run on virtual (trace) time and are fully deterministic; the
 wall-clock cost of the dispatch loop is measured separately and reported as
@@ -36,7 +42,9 @@ from ..core.learning import CaseRetainer, CaseReviser, CBRCycle, CycleReport, Ou
 from ..core.request import FunctionRequest
 from ..core.retrieval import RetrievalEngine, RetrievalResult
 from ..hardware.retrieval_unit import HardwareConfig
-from ..observability import Observability, ObservabilityConfig, catalog
+from ..observability import Observability, ObservabilityConfig
+from ..platform.fleet import DeviceFleet
+from ..resilience import FaultInjector
 from .admission import AdmissionController, AdmissionDecision, AdmissionVerdict
 from .loadgen import TimedRequest, trace_from_requests
 from .metrics import MetricsCollector
@@ -272,6 +280,30 @@ class OnlineLearner:
             self.retained_count += 1
 
 
+def _decided(
+    trace_index: int,
+    entry: TimedRequest,
+    batch_index: int,
+    decision: AdmissionDecision,
+    status: ServingStatus,
+    reason: str,
+    **outcome: object,
+) -> ServedRequest:
+    """The record of one admission-assessed request."""
+    return ServedRequest(
+        index=trace_index,
+        arrival_us=entry.arrival_us,
+        batch_index=batch_index,
+        status=status,
+        wait_us=decision.wait_us,
+        queue_us=decision.queue_us,
+        service_us=decision.service_us,
+        cycles=decision.cycles,
+        reason=reason,
+        **outcome,
+    )
+
+
 class ServingSession:
     """One serving run over an engine, fed batch by batch.
 
@@ -303,7 +335,8 @@ class ServingSession:
         )
         #: Outcome records keyed by trace index (sorted into a report later).
         self.records: Dict[int, ServedRequest] = {}
-        self._admission_state = engine._admission_state()
+        self.admission = engine.admission
+        self.admission.reset()
         learner = engine.learner
         self._learn_baseline = (
             {
@@ -318,7 +351,7 @@ class ServingSession:
         #: Requests carried into the next batch by the ``REQUEUE`` verdict:
         #: ``(trace_index, entry, attempts, last_batch_index, last_close_us)``.
         self._requeued: List[Tuple[int, TimedRequest, int, int, float]] = []
-        policy = getattr(engine, "retry_policy", None)
+        policy = self.admission.retry_policy
         self._requeue_limit = policy.max_attempts if policy is not None else 1
         self._start = time.perf_counter()
 
@@ -354,48 +387,32 @@ class ServingSession:
             else:
                 dispatchable.append((trace_index, entry))
         if dispatchable:
-            decisions = engine._assess_batch(
-                self._admission_state,
+            decisions = self.admission.assess_batch(
                 [entry for _, entry in dispatchable],
                 batch.close_us,
+                default_deadline_us=engine.config.deadline_us,
             )
             admitted: List[Tuple[int, TimedRequest, AdmissionDecision]] = []
             for (trace_index, entry), decision in zip(dispatchable, decisions):
                 if decision.verdict.admitted:
                     admitted.append((trace_index, entry, decision))
-                elif decision.verdict is AdmissionVerdict.REQUEUE:
+                    continue
+                reason = decision.reason
+                if decision.verdict is AdmissionVerdict.REQUEUE:
                     attempts = requeue_attempts.get(trace_index, 0) + 1
-                    if attempts >= self._requeue_limit:
-                        produced[trace_index] = ServedRequest(
-                            index=trace_index,
-                            arrival_us=entry.arrival_us,
-                            batch_index=batch.index,
-                            status=ServingStatus.REJECTED_DEADLINE,
-                            wait_us=decision.wait_us,
-                            queue_us=decision.queue_us,
-                            service_us=decision.service_us,
-                            cycles=decision.cycles,
-                            reason=(
-                                f"{decision.reason} (requeue budget of "
-                                f"{self._requeue_limit} attempts exhausted)"
-                            ),
-                        )
-                    else:
+                    if attempts < self._requeue_limit:
                         self._requeued.append(
                             (trace_index, entry, attempts, batch.index, batch.close_us)
                         )
-                else:
-                    produced[trace_index] = ServedRequest(
-                        index=trace_index,
-                        arrival_us=entry.arrival_us,
-                        batch_index=batch.index,
-                        status=ServingStatus.REJECTED_DEADLINE,
-                        wait_us=decision.wait_us,
-                        queue_us=decision.queue_us,
-                        service_us=decision.service_us,
-                        cycles=decision.cycles,
-                        reason=decision.reason,
+                        continue
+                    reason = (
+                        f"{reason} (requeue budget of "
+                        f"{self._requeue_limit} attempts exhausted)"
                     )
+                produced[trace_index] = _decided(
+                    trace_index, entry, batch.index, decision,
+                    ServingStatus.REJECTED_DEADLINE, reason,
+                )
             if admitted:
                 results = engine.retriever.retrieve_batch(
                     [entry.request for _, entry, _ in admitted],
@@ -403,29 +420,24 @@ class ServingSession:
                     threshold=engine.config.threshold,
                 )
                 for (trace_index, entry, decision), result in zip(admitted, results):
-                    infeasible = engine.admission.feasibility_failure(result)
+                    infeasible = self.admission.feasibility_failure(result)
                     if infeasible is not None:
-                        status = ServingStatus.REJECTED_INFEASIBLE
-                        worker = ""
-                        latency_us: Optional[float] = None
-                        reason = infeasible
-                    else:
-                        status, worker = engine._served_status(decision)
-                        latency_us = decision.latency_us
-                        reason = decision.reason
-                    produced[trace_index] = ServedRequest(
-                        index=trace_index,
-                        arrival_us=entry.arrival_us,
-                        batch_index=batch.index,
-                        status=status,
-                        wait_us=decision.wait_us,
-                        queue_us=decision.queue_us,
-                        service_us=decision.service_us,
-                        latency_us=latency_us,
-                        cycles=decision.cycles,
+                        produced[trace_index] = _decided(
+                            trace_index, entry, batch.index, decision,
+                            ServingStatus.REJECTED_INFEASIBLE, infeasible,
+                            result=result,
+                        )
+                        continue
+                    produced[trace_index] = _decided(
+                        trace_index, entry, batch.index, decision,
+                        ServingStatus.SERVED_SOFTWARE
+                        if decision.verdict is AdmissionVerdict.DEGRADE_SOFTWARE
+                        else ServingStatus.SERVED_HARDWARE,
+                        decision.reason,
+                        latency_us=decision.latency_us,
                         result=result,
-                        reason=reason,
-                        worker=worker,
+                        # Single-node records name no worker.
+                        worker=decision.worker if self.admission.cluster else "",
                     )
                 if engine.learner is not None:
                     # Feed outcomes back between micro-batches, in trace
@@ -475,9 +487,9 @@ class ServingSession:
     def metrics_snapshot(self) -> Dict[str, object]:
         """A mid-run metrics report (``GET /metrics``).
 
-        Deliberately skips :meth:`ServingEngine._extend_metrics`: the cluster
-        engine's extension *drains* the fleet (a mutating sync), which must
-        only happen when the session finishes.
+        Deliberately skips the ``cluster`` section: building it *drains* the
+        fleet (a mutating sync), which must only happen when the session
+        finishes.
         """
         self.metrics.wall_seconds = time.perf_counter() - self._start
         report = self.metrics.report()
@@ -518,28 +530,31 @@ class ServingSession:
 
     def state_snapshot(self) -> Dict[str, object]:
         """Restorable server-occupancy state (the journal's ``engine_state``)."""
-        return self.engine._state_snapshot(self._admission_state)
+        return self.admission.state_snapshot()
 
     def restore_state(self, snapshot: Mapping[str, object]) -> None:
         """Adopt a :meth:`state_snapshot` taken by a previous incarnation."""
-        self.engine._restore_state(self._admission_state, snapshot)
+        self.admission.restore_state(snapshot)
 
     def quiescent(self) -> bool:
         """Whether the session can be snapshotted without losing state.
 
-        True when no requests are requeued and the engine reports its own
+        True when no requests are requeued and the router reports its own
         state fully consistent (for a cluster: every worker's image is at
         the current case-base revision, so a recovered fleet's incremental
         versus full sync decisions match the uninterrupted run's).
         """
-        return not self._requeued and self.engine._snapshot_ready()
+        return not self._requeued and self.admission.snapshot_ready()
 
     def finish(self) -> ServingReport:
         """Close the session and assemble the final report."""
         self.drain_requeued()
         self.metrics.wall_seconds = time.perf_counter() - self._start
         metrics_report = self.metrics.report()
-        self.engine._extend_metrics(metrics_report)
+        if self.admission.cluster:
+            metrics_report["cluster"] = self.admission.fleet_report(
+                metrics_report["served"]
+            )
         learning = self._learning_section()
         if learning is not None:
             metrics_report["learning"] = learning
@@ -563,6 +578,14 @@ class ServingEngine:
         whose entire merged ranking is unplaceable on the platform are
         reported ``REJECTED_INFEASIBLE`` (reusing the allocation manager's
         verdict machinery).
+    fleet:
+        Optional device fleet (built over ``case_base``) to serve as a
+        cluster: records name their worker, reports gain a ``cluster``
+        section, and device images are synced before every batch.  ``None``
+        serves the single-node topology.
+    fault_injector:
+        Optional seeded :class:`~repro.resilience.FaultInjector` (worker
+        health, quarantine routing and the ``requeue`` rung).
     """
 
     def __init__(
@@ -571,6 +594,8 @@ class ServingEngine:
         *,
         config: Optional[ServingConfig] = None,
         feasibility: Optional[FeasibilityChecker] = None,
+        fleet: Optional[DeviceFleet] = None,
+        fault_injector: Optional[FaultInjector] = None,
     ) -> None:
         self.case_base = case_base
         self.config = config if config is not None else ServingConfig()
@@ -599,12 +624,16 @@ class ServingEngine:
             hardware_config = replace(hardware_config, n_best=self.config.n_best)
         self.admission = AdmissionController(
             case_base,
+            fleet=fleet,
             clock_mhz=self.config.clock_mhz,
             hardware_config=hardware_config,
             cycle_engine=self.config.cycle_engine,
             degrade_to_software=self.config.degrade_to_software,
             feasibility=feasibility,
+            fault_injector=fault_injector,
         )
+        self.admission.observability = self.observability
+        self.fleet = self.admission.fleet
         #: Revision-tracked screening caches (hot path: one check per request);
         #: delta windows patch only the touched types instead of rescanning.
         self._servable_types: Dict[int, Optional[str]] = {}
@@ -618,9 +647,6 @@ class ServingEngine:
         )
         #: Optional online-learning adapter (revise + retain between batches).
         self.learner = OnlineLearner(case_base, self.config) if self.config.learn else None
-        #: Retry/backoff policy (PR 7); the base engine never requeues, so it
-        #: stays ``None`` unless a fault-aware subclass installs one.
-        self.retry_policy = None
 
     # -- request screening ---------------------------------------------------------
 
@@ -766,103 +792,6 @@ class ServingEngine:
         except ReproError as error:
             return str(error)
         return None
-
-    # -- admission hooks (overridden by the cluster engine) ---------------------------
-
-    def _admission_state(self) -> Dict[str, float]:
-        """Fresh per-replay server-occupancy state for :meth:`_assess_batch`.
-
-        The base engine models the PR 3 two-serial-server platform: one
-        hardware retrieval unit and one software path, each with a virtual
-        free-at time carried across batches.
-        :class:`~repro.serving.cluster.ClusterServingEngine` overrides this
-        pair of hooks to route across a whole device fleet instead.
-        """
-        self._register_worker_gauges(("hardware", "software"))
-        return {"hardware_free_at_us": 0.0, "software_free_at_us": 0.0}
-
-    def _register_worker_gauges(self, names: Sequence[str]) -> None:
-        """Materialise the health gauge for every server the engine models."""
-        if not self.observability.metrics_enabled:
-            return
-        gauge = catalog.worker_health(self.observability.registry)
-        for name in names:
-            gauge.labels(worker=name)
-
-    def _assess_batch(
-        self,
-        state: Dict[str, float],
-        entries: Sequence[TimedRequest],
-        close_us: float,
-    ) -> List[AdmissionDecision]:
-        """Deadline-check one dispatch batch, advancing the occupancy state.
-
-        Each admitted decision's ``queue_us + service_us`` is that server's
-        occupancy end after serving it, so the maximum (or the carried
-        backlog, if nothing was assigned) becomes the server's new free-at
-        offset -- the admission gate sees backlog carried *across* batches
-        and sustained overload is rejected even one-at-a-time.
-        """
-        hardware_backlog_us = max(0.0, state["hardware_free_at_us"] - close_us)
-        software_backlog_us = max(0.0, state["software_free_at_us"] - close_us)
-        decisions = self.admission.assess_batch(
-            entries,
-            close_us,
-            default_deadline_us=self.config.deadline_us,
-            hardware_backlog_us=hardware_backlog_us,
-            software_backlog_us=software_backlog_us,
-        )
-        state["hardware_free_at_us"] = close_us + max(
-            [hardware_backlog_us]
-            + [
-                decision.queue_us + decision.service_us
-                for decision in decisions
-                if decision.verdict is AdmissionVerdict.ADMIT_HARDWARE
-            ]
-        )
-        state["software_free_at_us"] = close_us + max(
-            [software_backlog_us]
-            + [
-                decision.queue_us + decision.service_us
-                for decision in decisions
-                if decision.verdict is AdmissionVerdict.DEGRADE_SOFTWARE
-            ]
-        )
-        return decisions
-
-    def _served_status(
-        self, decision: AdmissionDecision
-    ) -> Tuple[ServingStatus, str]:
-        """``(status, worker name)`` of one admitted-and-feasible request."""
-        if decision.verdict is AdmissionVerdict.DEGRADE_SOFTWARE:
-            return ServingStatus.SERVED_SOFTWARE, ""
-        return ServingStatus.SERVED_HARDWARE, ""
-
-    def _state_snapshot(self, state: Dict[str, float]) -> Dict[str, object]:
-        """Serialisable occupancy state for the durability journal.
-
-        The base engine's whole cross-batch state is the two-server free-at
-        dict; the cluster engine overrides this pair of hooks to also carry
-        router bookkeeping and reconfiguration-port occupancy.
-        """
-        return {"admission": dict(state)}
-
-    def _restore_state(
-        self, state: Dict[str, float], snapshot: Mapping[str, object]
-    ) -> None:
-        """Adopt a :meth:`_state_snapshot` into a fresh session's state."""
-        admission = snapshot.get("admission", {})
-        if not isinstance(admission, Mapping):
-            raise ReproError("journal engine_state has a malformed admission section")
-        state.clear()
-        state.update({str(key): float(value) for key, value in admission.items()})
-
-    def _snapshot_ready(self) -> bool:
-        """Whether a journal snapshot taken now loses no engine state."""
-        return True
-
-    def _extend_metrics(self, metrics_report: Dict[str, object]) -> None:
-        """Hook for subclasses to add sections to the metrics report."""
 
     # -- replay --------------------------------------------------------------------
 

@@ -58,8 +58,10 @@ class ServingSpec:
     mean_interarrival_us: float = 1000.0
     seed: int = 2004
     # -- engine-topology axis -------------------------------------------------------
-    #: ``False`` = single-node :class:`~repro.serving.ServingEngine`;
-    #: ``True`` = :class:`~repro.serving.ClusterServingEngine` over a fleet.
+    #: ``False`` = the single-node topology (one hardware + one software
+    #: worker); ``True`` = a fleet of ``devices`` FPGAs and
+    #: ``software_workers`` CPUs.  Either way one
+    #: :class:`~repro.serving.ServingEngine` serves it.
     cluster: bool = False
     devices: int = 2
     software_workers: int = 1
@@ -274,37 +276,40 @@ class ServingSpec:
         cycle_engine: Optional[str] = None,
         repository=None,
     ):
-        """Construct the serving engine (single-node or cluster) this spec names."""
+        """Construct the serving engine (single-node or cluster) this spec names.
+
+        ``fleet`` and the spec's worker/stream faults apply to cluster specs
+        only; a single-node spec serves the built-in one-hardware/one-software
+        topology (its fault plan acts at the daemon's connection layer).
+        """
         # Resolved through the package namespace (not the submodules) so
         # tests substituting repro.serving.ServingEngine see their double.
         from .. import serving as _serving
-
-        ServingEngine = _serving.ServingEngine
-        ClusterServingEngine = _serving.ClusterServingEngine
 
         if case_base is None:
             case_base = self.resolve_case_base()
         config = self.serving_config(
             hardware_config=hardware_config, cycle_engine=cycle_engine
         )
-        if not self.cluster:
-            return ServingEngine(case_base, config=config, feasibility=feasibility)
-        if fleet is None:
-            fleet = self.build_fleet(
-                case_base,
-                hardware_config=config.hardware_config,
-                repository=repository,
-            )
         fault_injector = None
-        if self.fault_plan is not None and len(self.fault_plan):
-            from ..resilience import FaultInjector
+        if not self.cluster:
+            fleet = None
+        else:
+            if fleet is None:
+                fleet = self.build_fleet(
+                    case_base,
+                    hardware_config=config.hardware_config,
+                    repository=repository,
+                )
+            if self.fault_plan is not None and len(self.fault_plan):
+                from ..resilience import FaultInjector
 
-            fault_injector = FaultInjector(self.fault_plan)
-        return ClusterServingEngine(
+                fault_injector = FaultInjector(self.fault_plan)
+        return _serving.ServingEngine(
             case_base,
-            fleet,
             config=config,
             feasibility=feasibility,
+            fleet=fleet,
             fault_injector=fault_injector,
         )
 

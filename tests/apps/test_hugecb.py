@@ -155,6 +155,34 @@ class TestEndToEnd:
         assert statuses == {"served_software"}
         assert all(ranking for ranking in report.rankings())
 
+    def test_cluster_spec_serves_an_unencodable_case_base(self):
+        """A fleet over a case base no pricing model encodes serves it with
+        the single node's statuses instead of crashing at fleet build."""
+        from repro.serving import ServingSpec, synthetic_trace
+        from repro.tools import CaseBaseGenerator, GeneratorSpec
+
+        case_base = CaseBaseGenerator(
+            GeneratorSpec(
+                type_count=4,
+                implementations_per_type=800,
+                attributes_per_implementation=10,
+                attribute_type_count=10,
+            ),
+            seed=6,
+        ).case_base()
+        trace = synthetic_trace(case_base, 24, mean_interarrival_us=5.0, seed=2)
+        spec = ServingSpec(random=24, deadline_us=20.0, max_batch=8)
+        single = spec.build_engine(case_base).serve(trace)
+        engine = spec.replace(cluster=True).build_engine(case_base)
+        cluster = engine.serve(trace)
+        assert engine.admission.hardware_unit is None
+        statuses = [record.status for record in cluster.served]
+        assert statuses == [record.status for record in single.served]
+        assert {status.value for status in statuses} == {
+            "served_software", "rejected_deadline"
+        }
+        assert cluster.rankings() == single.rankings()
+
     def test_unextended_platform_schema_cannot_resolve_the_constraints(
         self, workload
     ):

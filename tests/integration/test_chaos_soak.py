@@ -17,7 +17,6 @@ import pytest
 from repro.platform import DeviceFleet
 from repro.resilience import FaultInjector, FaultPlan, FaultSpec
 from repro.serving import (
-    ClusterServingEngine,
     DaemonThread,
     ServingConfig,
     ServingEngine,
@@ -65,8 +64,8 @@ class TestClusterChaosSoak:
         fleet = DeviceFleet.build(
             case_base, hardware_devices=2, software_devices=0
         )
-        engine = ClusterServingEngine(
-            case_base, fleet, config=config,
+        engine = ServingEngine(
+            case_base, fleet=fleet, config=config,
             fault_injector=FaultInjector(FaultPlan(seed=2004, faults=CHAOS_FAULTS)),
         )
         return engine.serve(trace), engine

@@ -23,10 +23,7 @@ class TestFleetConstruction:
         assert len(fleet) == 3
         assert [worker.name for worker in fleet.hardware_workers] == ["fpga0", "fpga1"]
         assert [worker.name for worker in fleet.software_workers] == ["cpu0"]
-        # Workers of one kind share one host-side unit: it *is* the image
-        # every device of that kind mirrors.
         hw0, hw1 = fleet.hardware_workers
-        assert hw0.unit is hw1.unit
         assert hw0.clock_mhz == 66.0
 
     def test_workers_are_registered_with_the_resource_state(self, fleet):

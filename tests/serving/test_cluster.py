@@ -1,17 +1,17 @@
 """Tests for cluster-scale serving: fleet routing, degradation, learning.
 
-The load-bearing property is the N-server generalisation: a fleet of one
-hardware and one software worker at equal clock must reproduce the PR 3
-two-server admission decisions *exactly*, and any fleet must return rankings
-bit-identical to single-device serving (routing redistributes where modelled
-service happens, never what is retrieved).
+The load-bearing property is the N-server generalisation: single-node
+serving *is* the fleet's one-hardware/one-software topology, so an explicit
+fleet of one hardware and one software worker at equal clock (with free
+image adoption) must reproduce single-node decisions *exactly*, and any
+fleet must return rankings bit-identical to single-device serving (routing
+redistributes where modelled service happens, never what is retrieved).
 """
 
 import pytest
 
 from repro.platform import DeviceFleet
 from repro.serving import (
-    ClusterServingEngine,
     ServingConfig,
     ServingEngine,
     ServingStatus,
@@ -40,18 +40,27 @@ def _trace(case_base, count=60, interarrival=150.0, seed=3):
 
 
 def _decision_surface(report):
-    """The per-request fields the two-server differential compares."""
+    """The per-request fields a replay decides, except the worker's name."""
     return [
         (
             record.status,
-            round(record.wait_us, 9),
-            round(record.queue_us, 9),
-            round(record.service_us, 9),
+            record.wait_us,
+            record.queue_us,
+            record.service_us,
             record.cycles,
-            round(record.latency_us, 9) if record.latency_us is not None else None,
+            record.latency_us,
+            record.reason,
         )
         for record in report.served
     ]
+
+
+def _one_plus_one(case_base, **kwargs):
+    """The explicit twin of the single-node topology."""
+    return DeviceFleet.build(
+        case_base, hardware_devices=1, software_devices=1, reconfig_us=0.0,
+        **kwargs,
+    )
 
 
 class TestTwoServerEquivalence:
@@ -59,18 +68,19 @@ class TestTwoServerEquivalence:
     def test_one_hw_one_sw_fleet_reproduces_the_two_server_gate(
         self, cluster_case_base, deadline_us
     ):
-        """The N-server router degenerates exactly to PR 3's admission model."""
+        """The single node is exactly the 1+1 fleet (no rounding)."""
         config = ServingConfig(max_batch=16, deadline_us=deadline_us)
         trace = _trace(cluster_case_base, count=80, interarrival=30.0)
         single = ServingEngine(cluster_case_base, config=config).serve(trace)
-        fleet = DeviceFleet.build(
-            cluster_case_base, hardware_devices=1, software_devices=1
-        )
-        cluster = ClusterServingEngine(
-            cluster_case_base, fleet, config=config
+        cluster = ServingEngine(
+            cluster_case_base, fleet=_one_plus_one(cluster_case_base),
+            config=config,
         ).serve(trace)
         assert _decision_surface(cluster) == _decision_surface(single)
         assert cluster.rankings() == single.rankings()
+        # The explicit fleet names its workers; the single node does not.
+        assert all(record.worker == "" for record in single.served)
+        assert "cluster" not in single.metrics
 
     def test_explicit_hardware_config_clock_drives_both_tiers(
         self, cluster_case_base
@@ -91,15 +101,13 @@ class TestTwoServerEquivalence:
         )
         trace = _trace(cluster_case_base, count=80, interarrival=30.0)
         single = ServingEngine(cluster_case_base, config=config).serve(trace)
-        fleet = DeviceFleet.build(
+        fleet = _one_plus_one(
             cluster_case_base,
-            hardware_devices=1,
-            software_devices=1,
             hardware_config=hardware_config,  # clock_mhz left at its 66 default
         )
         assert fleet.worker("cpu0").clock_mhz == 120.0
-        cluster = ClusterServingEngine(
-            cluster_case_base, fleet, config=config
+        cluster = ServingEngine(
+            cluster_case_base, fleet=fleet, config=config
         ).serve(trace)
         assert _decision_surface(cluster) == _decision_surface(single)
 
@@ -109,11 +117,9 @@ class TestTwoServerEquivalence:
         )
         trace = _trace(cluster_case_base, count=80, interarrival=30.0)
         single = ServingEngine(cluster_case_base, config=config).serve(trace)
-        fleet = DeviceFleet.build(
-            cluster_case_base, hardware_devices=1, software_devices=1
-        )
-        cluster = ClusterServingEngine(
-            cluster_case_base, fleet, config=config
+        cluster = ServingEngine(
+            cluster_case_base, fleet=_one_plus_one(cluster_case_base),
+            config=config,
         ).serve(trace)
         assert _decision_surface(cluster) == _decision_surface(single)
 
@@ -126,8 +132,8 @@ class TestFleetRouting:
         fleet = DeviceFleet.build(
             cluster_case_base, hardware_devices=4, software_devices=1
         )
-        cluster = ClusterServingEngine(
-            cluster_case_base, fleet, config=config
+        cluster = ServingEngine(
+            cluster_case_base, fleet=fleet, config=config
         ).serve(trace)
         assert cluster.rankings() == single.rankings()
 
@@ -139,8 +145,8 @@ class TestFleetRouting:
             fleet = DeviceFleet.build(
                 cluster_case_base, hardware_devices=devices, software_devices=0
             )
-            report = ClusterServingEngine(
-                cluster_case_base, fleet, config=config
+            report = ServingEngine(
+                cluster_case_base, fleet=fleet, config=config
             ).serve(trace)
             return report.metrics["cluster"]["modelled_throughput_rps"]
 
@@ -151,8 +157,8 @@ class TestFleetRouting:
         fleet = DeviceFleet.build(
             cluster_case_base, hardware_devices=3, software_devices=1
         )
-        report = ClusterServingEngine(
-            cluster_case_base, fleet,
+        report = ServingEngine(
+            cluster_case_base, fleet=fleet,
             config=ServingConfig(max_batch=64, max_wait_us=1e9),
         ).serve(trace)
         workers = report.metrics["cluster"]["workers"]
@@ -170,8 +176,8 @@ class TestFleetRouting:
         )
         # The lone hardware device is down for the whole trace.
         fleet.worker("fpga0").add_outage(0.0, 1e9)
-        report = ClusterServingEngine(
-            cluster_case_base, fleet,
+        report = ServingEngine(
+            cluster_case_base, fleet=fleet,
             config=ServingConfig(max_batch=8, deadline_us=5_000.0),
         ).serve(trace)
         statuses = report.metrics["statuses"]
@@ -190,8 +196,8 @@ class TestFleetRouting:
         )
         outage_end = 50_000.0
         fleet.worker("fpga0").add_outage(0.0, outage_end)
-        report = ClusterServingEngine(
-            cluster_case_base, fleet, config=ServingConfig(max_batch=8)
+        report = ServingEngine(
+            cluster_case_base, fleet=fleet, config=ServingConfig(max_batch=8)
         ).serve(trace)
         # Unconstrained traffic queues behind the outage instead of degrading.
         assert all(
@@ -208,8 +214,8 @@ class TestFleetRouting:
         fleet = DeviceFleet.build(
             cluster_case_base, hardware_devices=0, software_devices=2
         )
-        report = ClusterServingEngine(
-            cluster_case_base, fleet,
+        report = ServingEngine(
+            cluster_case_base, fleet=fleet,
             config=ServingConfig(max_batch=8, degrade_to_software=False),
         ).serve(trace)
         assert all(
@@ -222,15 +228,15 @@ class TestFleetRouting:
 
         fleet = DeviceFleet.build(cluster_case_base.copy(), hardware_devices=1)
         with pytest.raises(ReproError):
-            ClusterServingEngine(cluster_case_base, fleet)
+            ServingEngine(cluster_case_base, fleet=fleet)
 
     def test_replays_are_deterministic(self, cluster_case_base):
         trace = _trace(cluster_case_base, count=40)
         fleet = DeviceFleet.build(
             cluster_case_base, hardware_devices=2, software_devices=1
         )
-        engine = ClusterServingEngine(
-            cluster_case_base, fleet, config=ServingConfig(max_batch=16)
+        engine = ServingEngine(
+            cluster_case_base, fleet=fleet, config=ServingConfig(max_batch=16)
         )
         first = engine.serve(trace)
         second = engine.serve(trace)
@@ -248,8 +254,8 @@ class TestFleetWideLearning:
         fleet = DeviceFleet.build(
             cluster_case_base, hardware_devices=2, software_devices=1
         )
-        engine = ClusterServingEngine(
-            cluster_case_base, fleet,
+        engine = ServingEngine(
+            cluster_case_base, fleet=fleet,
             config=ServingConfig(max_batch=8, learn=True),
         )
         report = engine.serve(trace)
@@ -284,8 +290,8 @@ class TestFleetWideLearning:
         fleet = DeviceFleet.build(
             cluster_case_base, hardware_devices=3, software_devices=1
         )
-        cluster = ClusterServingEngine(
-            cluster_case_base, fleet, config=config
+        cluster = ServingEngine(
+            cluster_case_base, fleet=fleet, config=config
         ).serve(trace)
         # No deadline: both replays serve the same requests, feed the same
         # outcomes back, and the evolved rankings stay bit-identical.

@@ -13,14 +13,13 @@ from repro.core import ReproError
 from repro.platform import DeviceFleet
 from repro.resilience import FaultInjector, FaultPlan, FaultSpec, RetryPolicy
 from repro.serving import (
-    ClusterServingEngine,
     ServingConfig,
     ServingEngine,
     ServingStatus,
     WorkerHealth,
     synthetic_trace,
 )
-from repro.serving.cluster import HEALTHY, QUARANTINED, SUSPECT
+from repro.serving.admission import HEALTHY, QUARANTINED, SUSPECT
 from repro.tools import CaseBaseGenerator, GeneratorSpec
 
 
@@ -91,8 +90,8 @@ class TestQuarantineAndRequeue:
         fleet = DeviceFleet.build(
             case_base, hardware_devices=2, software_devices=0
         )
-        engine = ClusterServingEngine(
-            case_base, fleet, config=config, fault_injector=_injector(*faults)
+        engine = ServingEngine(
+            case_base, fleet=fleet, config=config, fault_injector=_injector(*faults)
         )
         return engine.serve(trace), engine
 
@@ -179,8 +178,8 @@ class TestQuarantineAndRequeue:
         fleet = DeviceFleet.build(
             case_base, hardware_devices=1, software_devices=1
         )
-        engine = ClusterServingEngine(
-            case_base, fleet,
+        engine = ServingEngine(
+            case_base, fleet=fleet,
             config=ServingConfig(max_batch=4, degrade_to_software=False),
             fault_injector=_injector(
                 FaultSpec(kind="worker_hang", target="fpga0", at_us=0.0),
@@ -203,8 +202,8 @@ class TestQuarantineAndRequeue:
         fleet = DeviceFleet.build(
             case_base, hardware_devices=2, software_devices=1
         )
-        engine = ClusterServingEngine(case_base, fleet, config=config)
-        assert engine.router.health is None
+        engine = ServingEngine(case_base, fleet=fleet, config=config)
+        assert engine.admission.health is None
         report = engine.serve(trace)
         assert "resilience" not in report.metrics["cluster"]
 

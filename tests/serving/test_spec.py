@@ -14,7 +14,6 @@ from repro.apps import build_scenario
 from repro.core import ReproError
 from repro.core.exceptions import RequestError
 from repro.serving import (
-    ClusterServingEngine,
     FaultPlan,
     FaultSpec,
     ServingEngine,
@@ -101,7 +100,7 @@ class TestConstruction:
     def test_build_engine_cluster(self):
         engine = ServingSpec(random=4, cluster=True, devices=2,
                              software_workers=1).build_engine()
-        assert isinstance(engine, ClusterServingEngine)
+        assert isinstance(engine, ServingEngine) and engine.admission.cluster
         assert len(engine.fleet) == 3
 
     def test_resolve_inputs_rejects_case_base_with_workload_trace(self, tmp_path):
@@ -188,7 +187,7 @@ class TestApplicationApiShims:
         scenario = build_scenario()
         spec = ServingSpec(cluster=True, devices=2, software_workers=1, n_best=2)
         engine = scenario.application_api.cluster_engine(spec)
-        assert isinstance(engine, ClusterServingEngine)
+        assert isinstance(engine, ServingEngine) and engine.admission.cluster
         assert len(engine.fleet) == 3
         assert engine.fleet.repository is scenario.manager.repository
 

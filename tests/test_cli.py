@@ -308,16 +308,17 @@ def _tampered_single_device_engine():
     """A ServingEngine subclass that corrupts the unsharded reference replay.
 
     The compare modes re-serve the trace through a single-device (shard
-    count 1) reference engine; tampering with that replay's rankings forces
-    a bit-identity failure without touching the primary replay, so the
-    tests can assert the non-zero exit code and the diff summary.
+    count 1, no fleet) reference engine; tampering with that replay's
+    rankings forces a bit-identity failure without touching the primary
+    replay, so the tests can assert the non-zero exit code and the diff
+    summary.
     """
     from repro.serving import ServingEngine
 
     class TamperedServingEngine(ServingEngine):
         def serve(self, trace):
             report = ServingEngine.serve(self, trace)
-            if self.config.shard_count == 1:
+            if self.config.shard_count == 1 and not self.admission.cluster:
                 for record in report.served:
                     if record.result is not None and len(record.result.ranked) > 1:
                         record.result.ranked.reverse()
