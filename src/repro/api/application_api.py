@@ -275,31 +275,7 @@ class ApplicationAPI:
         The PR 6 keyword-override shim (``serving_engine(shard_count=4)``)
         has been removed; a spec is now the only construction form.
         """
-        from ..serving.spec import ServingSpec
-
-        if spec is None:
-            raise RequestError(
-                "serving_engine requires a ServingSpec (the legacy keyword-"
-                "override form was removed); e.g. "
-                "api.serving_engine(ServingSpec(shards=4, learn=True))"
-            )
-        if not isinstance(spec, ServingSpec):
-            raise RequestError(
-                f"serving_engine expects a ServingSpec, got {type(spec).__name__}"
-            )
-        cycle_engine = (
-            spec.cycle_engine
-            if spec.cycle_engine != "auto"
-            else self.manager.cycle_engine
-        )
-        hardware_config = self.manager.hardware_config or None
-        return spec.build_engine(
-            self.manager.case_base,
-            feasibility=self.manager.feasibility,
-            hardware_config=hardware_config,
-            cycle_engine=cycle_engine,
-            repository=self.manager.repository,
-        )
+        return self._build_serving_engine("serving_engine", "shards=4", spec)
 
     def cluster_engine(self, spec=None, *, fleet=None):
         """A cluster :class:`~repro.serving.ServingEngine` over a device fleet.
@@ -324,31 +300,40 @@ class ApplicationAPI:
         The PR 6 keyword-override shim (``cluster_engine(devices=4)``) has
         been removed; a spec is now the only construction form.
         """
+        return self._build_serving_engine(
+            "cluster_engine", "devices=4", spec, cluster=True, fleet=fleet
+        )
+
+    def _build_serving_engine(
+        self, method: str, example: str, spec, *, cluster: bool = False, fleet=None
+    ):
+        """Validate ``spec`` for ``method`` and build its engine over the
+        manager's case base, feasibility checker, hardware configuration and
+        repository; an ``"auto"`` cycle engine inherits the manager's choice."""
         from ..serving.spec import ServingSpec
 
         if spec is None:
             raise RequestError(
-                "cluster_engine requires a ServingSpec (the legacy keyword-"
+                f"{method} requires a ServingSpec (the legacy keyword-"
                 "override form was removed); e.g. "
-                "api.cluster_engine(ServingSpec(devices=4, learn=True))"
+                f"api.{method}(ServingSpec({example}, learn=True))"
             )
         if not isinstance(spec, ServingSpec):
             raise RequestError(
-                f"cluster_engine expects a ServingSpec, got {type(spec).__name__}"
+                f"{method} expects a ServingSpec, got {type(spec).__name__}"
             )
-        if not spec.cluster:
+        if cluster and not spec.cluster:
             spec = spec.replace(cluster=True)
         cycle_engine = (
             spec.cycle_engine
             if spec.cycle_engine != "auto"
             else self.manager.cycle_engine
         )
-        hardware_config = self.manager.hardware_config or None
         return spec.build_engine(
             self.manager.case_base,
             feasibility=self.manager.feasibility,
             fleet=fleet,
-            hardware_config=hardware_config,
+            hardware_config=self.manager.hardware_config or None,
             cycle_engine=cycle_engine,
             repository=self.manager.repository,
         )

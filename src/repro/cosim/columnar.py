@@ -18,7 +18,9 @@ models read from CB-MEM.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -34,6 +36,14 @@ from ..memmap.words import END_OF_LIST
 #: Padding ID for absent attribute-list slots: compares greater than any
 #: 16-bit attribute ID, so it never matches and never counts as ``< a``.
 PAD_ID = 1 << 17
+
+#: Row offset shift of :attr:`TypeColumns.search_keys`: every ``entry_ids``
+#: value (16-bit IDs and ``PAD_ID``) is below ``1 << ROW_KEY_SHIFT``.
+ROW_KEY_SHIFT = PAD_ID.bit_length()
+
+#: Exact-cycle memo entries kept per columnar image (least recently used
+#: evicted first).
+CYCLE_MEMO_CAPACITY = 1024
 
 
 def _insert_row(array: np.ndarray, index: int, row) -> np.ndarray:
@@ -72,6 +82,22 @@ class TypeColumns:
     def implementation_count(self) -> int:
         """Number of implementation variants of this type."""
         return int(self.impl_ids.shape[0])
+
+    @cached_property
+    def search_keys(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(keys, row_offsets, row_starts)`` for one-pass attribute lookups.
+
+        ``keys`` is ``entry_ids`` with row ``i`` offset by ``row_offsets[i]
+        = i << ROW_KEY_SHIFT``, flattened: each row is ascending and below
+        the next row's offset, so the whole vector is sorted.
+        ``row_starts[i] = i * M`` is the row's first flat position.  Built
+        on first use per columns object (row patches make new objects).
+        """
+        count, width = self.entry_ids.shape
+        rows = np.arange(count, dtype=np.int64)
+        row_offsets = rows << ROW_KEY_SHIFT
+        keys = (self.entry_ids + row_offsets[:, None]).ravel()
+        return keys, row_offsets, rows * width
 
     def with_rows(
         self, patches: Dict[int, Optional[Tuple[Tuple[int, int], ...]]]
@@ -175,6 +201,12 @@ class ColumnarImage:
         #: structural quantities (see ``repro.cosim.vectorized``); entries are
         #: carried forward below for types whose arrays were reused unchanged.
         self.structural_cache: Dict[Tuple, object] = {}
+        #: The vectorized engine's per-request exact-cycle memo,
+        #: ``(model key, encoded request words) -> cycles``, bounded to
+        #: :data:`CYCLE_MEMO_CAPACITY`.  Kept apart from ``structural_cache``
+        #: so that unique-value traffic cannot flush the per-signature
+        #: entries; carried forward below by the same rule.
+        self.cycle_memo: "OrderedDict[Tuple, int]" = OrderedDict()
         self._decode_tree(
             image.tree.words, previous, frozenset(touched_types), row_patches or {}
         )
@@ -186,12 +218,20 @@ class ColumnarImage:
             self.supplemental_ids = previous.supplemental_ids
             self.supplemental_reciprocals = previous.supplemental_reciprocals
             self.supplemental_divisors = previous.supplemental_divisors
+            self.supplemental_index = previous.supplemental_index
+            reused = {
+                type_id
+                for type_id, columns in self.types.items()
+                if previous.types.get(type_id) is columns
+            }
+            for key, structural in previous.structural_cache.items():
+                if key[0] in reused:
+                    self.structural_cache[key] = structural
+            for key, cycles in previous.cycle_memo.items():
+                if key[1][0] in reused:  # key[1][0]: the request's type word
+                    self.cycle_memo[key] = cycles
         else:
             self._decode_supplemental(image.supplemental.words)
-        if supplemental_reused:
-            for key, structural in previous.structural_cache.items():
-                if self.types.get(key[0]) is previous.types.get(key[0]):
-                    self.structural_cache[key] = structural
 
     # -- decoding ------------------------------------------------------------------
 
@@ -295,6 +335,10 @@ class ColumnarImage:
         self.supplemental_reciprocals = np.array(reciprocals, dtype=np.int64)
         #: ``1 + dmax`` divisors for the iterative-divider design alternative.
         self.supplemental_divisors = np.array(divisors, dtype=np.int64)
+        #: Attribute ID -> position in the supplemental list.
+        self.supplemental_index: Dict[int, int] = {
+            attribute_id: position for position, attribute_id in enumerate(ids)
+        }
 
     # -- lookups -------------------------------------------------------------------
 

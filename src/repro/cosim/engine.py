@@ -18,7 +18,7 @@ requests) lives on the retrieval units, keyed to the case-base revision.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Sequence, Union
 
 from ..core.exceptions import ReproError
 from ..core.request import FunctionRequest
@@ -100,6 +100,12 @@ def _engines():
     }
 
 
+#: One shared instance per engine name (engines are stateless); filled on
+#: first resolution, so the per-batch resolution of the serving path is a
+#: dictionary lookup.
+_SHARED: Dict[str, CycleEngine] = {}
+
+
 def resolve_cycle_engine(
     spec: Union[str, CycleEngine, None], *, prefer_vectorized: bool = True
 ) -> CycleEngine:
@@ -111,13 +117,15 @@ def resolve_cycle_engine(
     """
     if isinstance(spec, CycleEngine):
         return spec
-    engines = _engines()
     if spec is None or spec == "auto":
-        name = "vectorized" if prefer_vectorized else "stepwise"
-        return engines[name]()
-    try:
-        factory = engines[spec]
-    except KeyError as exc:
-        known = sorted(engines) + ["auto"]
-        raise ReproError(f"unknown cycle engine {spec!r}; known: {known}") from exc
-    return factory()
+        spec = "vectorized" if prefer_vectorized else "stepwise"
+    engine = _SHARED.get(spec)
+    if engine is None:
+        engines = _engines()
+        try:
+            factory = engines[spec]
+        except KeyError as exc:
+            known = sorted(engines) + ["auto"]
+            raise ReproError(f"unknown cycle engine {spec!r}; known: {known}") from exc
+        engine = _SHARED[spec] = factory()
+    return engine

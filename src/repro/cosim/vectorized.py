@@ -28,21 +28,44 @@ counters and memory-read counters are all bit-identical with the golden
 models -- the differential and property suites under ``tests/cosim`` assert
 exactly that across every configuration axis.
 
+Three kernels keep the per-request cost low:
+
+* **Structural counts by one flat ``searchsorted``.**  Each type's attribute
+  lists are one sorted key vector (row ``i`` offset by ``i << ROW_KEY_SHIFT``),
+  so the presence, stored value and ``f_i(a)`` of every (request attribute,
+  implementation) pair come from a single binary search over it, memoised
+  per ``(type, attribute-ID set)`` signature.
+* **FINALIZE as the register file's insertion cascade.**  The n-best compare
+  cycles need, per implementation, how many of the earlier top-``n`` values
+  are at least as similar; the cascade (each level keeps the running maximum
+  of what reaches it and passes the smaller value down) yields them in
+  ``n`` vectorized passes, O(``n * I``) instead of an ``I x I`` comparison.
+* **A per-request exact-cycle memo.**  ``hardware_cycles``/``software_cycles``
+  map ``(model configuration, encoded request words)`` to cycles in a bounded
+  LRU map on the :class:`~repro.cosim.columnar.ColumnarImage`, consulted
+  before any grouping, so a batch of repeated requests does no NumPy work.
+  Delta windows keep an entry only when its type's arrays were reused
+  unchanged and the supplemental list is untouched (the rule the structural
+  cache follows); any other window, and every full rebuild, drops it.  The
+  full-result paths (``hardware_batch``/``software_batch``) and the stepwise
+  golden path are never memoised.
+
 Requests sharing a ``(type_id, attribute-ID set)`` signature are stacked and
-evaluated against the type's columnar matrices in one broadcast pass per
-request attribute, which is what makes scenario-scale batches orders of
-magnitude faster than the word-at-a-time walk.
+evaluated against the type's columnar matrices in one broadcast pass, which
+is what makes scenario-scale batches orders of magnitude faster than the
+word-at-a-time walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.exceptions import (
     HardwareModelError,
+    ReproError,
     SoftwareModelError,
     UnknownFunctionTypeError,
 )
@@ -53,7 +76,6 @@ from ..fixedpoint.vectorized import (
     multiply_fractions_array,
     one_minus_array,
     prefix_maxima_count,
-    saturating_add_array,
 )
 from ..hardware.retrieval_unit import (
     HardwareConfig,
@@ -68,7 +90,7 @@ from ..software.retrieval_sw import (
     SoftwareRetrievalUnit,
     SoftwareStatistics,
 )
-from .columnar import ColumnarImage, TypeColumns
+from .columnar import CYCLE_MEMO_CAPACITY, ColumnarImage, TypeColumns
 from .engine import CycleEngine
 
 
@@ -100,11 +122,11 @@ class _HardwareGroupCosts:
 class _Structural:
     """Value-independent per-implementation quantities of one group."""
 
-    present: np.ndarray  # (I, R) request attribute present in implementation
-    case_values: np.ndarray  # (I, R) raw stored values (0 where absent)
-    matched: np.ndarray  # (I,) matched request attributes
-    missing: np.ndarray  # (I,) missing request attributes
-    probes: np.ndarray  # (I,) attribute-list probes of the configured search
+    present: np.ndarray  # (R, I) request attribute present in implementation
+    case_values: np.ndarray  # (R, I) raw stored values (0 where absent)
+    matched_total: int  # matched (implementation, request attribute) pairs
+    missing_total: int  # missing (implementation, request attribute) pairs
+    probe_total: int  # attribute-list probes of the configured search
     supplemental_last: int  # block index of the largest request attribute
     reciprocals: np.ndarray  # (R,) raw 1/(1+dmax) constants
     divisors: np.ndarray  # (R,) 1 + dmax divisors (divider variant)
@@ -125,56 +147,38 @@ def _decode_encoded_request(words: Sequence[int]) -> Tuple[int, Tuple[int, ...],
 
 def _prepare_groups(
     columnar: ColumnarImage,
-    requests: Sequence[FunctionRequest],
-    encode: Callable[[FunctionRequest], Sequence[int]],
+    encoded_requests: Iterable[Sequence[int]],
     missing_bounds_error: Callable[[str], Exception],
 ) -> List[_Group]:
-    """Encode, validate and group the batch, in request order.
+    """Validate and group the batch's encoded word images, in request order.
 
-    Validation mirrors the stepwise walk per request: encoding errors first,
+    ``encoded_requests`` may be a lazy ``map`` of the unit's encoder, so that
+    validation mirrors the stepwise walk per request: encoding errors first,
     then the unknown-type check of the level-0 search, then (only when the
     type has implementations to score) the supplemental-list check for the
     lowest request attribute without a bounds entry.
     """
     building: Dict[Tuple[int, Tuple[int, ...]], _Group] = {}
     raw_rows: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[List[int], List[int]]]] = {}
-    for index, request in enumerate(requests):
-        type_id, ids, values, weights = _decode_encoded_request(encode(request))
+    for index, words in enumerate(encoded_requests):
+        type_id, ids, values, weights = _decode_encoded_request(words)
         key = (type_id, ids)
         group = building.get(key)
         if group is None:
             # Signature-level validation, mirroring the stepwise walk of the
             # first request carrying it: unknown type first, then (only when
             # the type has implementations to score) the lowest request
-            # attribute without a supplemental (bounds) entry.  A signature
-            # validated against this columnar image stays valid (memoised on
-            # the image, carried forward by the delta-patch path like the
-            # structural quantities).
+            # attribute without a supplemental (bounds) entry.
             columns = columnar.types.get(type_id)
             if columns is None:
                 raise UnknownFunctionTypeError(type_id)
-            validated_key = (type_id, ids, "validated")
-            if (
-                columns.implementation_count > 0
-                and validated_key not in columnar.structural_cache
-            ):
-                supplemental_ids = columnar.supplemental_ids
-                if supplemental_ids.shape[0] == 0:
-                    raise missing_bounds_error(
-                        f"attribute {ids[0]} has no supplemental (bounds) entry"
-                    )
-                id_array = np.array(ids, dtype=np.int64)
-                positions = np.searchsorted(supplemental_ids, id_array)
-                found = (positions < supplemental_ids.shape[0]) & (
-                    supplemental_ids[np.minimum(positions, supplemental_ids.shape[0] - 1)]
-                    == id_array
-                )
-                if not found.all():
-                    attribute_id = ids[int(np.argmin(found))]
-                    raise missing_bounds_error(
-                        f"attribute {attribute_id} has no supplemental (bounds) entry"
-                    )
-                columnar.structural_cache[validated_key] = True
+            if columns.implementation_count > 0:
+                supplemental_index = columnar.supplemental_index
+                for attribute_id in ids:
+                    if attribute_id not in supplemental_index:
+                        raise missing_bounds_error(
+                            f"attribute {attribute_id} has no supplemental (bounds) entry"
+                        )
             group = _Group(type_id, ids, [], np.empty(0), np.empty(0))
             building[key] = group
             raw_rows[key] = []
@@ -187,8 +191,63 @@ def _prepare_groups(
     return list(building.values())
 
 
+def _memoized_cycles(
+    columnar: ColumnarImage,
+    model_key: Hashable,
+    requests: Sequence[FunctionRequest],
+    encode: Callable[[FunctionRequest], Sequence[int]],
+    missing_bounds_error: Callable[[str], Exception],
+    price_groups: Callable[[List[_Group]], List[int]],
+) -> List[int]:
+    """Exact cycles per request through the columnar image's cycle memo.
+
+    A cycle count is a pure function of the encoded request words, the
+    model configuration (``model_key``) and the image, so the memo maps
+    ``(model_key, words)`` to cycles.  It is consulted before any grouping:
+    an all-hit batch does no decoding and no NumPy work, and the misses are
+    grouped and priced by ``price_groups`` in one call (which returns one
+    count per grouped request, group by group).  Only successfully priced
+    requests enter the memo; it is a bounded LRU map
+    (:data:`~repro.cosim.columnar.CYCLE_MEMO_CAPACITY`), carried forward
+    across delta windows for types whose arrays were reused unchanged and
+    dropped whole when the supplemental list changes.
+    """
+    try:
+        keys = [(model_key, encode(request)) for request in requests]
+    except ReproError:
+        # Raise what the in-order walk raises first: an earlier request may
+        # fail validation before this one fails to encode.
+        _prepare_groups(columnar, map(encode, requests), missing_bounds_error)
+        raise
+    memo = columnar.cycle_memo
+    cycles: List[Optional[int]] = [None] * len(keys)
+    misses: List[int] = []
+    for index, key in enumerate(keys):
+        count = memo.get(key)
+        if count is None:
+            misses.append(index)
+        else:
+            memo.move_to_end(key)
+            cycles[index] = count
+    if misses:
+        groups = _prepare_groups(
+            columnar, [keys[index][1] for index in misses], missing_bounds_error
+        )
+        priced = price_groups(groups)
+        members = [misses[member] for group in groups for member in group.member_indices]
+        for index, count in zip(members, priced):
+            cycles[index] = count
+            memo[keys[index]] = count
+        while len(memo) > CYCLE_MEMO_CAPACITY:
+            memo.popitem(last=False)
+    return cycles  # type: ignore[return-value]
+
+
 #: Structural-cache entries kept per columnar image (cleared wholesale beyond).
 _STRUCTURAL_CACHE_CAPACITY = 256
+
+#: Contents of an empty n-best register level (below every similarity).
+_EMPTY_REGISTER = np.iinfo(np.int64).min
 
 
 def _structural_counts(
@@ -225,24 +284,50 @@ def _compute_structural_counts(
     *,
     restart_search: bool,
 ) -> _Structural:
-    """Presence/value matrices and exact probe counts for one signature."""
+    """Presence/value matrices and exact probe counts for one signature.
+
+    One ``searchsorted`` over the type's flat key vector
+    (:attr:`TypeColumns.search_keys`: row ``i`` of ``entry_ids`` offset by
+    ``i << ROW_KEY_SHIFT``) answers every (request attribute,
+    implementation) lookup at once.  The insertion position of query
+    ``(i << ROW_KEY_SHIFT) + a`` minus the row start is ``f_i(a)``, the
+    number of list entries with ID below ``a`` -- the resume-search probe
+    formula uses it for the last request attribute, the restart formula sums
+    it over all of them.  The key at that position equals the query exactly
+    when ``a`` is present, and ``entry_values`` at the same flat position is
+    the stored value.  Queries above every entry of a full-width last row
+    land past the end, so positions are clipped before the lookup (a
+    clipped position never matches: its key belongs to a smaller ID).
+    """
     request_count = len(attribute_ids)
     ids = np.array(attribute_ids, dtype=np.int64)
-    entry_ids = columns.entry_ids  # (I, M)
-    matches = entry_ids[:, :, None] == ids[None, None, :]  # (I, M, R)
-    present = matches.any(axis=1)  # (I, R)
-    case_values = (columns.entry_values[:, :, None] * matches).sum(axis=1)
-    matched = present.sum(axis=1)
-    if restart_search:
-        probes = (entry_ids[:, :, None] < ids[None, None, :]).sum(axis=(1, 2)) + request_count
+    implementation_count, width = columns.entry_ids.shape
+    if width:
+        keys, row_offsets, row_starts = columns.search_keys
+        queries = ids[:, None] + row_offsets  # (R, I)
+        positions = np.searchsorted(keys, queries)
+        below = positions - row_starts
+        np.minimum(positions, keys.shape[0] - 1, out=positions)
+        present = keys[positions] == queries
+        case_values = columns.entry_values.ravel()[positions]
+        case_values *= present
     else:
-        below_last = (entry_ids < ids[-1]).sum(axis=1)
-        probes = below_last + request_count - present[:, :-1].sum(axis=1)
-    if columns.implementation_count > 0:
-        positions = np.searchsorted(columnar.supplemental_ids, ids)
+        below = np.zeros((request_count, implementation_count), dtype=np.int64)
+        present = np.zeros((request_count, implementation_count), dtype=bool)
+        case_values = below
+    pairs = request_count * implementation_count
+    matched_total = int(np.count_nonzero(present))
+    if restart_search:
+        probe_total = int(below.sum()) + pairs
+    else:
+        probe_total = (
+            int(below[-1].sum()) + pairs - int(np.count_nonzero(present[:-1]))
+        )
+    if implementation_count > 0:
+        positions = [columnar.supplemental_index[a] for a in attribute_ids]
         reciprocals = columnar.supplemental_reciprocals[positions]
         divisors = columnar.supplemental_divisors[positions]
-        supplemental_last = int(positions[-1])
+        supplemental_last = positions[-1]
     else:
         # Nothing is ever scored: the supplemental list is never walked.
         reciprocals = np.zeros(request_count, dtype=np.int64)
@@ -251,9 +336,9 @@ def _compute_structural_counts(
     return _Structural(
         present=present,
         case_values=case_values,
-        matched=matched.astype(np.int64),
-        missing=(request_count - matched).astype(np.int64),
-        probes=probes.astype(np.int64),
+        matched_total=matched_total,
+        missing_total=pairs - matched_total,
+        probe_total=probe_total,
         supplemental_last=supplemental_last,
         reciprocals=reciprocals,
         divisors=divisors,
@@ -273,11 +358,12 @@ def _similarity_kernel(
 
     The per-attribute datapath (absolute difference, penalty multiply or
     divide, ``1 - x``, weighting) is evaluated for the whole ``(batch,
-    implementations, attributes)`` cube at once; only the saturating
-    accumulation steps through the attributes in ascending-ID order, because
-    per-step saturation must happen exactly where the stepwise accumulator
-    saturates.  Missing attributes contribute zero and can never saturate,
-    so no masking of the accumulator itself is needed.
+    attributes, implementations)`` cube at once.  Contributions are
+    non-negative and missing attributes contribute zero, so the running sum
+    only grows and the saturating accumulator ends at ``min(sum, max)``.
+    Only the software model's saturation branch count steps through the
+    attributes in ascending-ID order, because it fires exactly where the
+    stepwise accumulator saturates.
 
     Returns ``(similarities, negative_differences, penalty_clamps,
     accumulator_saturations)``; the three counters (software model branch
@@ -286,42 +372,38 @@ def _similarity_kernel(
     pairs.
     """
     batch_size, request_count = values.shape
-    implementation_count = structural.present.shape[0]
+    implementation_count = structural.present.shape[1]
     max_raw = fraction_fmt.max_raw
-    present = structural.present[None, :, :]  # (1, I, R)
-    case_values = structural.case_values[None, :, :]  # (1, I, R)
-    request_values = values[:, None, :]  # (B, 1, R)
-    difference = np.abs(request_values - case_values)  # (B, I, R)
+    present = structural.present[None, :, :]  # (1, R, I)
+    case_values = structural.case_values[None, :, :]  # (1, R, I)
+    request_values = values[:, :, None]  # (B, R, 1)
+    difference = np.abs(request_values - case_values)  # (B, R, I)
     if use_divider:
         penalty = divide_fraction_array(
-            difference, structural.divisors[None, None, :], fraction_fmt
+            difference, structural.divisors[None, :, None], fraction_fmt
         )
     else:
         penalty = multiply_fraction_array(
-            difference, structural.reciprocals[None, None, :], fraction_fmt
+            difference, structural.reciprocals[None, :, None], fraction_fmt
         )
     local = one_minus_array(penalty, fraction_fmt)
-    contribution = multiply_fractions_array(local, weights[:, None, :], fraction_fmt)
+    contribution = multiply_fractions_array(local, weights[:, :, None], fraction_fmt)
     contribution *= present
-    accumulator = np.zeros((batch_size, implementation_count), dtype=np.int64)
+    accumulator = np.minimum(contribution.sum(axis=1), max_raw)
     negative = clamped = saturated = np.zeros(batch_size, dtype=np.int64)
     if count_branches:
         negative = ((case_values > request_values) & present).sum(axis=(1, 2))
         if not use_divider:
             # The software model's clamp branch fires on the *unclamped*
             # product, which the saturating multiply above discards.
-            product = difference * structural.reciprocals[None, None, :]
+            product = difference * structural.reciprocals[None, :, None]
             clamped = ((product > max_raw) & present).sum(axis=(1, 2))
         saturated = np.zeros(batch_size, dtype=np.int64)
-        for column in range(request_count):
-            total = accumulator + contribution[:, :, column]
-            saturated += ((total > max_raw) & present[:, :, column]).sum(axis=1)
-            accumulator = np.minimum(total, max_raw)
-    else:
-        for column in range(request_count):
-            accumulator = saturating_add_array(
-                accumulator, contribution[:, :, column], fraction_fmt
-            )
+        running = np.zeros((batch_size, implementation_count), dtype=np.int64)
+        for row in range(request_count):
+            total = running + contribution[:, row]
+            saturated += ((total > max_raw) & present[:, row]).sum(axis=1)
+            running = np.minimum(total, max_raw)
     return accumulator, negative, clamped, saturated
 
 
@@ -332,20 +414,36 @@ def _nbest_finalize_cycles(similarities: np.ndarray, capacity: int) -> np.ndarra
     the ``(B,)`` total compare-cycle vector.  Before implementation ``i`` is
     considered the file holds the ``min(i, n)`` best earlier entries in
     descending order; the scan visits every entry at least as similar as
-    ``s_i`` plus the terminating smaller entry, and each consideration costs
-    at least one cycle.
+    ``s_i`` plus the terminating smaller entry -- ``min(e_i + 1, min(i,
+    n))`` compares for ``e_i`` such entries -- and each consideration costs
+    at least one cycle (only ``i = 0`` meets an empty file).
+
+    ``e_i`` comes from the register file's own insertion cascade: level 1
+    keeps the running maximum of what arrives and passes the smaller of the
+    arriving and held values down to level 2, and so on.  Level ``k``'s
+    entry before step ``i`` is therefore the exclusive prefix maximum of
+    what level ``k - 1`` passed down -- the ``k``-th largest earlier
+    similarity, or the int64 minimum while the level is empty -- and ``e_i``
+    counts the levels whose entry is at least ``s_i``: ``n`` levels of a
+    few ufunc calls each, O(``n * I``) per request.
     """
     batch_size, implementation_count = similarities.shape
     if implementation_count == 0:
         return np.zeros(batch_size, dtype=np.int64)
-    # [b, i, j] = s_j >= s_i among the earlier implementations j < i.
-    at_least = similarities[:, None, :] >= similarities[:, :, None]
-    earlier = np.tri(implementation_count, k=-1, dtype=bool)[None, :, :]
-    stronger_before = (at_least & earlier).sum(axis=2)
-    file_sizes = np.minimum(np.arange(implementation_count), capacity)[None, :]
-    examined = np.minimum(stronger_before, file_sizes)
-    compares = np.where(examined < file_sizes, examined + 1, file_sizes)
-    return np.maximum(compares, 1).sum(axis=1)
+    examined = np.zeros((batch_size, implementation_count), dtype=np.int64)
+    arriving = similarities
+    held_before = np.empty_like(similarities)
+    held_before[:, 0] = _EMPTY_REGISTER
+    # A prefix has at most I - 1 entries, so deeper levels stay empty.
+    levels = min(capacity, implementation_count - 1)
+    for level in range(levels):
+        np.maximum.accumulate(arriving[:, :-1], axis=1, out=held_before[:, 1:])
+        np.add(examined, held_before >= similarities, out=examined)
+        if level + 1 < levels:
+            arriving = np.minimum(arriving, held_before)
+    examined += 1
+    np.minimum(examined, np.minimum(np.arange(implementation_count), capacity), out=examined)
+    return examined.sum(axis=1) + 1  # i = 0: min(1, 0) + 1 = one compare
 
 
 class VectorizedCycleEngine(CycleEngine):
@@ -365,7 +463,7 @@ class VectorizedCycleEngine(CycleEngine):
             )
         columnar = unit.columnar_image()
         groups = _prepare_groups(
-            columnar, requests, unit.encoded_request_words, HardwareModelError
+            columnar, map(unit.encoded_request_words, requests), HardwareModelError
         )
         results: List[HardwareRetrievalResult] = [None] * len(requests)  # type: ignore[list-item]
         for group in groups:
@@ -416,11 +514,13 @@ class VectorizedCycleEngine(CycleEngine):
 
         Same derivation as :meth:`hardware_batch` -- the shared
         :meth:`_hardware_group_costs` terms plus the per-request FINALIZE
-        cycles -- but skipping ranking assembly and statistics objects.  For
-        the baseline ``n_best == 1`` unit every request of a signature group
-        costs exactly the same; only the n-best register file makes the count
-        value-dependent.  The cosim differential suite asserts equality with
-        the stepwise golden walk across all configuration axes.
+        cycles -- but skipping ranking assembly and statistics objects, and
+        answering repeated requests from the per-request cycle memo
+        (:func:`_memoized_cycles`).  For the baseline ``n_best == 1`` unit
+        every request of a signature group costs exactly the same; only the
+        n-best register file makes the count value-dependent.  The cosim
+        differential suite asserts equality with the stepwise golden walk
+        across all configuration axes.
         """
         config = unit.config
         if config.trace:
@@ -428,34 +528,39 @@ class VectorizedCycleEngine(CycleEngine):
                 "FSM tracing requires the stepwise cycle engine (engine='stepwise')"
             )
         columnar = unit.columnar_image()
-        groups = _prepare_groups(
-            columnar, requests, unit.encoded_request_words, HardwareModelError
+
+        def price(groups: List[_Group]) -> List[int]:
+            cycles: List[int] = []
+            for group in groups:
+                columns = columnar.types[group.type_id]
+                structural = _structural_counts(
+                    columnar, columns, group.attribute_ids,
+                    restart_search=config.restart_attribute_search,
+                )
+                costs = self._cached_hardware_group_costs(
+                    columnar, config, columns, structural, group.attribute_ids
+                )
+                if config.n_best > 1:
+                    similarities, _, _, _ = _similarity_kernel(
+                        structural, group.values, group.weights,
+                        use_divider=config.use_divider,
+                        fraction_fmt=unit.fraction_format,
+                        count_branches=False,
+                    )
+                    finalize = _nbest_finalize_cycles(similarities, config.n_best)
+                    cycles.extend((costs.base_cycles + finalize).tolist())
+                else:
+                    count = costs.base_cycles + columns.implementation_count
+                    cycles.extend([count] * len(group.member_indices))
+            return cycles
+
+        # The configuration's field values: a plain tuple hashes in C, the
+        # dataclass's generated ``__hash__`` in Python on every lookup.
+        model_key = tuple(vars(config).values())
+        return _memoized_cycles(
+            columnar, model_key, requests, unit.encoded_request_words,
+            HardwareModelError, price,
         )
-        cycles: List[int] = [0] * len(requests)
-        for group in groups:
-            columns = columnar.types[group.type_id]
-            structural = _structural_counts(
-                columnar, columns, group.attribute_ids,
-                restart_search=config.restart_attribute_search,
-            )
-            costs = self._cached_hardware_group_costs(
-                columnar, config, columns, structural, group.attribute_ids
-            )
-            if config.n_best > 1:
-                similarities, _, _, _ = _similarity_kernel(
-                    structural, group.values, group.weights,
-                    use_divider=config.use_divider,
-                    fraction_fmt=unit.fraction_format,
-                    count_branches=False,
-                )
-                finalize_cycles = _nbest_finalize_cycles(similarities, config.n_best)
-            else:
-                finalize_cycles = np.full(
-                    len(group.member_indices), columns.implementation_count, np.int64
-                )
-            for row, index in enumerate(group.member_indices):
-                cycles[index] = costs.base_cycles + int(finalize_cycles[row])
-        return cycles
 
     @classmethod
     def _cached_hardware_group_costs(
@@ -505,9 +610,9 @@ class VectorizedCycleEngine(CycleEngine):
         """
         implementation_count = columns.implementation_count
         position = columns.position
-        matched_total = int(structural.matched.sum())
-        missing_total = int(structural.missing.sum())
-        probe_total = int(structural.probes.sum())
+        matched_total = structural.matched_total
+        missing_total = structural.missing_total
+        probe_total = structural.probe_total
         supplemental_probes_per_walk = structural.supplemental_last + request_count
         walkers = (
             min(implementation_count, 1) if config.cache_reciprocals else implementation_count
@@ -605,7 +710,7 @@ class VectorizedCycleEngine(CycleEngine):
     ) -> List[SoftwareRetrievalResult]:
         columnar = unit.columnar_image()
         groups = _prepare_groups(
-            columnar, requests, unit.encoded_request_words, SoftwareModelError
+            columnar, map(unit.encoded_request_words, requests), SoftwareModelError
         )
         results: List[SoftwareRetrievalResult] = [None] * len(requests)  # type: ignore[list-item]
         for group in groups:
@@ -640,41 +745,51 @@ class VectorizedCycleEngine(CycleEngine):
         Mirrors :meth:`software_batch` up to the shared
         :meth:`_software_instruction_counters` accounting, then totals the
         counters against the unit's cost model directly -- no
-        result/statistics construction.  Unlike the hardware unit, the
-        soft-core's branch costs depend on the datapath outcomes (negative,
-        clamped, saturated local similarities), so the similarity kernel
-        still runs; only the assembly is skipped.  Differentially tested
-        against the stepwise golden walk.
+        result/statistics construction -- and answers repeated requests from
+        the per-request cycle memo (:func:`_memoized_cycles`).  Unlike the
+        hardware unit, the soft-core's branch costs depend on the datapath
+        outcomes (negative, clamped, saturated local similarities), so the
+        similarity kernel still runs on a miss; only the assembly is
+        skipped.  Differentially tested against the stepwise golden walk.
         """
         columnar = unit.columnar_image()
-        groups = _prepare_groups(
-            columnar, requests, unit.encoded_request_words, SoftwareModelError
-        )
-        cycles: List[int] = [0] * len(requests)
         cost_model = unit.cost_model
-        for group in groups:
-            columns = columnar.types[group.type_id]
-            structural = _structural_counts(
-                columnar, columns, group.attribute_ids, restart_search=False
-            )
-            similarities, negative, clamped, saturated = _similarity_kernel(
-                structural, group.values, group.weights,
-                use_divider=False,
-                fraction_fmt=unit.fraction_format,
-                count_branches=True,
-            )
-            if columns.implementation_count:
-                best_updates = prefix_maxima_count(similarities)
-            else:
-                best_updates = np.zeros(len(group.member_indices), np.int64)
-            for row, index in enumerate(group.member_indices):
-                counters, _, _ = self._software_instruction_counters(
-                    unit, group, columns, structural,
-                    int(negative[row]), int(clamped[row]), int(saturated[row]),
-                    int(best_updates[row]),
+
+        def price(groups: List[_Group]) -> List[int]:
+            cycles: List[int] = []
+            for group in groups:
+                columns = columnar.types[group.type_id]
+                structural = _structural_counts(
+                    columnar, columns, group.attribute_ids, restart_search=False
                 )
-                cycles[index] = counters.total_cycles(cost_model)
-        return cycles
+                similarities, negative, clamped, saturated = _similarity_kernel(
+                    structural, group.values, group.weights,
+                    use_divider=False,
+                    fraction_fmt=unit.fraction_format,
+                    count_branches=True,
+                )
+                if columns.implementation_count:
+                    best_updates = prefix_maxima_count(similarities)
+                else:
+                    best_updates = np.zeros(len(group.member_indices), np.int64)
+                for row in range(len(group.member_indices)):
+                    counters, _, _ = self._software_instruction_counters(
+                        unit, group, columns, structural,
+                        int(negative[row]), int(clamped[row]), int(saturated[row]),
+                        int(best_updates[row]),
+                    )
+                    cycles.append(counters.total_cycles(cost_model))
+            return cycles
+
+        # The cost model's cycle table is a dict; its plain-valued items key
+        # the model.
+        model_key = (unit.inline_helpers,) + tuple(
+            (kind.value, cost) for kind, cost in cost_model.cycles.items()
+        )
+        return _memoized_cycles(
+            columnar, model_key, requests, unit.encoded_request_words,
+            SoftwareModelError, price,
+        )
 
     @staticmethod
     def _software_instruction_counters(
@@ -698,9 +813,9 @@ class VectorizedCycleEngine(CycleEngine):
         request_count = len(group.attribute_ids)
         implementation_count = columns.implementation_count
         position = columns.position
-        matched_total = int(structural.matched.sum())
-        missing_total = int(structural.missing.sum())
-        probe_total = int(structural.probes.sum())
+        matched_total = structural.matched_total
+        missing_total = structural.missing_total
+        probe_total = structural.probe_total
         advance_total = probe_total - matched_total - missing_total
         supplemental_advances = structural.supplemental_last  # per scoring walk
         supplemental_probes = supplemental_advances + request_count
@@ -791,7 +906,7 @@ class VectorizedCycleEngine(CycleEngine):
             )
         )
         implementation_count = columns.implementation_count
-        missing_total = int(structural.missing.sum())
+        missing_total = structural.missing_total
         inline = unit.inline_helpers
 
         if implementation_count:

@@ -194,7 +194,7 @@ class HardwareRetrievalUnit:
         self.image = self._delta_image.image
         self.case_base_ram, self.supplemental_base = self.image.build_case_base_ram()
         self.fraction_format = self.image.fraction_format
-        self._request_cache: "OrderedDict[Tuple, Tuple[RamBlock, EncodedRequest]]" = OrderedDict()
+        self._request_cache: "OrderedDict[Tuple, EncodedRequest]" = OrderedDict()
         self._tracker = RevisionTrackedCache(
             case_base, rebuild=self._rebuild_image, apply=self._apply_deltas
         )
@@ -254,27 +254,28 @@ class HardwareRetrievalUnit:
         self.supplemental_base = self._delta_image.supplemental_base
         return True
 
-    def _encoded_request(self, request: FunctionRequest) -> Tuple[RamBlock, EncodedRequest]:
+    def _encoded_request(self, request: FunctionRequest) -> EncodedRequest:
         """Encode a request once per signature.
 
         The cache deliberately survives incremental delta windows (request
         encoding depends only on the fraction format, never on case-base
-        contents) and is dropped only by a full image rebuild.
+        contents) and is dropped only by a full image rebuild.  It holds the
+        encoding only: the cycle engines read the words, and the stepwise
+        walk builds its Req-MEM from them per run.
         """
         self._ensure_current()
         key = request.signature()
-        cached = self._request_cache.get(key)
-        if cached is None:
-            cached = self.image.build_request_ram(request)
+        encoded = self._request_cache.get(key)
+        if encoded is None:
+            encoded = self.image.encode_request(request)
             if len(self._request_cache) >= self.REQUEST_CACHE_CAPACITY:
                 self._request_cache.popitem(last=False)
-            self._request_cache[key] = cached
-        return cached
+            self._request_cache[key] = encoded
+        return encoded
 
     def encoded_request_words(self, request: FunctionRequest) -> Tuple[int, ...]:
         """The request's encoded word image (cached; used by the cycle engines)."""
-        _, encoded = self._encoded_request(request)
-        return encoded.words
+        return self._encoded_request(request).words
 
     def columnar_image(self) -> "ColumnarImage":
         """Columnar (NumPy) decode of the current image, built once per revision."""
@@ -341,8 +342,7 @@ class HardwareRetrievalUnit:
 
     def run(self, request: FunctionRequest) -> HardwareRetrievalResult:
         """Execute one retrieval run for the given request (stepwise model)."""
-        request_ram, _ = self._encoded_request(request)
-        return self.run_on_ram(request_ram)
+        return self.run_on_ram(self._encoded_request(request).build_ram())
 
     def run_batch(
         self,

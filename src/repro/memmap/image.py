@@ -157,16 +157,10 @@ class CaseBaseImage:
     def build_request_ram(
         self, request: FunctionRequest, name: str = "Req-MEM"
     ) -> Tuple[RamBlock, EncodedRequest]:
-        """Build the request RAM for one encoded request.
-
-        The RAM is padded by one extra word so that a wide (pair) fetch of the
-        terminating end-of-list entry stays within bounds.
-        """
+        """Build the request RAM for one encoded request (see
+        :meth:`EncodedRequest.build_ram <repro.memmap.request_list.EncodedRequest.build_ram>`)."""
         encoded = self.encode_request(request)
-        ram = RamBlock.from_words(
-            list(encoded.words), name=name, capacity=len(encoded.words) + 1
-        )
-        return ram, encoded
+        return encoded.build_ram(name), encoded
 
 
 class DeltaTrackedImage:

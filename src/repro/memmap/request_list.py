@@ -24,6 +24,7 @@ from typing import List, Sequence, Tuple
 from ..core.exceptions import EncodingError
 from ..core.request import FunctionRequest, RequestAttribute
 from ..fixedpoint.qformat import QFormat, UQ0_16
+from .ram import RamBlock
 from .words import END_OF_LIST, WORD_BYTES, check_id, encode_value
 
 #: Words per attribute block in the request list (ID, value, weight).
@@ -48,6 +49,14 @@ class EncodedRequest:
     def size_bytes(self) -> int:
         """Image size in bytes (Table 3, "memory consumption of request")."""
         return len(self.words) * WORD_BYTES
+
+    def build_ram(self, name: str = "Req-MEM") -> RamBlock:
+        """The request RAM preloaded with this image.
+
+        The RAM is padded by one extra word so that a wide (pair) fetch of the
+        terminating end-of-list entry stays within bounds.
+        """
+        return RamBlock.from_words(list(self.words), name=name, capacity=len(self.words) + 1)
 
 
 def encode_request(request: FunctionRequest, weight_format: QFormat = UQ0_16) -> EncodedRequest:

@@ -268,6 +268,25 @@ class TestCaching:
             unit.run_batch([paper_req], engine="vectorized")[0],
         )
 
+    def test_request_ram_is_built_only_for_the_stepwise_walk(
+        self, paper_cb, paper_req, monkeypatch
+    ):
+        from repro.memmap.request_list import EncodedRequest
+
+        unit = HardwareRetrievalUnit(paper_cb, config=HardwareConfig(n_best=2))
+        golden = unit.run(paper_req)
+
+        def no_ram(self, name="Req-MEM"):
+            raise AssertionError("the vectorized engine must not build a Req-MEM")
+
+        monkeypatch.setattr(EncodedRequest, "build_ram", no_ram)
+        fresh = HardwareRetrievalUnit(paper_cb, config=HardwareConfig(n_best=2))
+        assert fresh.predict_cycles([paper_req]) == [golden.cycles]
+        assert fresh.run_batch([paper_req])[0].statistics == golden.statistics
+        assert len(fresh._request_cache) == 1
+        with pytest.raises(AssertionError, match="Req-MEM"):
+            fresh.run(paper_req)
+
     def test_request_cache_capacity_is_bounded(self, small_generator):
         case_base = small_generator.case_base()
         unit = HardwareRetrievalUnit(case_base)

@@ -2,15 +2,24 @@
 
 Uses hypothesis when available (the CI test environment installs it) and
 degrades to a seeded-random parametrized sweep otherwise, matching
-``test_property_backends``.  The single property under test is the cycle
+``test_property_backends``.  The main property under test is the cycle
 engines' whole contract: over random case bases, random requests and random
 configuration axes, the vectorized engine reproduces the stepwise golden
 models *exactly* -- retrieval decision, ranked list, raw similarities, cycle
-counts, instruction counters and memory-read counters.
+counts, instruction counters and memory-read counters.  Two kernel
+properties back it: the n-best FINALIZE cascade equals an O(I^2)
+brute-force count, and the flat-``searchsorted`` structural counts stay
+exact on row-patched (``PAD_ID``-widened) columns after random deltas.
 """
 
+import random
+
+import numpy as np
 import pytest
 
+from repro.core import BoundsTable, CaseBase, FunctionRequest
+from repro.core.case_base import ExecutionTarget, Implementation
+from repro.cosim.vectorized import _nbest_finalize_cycles
 from repro.hardware import HardwareConfig, HardwareRetrievalUnit
 from repro.software import (
     SoftwareRetrievalUnit,
@@ -85,6 +94,76 @@ def check_software_exact(seed: int, salt: int, inline: bool, soft_multiply: bool
         assert stepwise.counters.counts == vectorized.counters.counts
 
 
+def brute_force_finalize(similarities, capacity):
+    """O(I^2) FINALIZE cycles straight from the register file's definition."""
+    total = 0
+    for i, value in enumerate(similarities):
+        held = sorted(similarities[:i], reverse=True)[:capacity]
+        at_least = sum(1 for entry in held if entry >= value)
+        compares = at_least + 1 if at_least < len(held) else len(held)
+        total += max(compares, 1)
+    return total
+
+
+def check_finalize_cascade(rows, capacity: int) -> None:
+    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+    expected = [brute_force_finalize(row, capacity) for row in matrix.tolist()]
+    assert _nbest_finalize_cycles(matrix, capacity).tolist() == expected
+
+
+POOL = list(range(1, 7))
+
+
+def check_structural_after_deltas(seed: int, restart: bool, divider: bool) -> None:
+    """Row patches (shrinks, removals, inserts) then stepwise == vectorized."""
+    rng = random.Random(seed)
+    bounds = BoundsTable()
+    for attribute_id in POOL:
+        bounds.define(attribute_id, 0, 100)
+    case_base = CaseBase(bounds=bounds)
+    for type_id in (1, 2):
+        function_type = case_base.add_type(type_id)
+        for implementation_id in range(1, rng.randint(3, 7)):
+            attributes = rng.sample(POOL, rng.randint(1, len(POOL)))
+            function_type.add(Implementation(
+                implementation_id, ExecutionTarget.GPP,
+                {a: rng.randint(0, 100) for a in attributes},
+            ))
+    config = HardwareConfig(restart_attribute_search=restart, use_divider=divider, n_best=3)
+    unit = HardwareRetrievalUnit(case_base, config=config)
+    requests = [
+        FunctionRequest(type_id, [(a, rng.randint(0, 100)) for a in sorted(rng.sample(POOL, count))])
+        for type_id in (1, 2)
+        for count in (1, 3, len(POOL))
+    ]
+    unit.predict_cycles(requests)
+    for _ in range(4):
+        type_id = rng.choice((1, 2))
+        implementations = case_base.implementations(type_id)
+        victim = rng.choice(implementations)
+        choice = rng.random()
+        if choice < 0.5:  # shrink: leaves PAD_ID columns in the patched row
+            keep = rng.sample(sorted(victim.attributes), rng.randint(1, len(victim.attributes)))
+            case_base.replace_implementation(type_id, Implementation(
+                victim.implementation_id, victim.target,
+                {a: rng.randint(0, 100) for a in keep},
+            ))
+        elif choice < 0.75 and len(implementations) > 1:
+            case_base.remove_implementation(type_id, victim.implementation_id)
+        else:
+            taken = {i.implementation_id for i in implementations}
+            case_base.add_implementation(type_id, Implementation(
+                min(set(range(1, 20)) - taken), ExecutionTarget.DSP,
+                {a: rng.randint(0, 100) for a in rng.sample(POOL, rng.randint(1, 3))},
+            ))
+        fresh = HardwareRetrievalUnit(case_base, config=config)
+        golden = fresh.run_batch(requests, engine="stepwise")
+        assert [r.statistics for r in unit.run_batch(requests, engine="vectorized")] == [
+            r.statistics for r in golden
+        ]
+        assert unit.predict_cycles(requests) == [r.cycles for r in golden]
+
+
 if HAVE_HYPOTHESIS:
 
     COMMON = settings(
@@ -117,6 +196,27 @@ if HAVE_HYPOTHESIS:
     def test_software_engines_exact(seed, salt, inline, soft_multiply):
         check_software_exact(seed, salt, inline, soft_multiply)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        implementations=st.integers(0, 14),
+        batch=st.integers(1, 3),
+        capacity=st.integers(2, 18),
+        tied=st.booleans(),
+    )
+    def test_finalize_cascade_matches_brute_force(data, implementations, batch, capacity, tied):
+        values = st.integers(0, 2) if tied else st.integers(0, 65535)
+        rows = [
+            data.draw(st.lists(values, min_size=implementations, max_size=implementations))
+            for _ in range(batch)
+        ]
+        check_finalize_cascade(rows, capacity)
+
+    @COMMON
+    @given(seed=st.integers(0, 10_000), restart=st.booleans(), divider=st.booleans())
+    def test_structural_counts_exact_after_deltas(seed, restart, divider):
+        check_structural_after_deltas(seed, restart, divider)
+
 else:  # pragma: no cover - fallback sweep without hypothesis
 
     @pytest.mark.parametrize("seed", range(8))
@@ -132,3 +232,14 @@ else:  # pragma: no cover - fallback sweep without hypothesis
         check_software_exact(
             seed, salt=seed * 5, inline=seed % 2 == 0, soft_multiply=seed % 3 == 0
         )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_finalize_cascade_matches_brute_force(seed):
+        rng = np.random.default_rng(seed)
+        implementations = int(rng.integers(0, 14))
+        rows = rng.integers(0, 3 if seed % 2 else 65536, (3, implementations)).tolist()
+        check_finalize_cascade(rows, capacity=int(rng.integers(2, 18)))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_structural_counts_exact_after_deltas(seed):
+        check_structural_after_deltas(seed, restart=seed % 2 == 0, divider=seed % 3 == 0)
