@@ -1,8 +1,8 @@
 """Delta propagation: incremental retain + re-retrieve vs full rebuilds.
 
 Before the delta subsystem, every accelerated layer (vectorized backend
-matrices, shard partitions + engines, the encoded memory image and its
-columnar decode, the request caches) was keyed to ``CaseBase.revision`` and
+matrices, the encoded memory image and its columnar decode, the request
+caches) was keyed to ``CaseBase.revision`` and
 rebuilt from scratch on *any* mutation -- making online learning under
 serving traffic O(case base) per retained case.  This benchmark gates the
 delta win on a Table-3-sized case base (15 types x 10 implementations x 10
@@ -10,14 +10,14 @@ attributes):
 
 * one **retain** (a new implementation appended through
   ``CaseBase.add_implementation``, the retain step's ``max + 1`` allocation)
-  followed by one **re-retrieve** through the serving stack (4-way sharded
-  vectorized retrieval plus the admission controller's exact cycle
-  prediction on the hardware unit) must be at least :data:`SPEEDUP_GATE`
+  followed by one **re-retrieve** through the serving stack (the vectorized
+  :class:`~repro.core.retrieval.RetrievalEngine` serving calls, plus the
+  admission controller's exact cycle prediction on the hardware unit) must be at least :data:`SPEEDUP_GATE`
   faster with delta propagation than on the pre-delta full-rebuild path,
   with bit-identical rankings and cycle counts;
 * the pre-delta baseline is reproduced faithfully: caches are invalidated
-  after every mutation (`.invalidate()` is exactly the old revision-keyed
-  behaviour), and the image's compact-tree encoding -- which the pre-delta
+  after every mutation (``invalidate_cache()`` / ``invalidate()`` is
+  exactly the old revision-keyed behaviour), and the image's compact-tree encoding -- which the pre-delta
   ``CaseBaseImage`` constructor built eagerly on every rebuild and this PR
   made lazy -- is charged too.  The invalidate-only ratio (giving the
   baseline this PR's lazy-compact and kernel speedups for free) is recorded
@@ -33,9 +33,8 @@ import time
 
 import gating
 
-from repro.core import ExecutionTarget, Implementation
+from repro.core import ExecutionTarget, Implementation, RetrievalEngine
 from repro.hardware import HardwareRetrievalUnit
-from repro.serving import ShardedRetriever
 
 #: The acceptance gate: retain + re-retrieve must beat the pre-delta
 #: full-rebuild path by at least this factor.
@@ -44,7 +43,6 @@ SPEEDUP_GATE = 10.0
 #: Retains measured per pass (each lands in a different function type).
 RETAIN_COUNT = 45
 
-SHARD_COUNT = 4
 #: Most-similar mode -- the paper's core retrieval, and the cheapest honest
 #: re-retrieve (the gate measures mutation absorption, not ranking depth).
 N_BEST = 1
@@ -83,18 +81,18 @@ def _run_pass(generator, retained, probes, *, full_rebuild):
     charged as well.
     """
     case_base = generator.case_base()
-    sharded = ShardedRetriever(case_base, shard_count=SHARD_COUNT)
+    engine = RetrievalEngine(case_base, backend="vectorized")
     hardware = HardwareRetrievalUnit(case_base)
-    sharded.retrieve_batch(probes, n=N_BEST)  # warm caches
+    engine.retrieve_batch(probes, n=N_BEST)  # warm caches
     hardware.predict_cycles(probes)
     outputs = []
     start = time.perf_counter()
     for type_id, implementation in retained:
         case_base.add_implementation(type_id, implementation)
         if full_rebuild:
-            sharded.invalidate()
+            engine.invalidate_cache()
             hardware.invalidate()
-        rankings = sharded.retrieve_batch(probes, n=N_BEST)
+        rankings = engine.retrieve_batch(probes, n=N_BEST)
         cycles = hardware.predict_cycles(probes)
         if full_rebuild:
             hardware.image.compact_tree  # eager in the pre-delta constructor
@@ -103,21 +101,21 @@ def _run_pass(generator, retained, probes, *, full_rebuild):
             cycles,
         ))
     elapsed = time.perf_counter() - start
-    return elapsed, outputs, sharded, hardware
+    return elapsed, outputs, engine, hardware
 
 
 def _best_pass(generator, retained, probes, *, full_rebuild, rounds=ROUNDS):
     best_elapsed, best_outputs = None, None
     trackers = None
     for _ in range(rounds):
-        elapsed, outputs, sharded, hardware = _run_pass(
+        elapsed, outputs, engine, hardware = _run_pass(
             generator, retained, probes, full_rebuild=full_rebuild
         )
         if best_outputs is not None:
             assert outputs == best_outputs  # deterministic across rounds
         if best_elapsed is None or elapsed < best_elapsed:
             best_elapsed, best_outputs = elapsed, outputs
-            trackers = (sharded, hardware)
+            trackers = (engine, hardware)
     return best_elapsed, best_outputs, trackers
 
 
@@ -144,21 +142,20 @@ def test_incremental_retain_speedup_gate(benchmark, table3_generator):
         return incremental, full
 
     incremental, full = benchmark.pedantic(measure, rounds=1, iterations=1)
-    (incremental_seconds, _, (sharded, hardware)) = incremental
+    (incremental_seconds, _, (engine, hardware)) = incremental
     full_seconds = full[0]
 
     # The fast path must actually have engaged: every mutation absorbed
     # incrementally, never through a silent full rebuild.
-    assert sharded._tracker.incremental_count >= RETAIN_COUNT
+    assert engine.backend.tracker.incremental_count >= RETAIN_COUNT
     assert hardware._tracker.incremental_count >= RETAIN_COUNT
-    assert sharded._tracker.rebuild_count <= 1  # the initial build only
+    assert engine.backend.tracker.rebuild_count <= 1  # the initial build only
     assert hardware._tracker.rebuild_count == 0  # built eagerly in __init__
 
     speedup = full_seconds / incremental_seconds
     per_retain_us = incremental_seconds / RETAIN_COUNT * 1e6
     _record_baseline("incremental_retain", {
         "retains": RETAIN_COUNT,
-        "shards": SHARD_COUNT,
         "incremental_seconds": round(incremental_seconds, 4),
         "full_rebuild_seconds": round(full_seconds, 4),
         "speedup": round(speedup, 1),
@@ -203,17 +200,17 @@ def _run_invalidate_only(generator, retained, probes):
     best = None
     for _ in range(ROUNDS):
         case_base = generator.case_base()
-        sharded = ShardedRetriever(case_base, shard_count=SHARD_COUNT)
+        engine = RetrievalEngine(case_base, backend="vectorized")
         hardware = HardwareRetrievalUnit(case_base)
-        sharded.retrieve_batch(probes, n=N_BEST)
+        engine.retrieve_batch(probes, n=N_BEST)
         hardware.predict_cycles(probes)
         outputs = []
         start = time.perf_counter()
         for type_id, implementation in retained:
             case_base.add_implementation(type_id, implementation)
-            sharded.invalidate()
+            engine.invalidate_cache()
             hardware.invalidate()
-            rankings = sharded.retrieve_batch(probes, n=N_BEST)
+            rankings = engine.retrieve_batch(probes, n=N_BEST)
             cycles = hardware.predict_cycles(probes)
             outputs.append((
                 [[(e.implementation_id, e.similarity) for e in r.ranked]

@@ -11,8 +11,7 @@ the shape the vectorized backend's signature grouping is built for:
 * micro-batched serving (``max_batch=128``) must beat one-at-a-time serving
   (``max_batch=1``) by at least :data:`SPEEDUP_GATE` in wall-clock
   throughput, with identical per-request outcomes;
-* sharded serving (4 worker shards) must return rankings bit-identical to
-  unsharded serving over the same trace.
+* under a saturating deadline the admission gate triages deterministically.
 
 Setting ``BENCH_SERVING_JSON=<path>`` records the measured numbers as a JSON
 baseline -- ``BENCH_serving.json`` in the repository root seeds the perf
@@ -127,37 +126,6 @@ def test_micro_batch_speedup_gate(benchmark, table3_case_base, table3_generator)
         ),
     })
     assert speedup >= SPEEDUP_GATE
-
-
-def test_sharded_merge_bit_identical(benchmark, table3_case_base, table3_generator):
-    """4-way sharded serving returns rankings bit-identical to unsharded."""
-    trace = _hot_template_trace(table3_generator)
-    sharded = _engine(table3_case_base, max_batch=MAX_BATCH, shard_count=4, n_best=5)
-    unsharded = _engine(table3_case_base, max_batch=MAX_BATCH, shard_count=1, n_best=5)
-    sharded.serve(trace)
-    unsharded.serve(trace)
-
-    def measure():
-        (sharded_seconds, sharded_report), (unsharded_seconds, unsharded_report) = (
-            gating.interleaved_best_of(
-                REPLAY_ROUNDS,
-                lambda: sharded.serve(trace),
-                lambda: unsharded.serve(trace),
-            )
-        )
-        assert sharded_report.rankings() == unsharded_report.rankings()
-        return sharded_seconds, unsharded_seconds
-
-    sharded_seconds, unsharded_seconds = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
-    _record_baseline("sharded_merge", {
-        "requests": REQUEST_COUNT,
-        "shards": 4,
-        "bit_identical": True,
-        "sharded_seconds": round(sharded_seconds, 4),
-        "unsharded_seconds": round(unsharded_seconds, 4),
-    })
 
 
 def test_admission_qos_mix(benchmark, table3_case_base, table3_generator):

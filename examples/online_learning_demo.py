@@ -13,8 +13,9 @@ loop running live inside the serving layer:
 3. watch the case base grow while the per-phase host latency stays flat:
    every retained case is absorbed by the delta-propagation subsystem in
    O(touched types), not O(case base),
-4. cross-check that a sharded replay of the same traffic learns the exact
-   same case base (bit-identical rankings and mutations).
+4. cross-check that a replay of the same traffic through the naive golden
+   retrieval loop learns the exact same case base (bit-identical rankings
+   and mutations).
 
 Run with ``python examples/online_learning_demo.py``.
 """
@@ -72,29 +73,27 @@ def main() -> None:
           f"across {case_base.revision} revisions; every mutation was absorbed "
           f"incrementally by the delta log (O(touched types) per retained case).")
 
-    # Sharded vs unsharded learning replays stay bit-identical: both start
-    # from identical snapshots, learn from their own traffic, and must end
-    # with the same rankings and the same evolved case base.
+    # Vectorized and naive-loop learning replays stay bit-identical: both
+    # start from identical snapshots, learn from their own traffic, and must
+    # end with the same rankings and the same evolved case base.
     source = generator.case_base()
     trace = synthetic_trace(source, 150, mean_interarrival_us=80.0, seed=7)
-    sharded_base, unsharded_base = source.copy(), source.copy()
-    sharded = ServingEngine(
-        sharded_base, config=ServingConfig(
-            shard_count=3, max_batch=16, n_best=3, learn=True,
-            novelty_threshold=0.97, learn_capacity=12,
-        )
-    ).serve(trace)
-    unsharded = ServingEngine(
-        unsharded_base, config=ServingConfig(
-            shard_count=1, max_batch=16, n_best=3, learn=True,
-            novelty_threshold=0.97, learn_capacity=12,
-        )
-    ).serve(trace)
-    assert sharded.rankings() == unsharded.rankings()
-    assert sharded_base.to_dict() == unsharded_base.to_dict()
-    print(f"sharded (3 workers) and unsharded replays learned identically: "
+    vectorized_base, naive_base = source.copy(), source.copy()
+    replays = [
+        ServingEngine(
+            replay_base, config=ServingConfig(
+                backend=backend, max_batch=16, n_best=3, learn=True,
+                novelty_threshold=0.97, learn_capacity=12,
+            )
+        ).serve(trace)
+        for replay_base, backend in ((vectorized_base, "vectorized"),
+                                     (naive_base, "naive"))
+    ]
+    assert replays[0].rankings() == replays[1].rankings()
+    assert vectorized_base.to_dict() == naive_base.to_dict()
+    print(f"vectorized and naive-loop replays learned identically: "
           f"{len(trace)} bit-identical rankings, "
-          f"{sharded_base.count_implementations()} cases either way.")
+          f"{vectorized_base.count_implementations()} cases either way.")
 
 
 if __name__ == "__main__":

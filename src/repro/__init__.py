@@ -19,7 +19,7 @@ The package is organised in layers mirroring Fig. 1 of the paper:
   feasibility checks and QoS negotiation.
 * :mod:`repro.api` -- the Application-API and HW-Layer API facades.
 * :mod:`repro.serving` -- QoS-aware micro-batched request serving (trace
-  replay, sharded case-base workers, cycle-exact admission control).
+  replay, micro-batched retrieval, cycle-exact admission control).
 * :mod:`repro.apps` -- example application workload models.
 * :mod:`repro.tools` -- case-base generators and tracing helpers.
 * :mod:`repro.analysis` -- reporting and statistics helpers.

@@ -256,12 +256,12 @@ class ApplicationAPI:
         This is the streaming complement of :meth:`call_functions`: instead of
         allocating a fixed batch, the returned engine replays timestamped
         request traces through the micro-batching scheduler, cycle-exact
-        admission control and sharded retrieval -- sharing the manager's case
+        admission control and batched retrieval -- sharing the manager's case
         base and its :class:`~repro.allocation.feasibility.FeasibilityChecker`
         (so infeasibility rejections agree with allocation decisions).
 
         Pass a :class:`~repro.serving.ServingSpec` describing the engine,
-        e.g. ``api.serving_engine(ServingSpec(shards=4, deadline_us=500.0))``;
+        e.g. ``api.serving_engine(ServingSpec(n_best=5, deadline_us=500.0))``;
         ``ServingSpec(learn=True)`` enables online CBR learning -- served
         outcomes are fed back through the revise/retain cycle between
         micro-batches, mutating the manager's case base mid-stream while the
@@ -272,16 +272,16 @@ class ApplicationAPI:
         ``cluster=True`` builds a fleet-routed engine, making this the single
         construction entry point.
 
-        The PR 6 keyword-override shim (``serving_engine(shard_count=4)``)
-        has been removed; a spec is now the only construction form.
+        The keyword-override form (``serving_engine(n_best=5)``) has been
+        removed; a spec is now the only construction form.
         """
-        return self._build_serving_engine("serving_engine", "shards=4", spec)
+        return self._build_serving_engine("serving_engine", "n_best=5", spec)
 
     def cluster_engine(self, spec=None, *, fleet=None):
         """A cluster :class:`~repro.serving.ServingEngine` over a device fleet.
 
         The cluster-scale complement of :meth:`serving_engine`: traces are
-        replayed through the same micro-batching, screening and sharded
+        replayed through the same micro-batching, screening and batched
         retrieval, but admission routes each request across a
         :class:`~repro.platform.DeviceFleet` of ``spec.devices`` FPGA-hosted
         hardware retrieval units plus ``spec.software_workers``

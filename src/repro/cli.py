@@ -22,12 +22,13 @@ Provides the day-to-day developer workflows as sub-commands:
   through both engines with an exactness check and speedup report;
 * ``repro-qos serve-trace`` -- replay a timestamped request trace (application
   workloads, a synthetic Poisson mix, or a requests file) through the serving
-  layer's micro-batching scheduler, cycle-exact admission control and sharded
-  case-base workers, reporting throughput/latency/rejection metrics; the
-  ``--engine compare`` mode checks that sharded and unsharded rankings are
-  bit-identical, and ``--learn`` turns on online CBR learning (revise +
-  retain fed back between micro-batches, the case base evolving mid-stream
-  with incremental delta propagation keeping every cache patched);
+  layer's micro-batching scheduler, cycle-exact admission control and
+  retrieval engine, reporting throughput/latency/rejection metrics; the
+  ``--engine compare`` mode re-serves the trace on the golden path and checks
+  rankings and statuses are bit-identical, and ``--learn`` turns on online
+  CBR learning (revise + retain fed back between micro-batches, the case
+  base evolving mid-stream with incremental delta propagation keeping every
+  cache patched);
 * ``repro-qos serve-cluster`` -- replay a trace across a multi-device fleet
   (FPGA-hosted hardware retrieval units plus processor-hosted software
   units) with reconfiguration-aware earliest-finish routing; ``--engine
@@ -587,7 +588,7 @@ def cmd_serve_trace(args: argparse.Namespace) -> int:
 
     try:
         # Learning mutates the case base mid-stream; the compare mode must
-        # replay sharded and unsharded against identical starting snapshots.
+        # replay both engines against identical starting snapshots.
         served_case_base = (
             case_base.copy() if spec.learn and args.engine == "compare" else case_base
         )
@@ -598,21 +599,24 @@ def cmd_serve_trace(args: argparse.Namespace) -> int:
 
     _print_replay_summary(
         report, trace, args,
-        title=f"trace replay ({len(trace)} requests, shards={spec.shards}, "
-              f"max_batch={spec.max_batch})",
+        title=f"trace replay ({len(trace)} requests, max_batch={spec.max_batch})",
     )
 
     exit_code = 0
     if args.engine == "compare":
-        # The reference replay is the single-shard golden path.
-        unsharded = spec.replace(shards=1).build_engine(
+        # The reference replay is the golden path (naive loop, stepwise cycles).
+        golden = spec.replace(backend="naive", cycle_engine="stepwise").build_engine(
             case_base.copy() if spec.learn else case_base
         ).serve(trace)
-        mismatches = _report_compare_mismatches(
-            "serve-trace", "sharded", "unsharded",
-            report.rankings(), unsharded.rankings(),
+        served, reference = (
+            list(zip([r.status.value for r in replay.served], replay.rankings()))
+            for replay in (report, golden)
         )
-        print(f"sharded ({spec.shards}) vs unsharded rankings bit-identical for "
+        mismatches = _report_compare_mismatches(
+            "serve-trace", "served", "golden", served, reference,
+            format_value=_format_compare_value,
+        )
+        print(f"served vs golden-path rankings and statuses bit-identical for "
               f"{len(trace) - mismatches}/{len(trace)} requests")
         if mismatches:
             exit_code = 1
@@ -656,7 +660,7 @@ def cmd_serve_cluster(args: argparse.Namespace) -> int:
     _print_replay_summary(
         report, trace, args,
         title=f"cluster replay ({len(trace)} requests, devices={len(fleet)}, "
-              f"shards={spec.shards}, max_batch={spec.max_batch})",
+              f"max_batch={spec.max_batch})",
         workers=True,
     )
     cluster = report.metrics["cluster"]
@@ -682,7 +686,7 @@ def cmd_serve_cluster(args: argparse.Namespace) -> int:
     exit_code = 0
     if args.engine == "compare":
         # Single-device golden reference.
-        single = spec.replace(cluster=False, shards=1).build_engine(
+        single = spec.replace(cluster=False).build_engine(
             case_base.copy() if spec.learn else case_base
         ).serve(trace)
         cluster_rankings = report.rankings()
@@ -1084,10 +1088,10 @@ def build_parser() -> argparse.ArgumentParser:
     ServingSpec.add_serving_arguments(sub)
     _add_replay_arguments(
         sub,
-        engine_help="retrieval backend of the shard workers; 'compare' "
-                    "re-serves the trace unsharded and checks the rankings "
-                    "are bit-identical (non-zero exit + diff summary on "
-                    "mismatch)",
+        engine_help="retrieval backend; 'compare' re-serves the trace on the "
+                    "golden path (naive retrieval, stepwise cycles) and "
+                    "checks rankings and statuses are bit-identical "
+                    "(non-zero exit + diff summary on mismatch)",
     )
     sub.add_argument("--capture", metavar="PATH",
                      help="instead of generating a trace, offline-replay a "
@@ -1106,7 +1110,7 @@ def build_parser() -> argparse.ArgumentParser:
     ServingSpec.add_serving_arguments(sub)
     _add_replay_arguments(
         sub,
-        engine_help="retrieval backend of the shard workers; 'compare' "
+        engine_help="retrieval backend; 'compare' "
                     "re-serves the trace on a single device and checks the "
                     "rankings of commonly served requests are bit-identical "
                     "(non-zero exit + diff summary on mismatch)",
@@ -1125,7 +1129,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "--software-workers / --reconfig-us)")
     sub.add_argument("--engine", choices=["vectorized", "naive"],
                      default="vectorized",
-                     help="retrieval backend of the shard workers")
+                     help="retrieval backend")
     sub.add_argument("--host", default="127.0.0.1",
                      help="bind address (default 127.0.0.1)")
     sub.add_argument("--port", type=int, default=8734,
@@ -1172,8 +1176,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="most recent traces rendered in listing mode "
                           "(default 10; 0 = all)")
     sub.add_argument("--batches", action="store_true",
-                     help="include per-batch pipeline traces (shard fan-out, "
-                          "merge, routing, sync) alongside request traces")
+                     help="include per-batch pipeline traces (sync, requeue, "
+                          "health transitions) alongside request traces")
     sub.add_argument("--json", action="store_true",
                      help="print trace documents as JSON instead of the "
                           "rendered tree")

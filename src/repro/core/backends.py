@@ -983,18 +983,10 @@ class VectorizedBackend(RetrievalBackend):
         n: Optional[int],
         threshold: Optional[float],
         record_threshold: Optional[float],
-        order: Optional[np.ndarray] = None,
     ) -> "RetrievalResult":
-        """Build a ranked result; ``order`` may carry a precomputed ranking.
-
-        ``retrieve_batch`` computes the ranking orders of a whole signature
-        group in one stable ``argsort`` call (identical to the per-request
-        lexsort because ``matrices.impl_ids`` ascends with the row index) and
-        passes each row in via ``order``.
-        """
+        """Build a ranked result: the threshold filter, then the ``n`` cut."""
         RetrievalResult, _, _ = _result_types()
-        if order is None:
-            order = self._ranking_order(matrices, similarities)
+        order = self._ranking_order(matrices, similarities)
         if threshold is not None:
             order = order[similarities[order] >= threshold]
         if n is not None:
@@ -1123,7 +1115,7 @@ class VectorizedBackend(RetrievalBackend):
         both ways at once the two backends may therefore raise different
         (equally valid) ``RetrievalError``\\ s.
         """
-        _, RetrievalStatistics, _ = _result_types()
+        RetrievalResult, RetrievalStatistics, ScoredImplementation = _result_types()
         requests = list(requests)
         # Validate in request order: request 0's structural and weight checks,
         # then the mode arguments, then the remaining requests.  (Scoring
@@ -1172,17 +1164,30 @@ class VectorizedBackend(RetrievalBackend):
             similarity_rows, missing, compared = self._similarity_rows(
                 matrices, attribute_ids, request_values, weight_rows
             )
-            if n is None and threshold is None:
-                orders = None
-            else:
+            implementations = matrices.implementations
+            implementation_count = len(implementations)
+            ranked_rows = None
+            if n is not None or threshold is not None:
                 # One stable sort for the whole group: descending similarity
                 # with ties in row-index order, which is ascending
                 # implementation ID by construction -- exactly the
                 # per-request lexsort of :meth:`_ranking_order`.
                 orders = np.argsort(-similarity_rows, axis=1, kind="stable")
+                # Each row ranks its prefix reaching the threshold, cut to n;
+                # the group gathers it into Python lists once, not per request.
+                width = min(n or implementation_count, implementation_count)
+                lengths = [width] * len(member_indices)
+                if threshold is not None:
+                    reaching = (similarity_rows >= threshold).sum(axis=1)
+                    lengths = np.minimum(reaching, width).tolist()
+                    width = max(lengths)
+                top = orders[:, :width]
+                rows = np.arange(len(member_indices))[:, None]
+                ranked_rows = zip(
+                    top.tolist(), similarity_rows[rows, top].tolist(), lengths
+                )
             # Group-constant effort counters (see :meth:`_account`), built
             # directly into each request's statistics record.
-            implementation_count = len(matrices.implementations)
             attribute_total = implementation_count * len(attribute_ids)
             for row, index in enumerate(member_indices):
                 request = requests[index]
@@ -1194,17 +1199,22 @@ class VectorizedBackend(RetrievalBackend):
                     missing_attributes=missing,
                     multiplications=compared,
                 )
-                similarities = similarity_rows[row]
-                if orders is None:
+                if ranked_rows is None:
                     results[index] = self._best_result(
-                        request, matrices, similarities, statistics
+                        request, matrices, similarity_rows[row], statistics
                     )
-                else:
-                    results[index] = self._ranked_result(
-                        request, matrices, similarities, statistics,
-                        n=n, threshold=threshold, record_threshold=threshold,
-                        order=orders[row],
+                    continue
+                row_indices, row_similarities, length = next(ranked_rows)
+                ranked = [
+                    ScoredImplementation(type_id, implementations[i], similarity)
+                    for i, similarity in zip(
+                        row_indices[:length], row_similarities[:length]
                     )
+                ]
+                statistics.best_updates += len(ranked)
+                results[index] = RetrievalResult(
+                    type_id, ranked, statistics, threshold=threshold
+                )
         return results
 
 

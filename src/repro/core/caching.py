@@ -1,8 +1,8 @@
 """Shared revision-tracked caching with incremental delta application.
 
-Before this module, four layers (the vectorized retrieval backend, the cosim
-columnar image plus encoded memory images of the hardware/software units, and
-the serving shards) each hand-rolled the same pattern::
+Before this module, three layers (the vectorized retrieval backend, and the
+cosim columnar image plus encoded memory images of the hardware/software
+units) each hand-rolled the same pattern::
 
     self._revision = -1
     ...

@@ -4,9 +4,9 @@ The paper defers "dynamic update mechanisms of Case-Base data structures ...
 enabling for a self-learning system" to future work; :mod:`repro.core.learning`
 models that revise/retain cycle, but until this module every accelerated
 consumer (vectorized backend matrices, the cosim columnar image, the encoded
-hardware/software memory images, the serving shards) kept a private cache
-keyed to :attr:`~repro.core.case_base.CaseBase.revision` and rebuilt from
-scratch on *any* change -- O(case base) per retained case.
+hardware/software memory images) kept a private cache keyed to
+:attr:`~repro.core.case_base.CaseBase.revision` and rebuilt from scratch on
+*any* change -- O(case base) per retained case.
 
 This module gives mutations structure so consumers can react proportionally:
 

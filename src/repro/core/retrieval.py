@@ -55,16 +55,6 @@ class RetrievalStatistics:
     multiplications: int = 0
     best_updates: int = 0
 
-    def merge(self, other: "RetrievalStatistics") -> None:
-        """Accumulate another statistics record into this one."""
-        self.implementations_visited += other.implementations_visited
-        self.attributes_requested += other.attributes_requested
-        self.attribute_lookups += other.attribute_lookups
-        self.attribute_compares += other.attribute_compares
-        self.missing_attributes += other.missing_attributes
-        self.multiplications += other.multiplications
-        self.best_updates += other.best_updates
-
 
 @dataclass(frozen=True)
 class ScoredImplementation:

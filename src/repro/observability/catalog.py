@@ -25,7 +25,6 @@ __all__ = [
     "batch_size",
     "modelled_cycles",
     "traces_sampled",
-    "shard_requests",
     "prefilter_requests",
     "prefilter_rows",
     "image_reopens",
@@ -50,7 +49,7 @@ __all__ = [
 HEALTH_LEVELS = {"healthy": 0.0, "suspect": 1.0, "quarantined": 2.0}
 
 #: The per-stage latency labels every request walks through.
-STAGES = ("queue", "admission", "retrieval", "merge")
+STAGES = ("queue", "admission", "retrieval")
 
 
 def requests_total(registry: MetricsRegistry) -> MetricFamily:
@@ -73,8 +72,8 @@ def request_latency(registry: MetricsRegistry) -> MetricFamily:
 def stage_latency(registry: MetricsRegistry) -> MetricFamily:
     return registry.histogram(
         "repro_stage_latency_us",
-        "Per-stage latency: queue/admission/retrieval are virtual "
-        "microseconds; merge is wall-clock merge time.",
+        "Per-stage modelled latency in virtual microseconds "
+        "(queue/admission/retrieval).",
         ("stage",),
         buckets=LATENCY_BUCKETS_US,
     )
@@ -106,14 +105,6 @@ def modelled_cycles(registry: MetricsRegistry) -> MetricFamily:
 def traces_sampled(registry: MetricsRegistry) -> MetricFamily:
     return registry.counter(
         "repro_traces_sampled_total", "Request traces admitted by the sampler."
-    )
-
-
-def shard_requests(registry: MetricsRegistry) -> MetricFamily:
-    return registry.counter(
-        "repro_shard_requests_total",
-        "Retrieval sub-requests fanned out per case-base shard.",
-        ("shard",),
     )
 
 

@@ -3,10 +3,10 @@
 :class:`Observability` is what every instrumentation point in the serving
 stack talks to.  A :class:`~repro.serving.engine.ServingEngine` owns exactly
 one (built from its config's :class:`ObservabilityConfig` axis) and hands it
-to the session, the sharded retriever, the cluster router and the daemon.
+to the session, the admission router and the daemon.
 
 The hub keeps a *current micro-batch trace* while a batch is in flight, so
-components deep in the pipeline (shards, router, fleet sync) can append
+components deep in the pipeline (router, fleet sync) can append
 spans without threading a handle through every call signature.  Serving is
 single-threaded per engine -- the daemon processes batches on its event
 loop, replays on one thread -- so a plain attribute is sufficient and,
@@ -19,7 +19,7 @@ instrumented runs bit-identical to uninstrumented ones.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from . import catalog
 from .config import ObservabilityConfig
@@ -90,7 +90,6 @@ class Observability:
         *,
         start_us: Optional[float] = None,
         end_us: Optional[float] = None,
-        annotations: Optional[Dict[str, object]] = None,
         **attributes: object,
     ) -> Optional[Span]:
         """Append a span to the in-flight batch trace (no-op outside one)."""
@@ -103,7 +102,6 @@ class Observability:
             start_us=start,
             end_us=end_us,
             parent=self._batch_root,
-            annotations=annotations,
             **attributes,
         )
 

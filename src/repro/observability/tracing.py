@@ -5,8 +5,8 @@ links.  Every timestamp is *virtual* -- the deterministic microsecond
 clock the serving engines already run on -- so the spans a replay produces
 are a pure function of the request trace and the spec: replaying the same
 capture twice yields identical span trees, and the differential suites can
-compare them bit-for-bit.  Wall-clock measurements (HTTP round-trip time,
-shard-merge CPU time) ride along as *annotations*, which are explicitly
+compare them bit-for-bit.  Wall-clock measurements (HTTP round-trip time)
+ride along as *annotations*, which are explicitly
 excluded from :meth:`Span.identity` so they never participate in equality.
 
 Trace ids are deterministic too: request ``index`` -> ``req-00000042``

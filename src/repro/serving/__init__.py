@@ -8,8 +8,6 @@ engines (PR 2):
   example application workloads, synthetic Poisson mixes and request files;
 * :mod:`repro.serving.scheduler` -- the ``max_batch``/``max_wait_us``
   micro-batching policy;
-* :mod:`repro.serving.shards` -- sharded case-base workers whose per-shard
-  rankings merge bit-identically with unsharded retrieval;
 * :mod:`repro.serving.admission` -- :class:`AdmissionController`, the one
   admission gate: deadline-budget routing driven by exact cycle counts
   (admit / degrade-to-software / reject / requeue) across a
@@ -19,7 +17,8 @@ engines (PR 2):
 * :mod:`repro.serving.metrics` -- throughput, latency percentiles,
   batch-shape histograms and rejection rates;
 * :mod:`repro.serving.engine` -- :class:`ServingEngine`, the facade gluing
-  the pipeline together (single-node, or a cluster when given a fleet);
+  the pipeline together (single-node, or a cluster when given a fleet) over
+  one :class:`~repro.core.retrieval.RetrievalEngine`;
 * :mod:`repro.serving.spec` -- :class:`ServingSpec`, the one declarative
   schema every engine-construction surface (Python API, CLI, HTTP daemon)
   builds from;
@@ -67,7 +66,6 @@ from .loadgen import (
 )
 from .metrics import MetricsCollector, percentile, percentiles
 from .scheduler import MicroBatchScheduler, ScheduledBatch
-from .shards import ShardedRetriever, build_shards
 
 __all__ = [
     "AdmissionController",
@@ -92,11 +90,9 @@ __all__ = [
     "ServingSession",
     "ServingSpec",
     "ServingStatus",
-    "ShardedRetriever",
     "TimedRequest",
     "WorkerHealth",
     "WORKLOAD_FACTORIES",
-    "build_shards",
     "percentile",
     "percentiles",
     "replay_capture",

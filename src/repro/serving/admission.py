@@ -187,7 +187,7 @@ class AdmissionController:
     Parameters
     ----------
     case_base:
-        The case base served (shared with the retrieval shards).
+        The case base served (shared with the retrieval engine).
     fleet:
         The device fleet answering the traffic (must be built over
         ``case_base``).  ``None`` serves the single-node topology

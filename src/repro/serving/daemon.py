@@ -212,7 +212,7 @@ class ServingDaemon:
     ----------
     spec:
         The :class:`~repro.serving.spec.ServingSpec` describing the engine
-        (single-node or cluster, backend, shards, deadlines, learning).  The
+        (single-node or cluster, backend, deadlines, learning).  The
         spec's trace-source axis is ignored -- the network *is* the trace.
     capture:
         Keep the capture document (trace, responses, learn events) in

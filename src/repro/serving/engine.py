@@ -6,8 +6,8 @@ turns a live *stream* of function requests into batched work for the fast
 primitives built in earlier PRs:
 
     trace -> MicroBatchScheduler -> AdmissionController (routing onto a
-          DeviceFleet) -> ShardedRetriever -> (PR 1 vectorized backend,
-          PR 2 cycle engines) -> MetricsCollector
+          DeviceFleet, priced by the cycle engines) -> RetrievalEngine
+          (vectorized backend) -> MetricsCollector
 
 Single-node serving is the fleet's one-hardware/one-software topology;
 passing a :class:`~repro.platform.DeviceFleet` serves a cluster instead, with
@@ -36,20 +36,19 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..allocation.feasibility import FeasibilityChecker
 from ..core.caching import RevisionTrackedCache
 from ..core.case_base import CaseBase
-from ..core.deltas import DeltaKind, DeltaSummary
+from ..core.deltas import DeltaKind, DeltaSummary, deltas_preserve_derived_bounds
 from ..core.exceptions import ReproError
 from ..core.learning import CaseRetainer, CaseReviser, CBRCycle, CycleReport, OutcomeRecord
 from ..core.request import FunctionRequest
 from ..core.retrieval import RetrievalEngine, RetrievalResult
 from ..hardware.retrieval_unit import HardwareConfig
-from ..observability import Observability, ObservabilityConfig
+from ..observability import Observability, ObservabilityConfig, catalog
 from ..platform.fleet import DeviceFleet
 from ..resilience import FaultInjector
 from .admission import AdmissionController, AdmissionDecision, AdmissionVerdict
 from .loadgen import TimedRequest, trace_from_requests
 from .metrics import MetricsCollector
 from .scheduler import MicroBatchScheduler
-from .shards import ShardedRetriever
 
 
 class ServingStatus(enum.Enum):
@@ -74,8 +73,7 @@ class ServingConfig:
     #: Micro-batching policy (see :class:`~repro.serving.scheduler.MicroBatchScheduler`).
     max_batch: int = 32
     max_wait_us: float = 500.0
-    #: Case-base partitioning (see :class:`~repro.serving.shards.ShardedRetriever`).
-    shard_count: int = 1
+    #: Retrieval backend (see :class:`~repro.core.retrieval.RetrievalEngine`).
     backend: str = "vectorized"
     #: Two-stage retrieval screen (``"off"`` or ``"bounds"``): the vectorized
     #: backend prunes implementation blocks through a rigorous similarity
@@ -203,7 +201,7 @@ class ServingReport:
         """Per-request ``(implementation_id, similarity)`` rankings, trace order.
 
         ``None`` marks requests that were not served; this is the
-        bit-identity surface the sharded/unsharded compare mode checks.
+        bit-identity surface the ``--engine compare`` modes check.
         """
         return [
             [
@@ -236,7 +234,7 @@ class OnlineLearner:
     those values; the retain step inserts a new case when no stored variant
     is similar enough (``novelty_threshold``), subject to the per-type
     ``learn_capacity`` limit.  Mutations land between micro-batches, and the
-    delta-propagation subsystem keeps the sharded/vectorized/cosim caches
+    delta-propagation subsystem keeps the retrieval/cosim caches
     patched in O(touched types) instead of O(case base) per retained case.
     """
 
@@ -310,7 +308,7 @@ class ServingSession:
     The offline :meth:`ServingEngine.serve` replay and the network daemon
     (:mod:`repro.serving.daemon`) drive the *same* per-batch pipeline through
     this object -- screen, admission-assess (with occupancy state carried
-    across batches), sharded retrieval, feasibility audit, learning feedback,
+    across batches), retrieval, feasibility audit, learning feedback,
     metrics observation.  That shared path is what makes the daemon's
     responses bit-identical to an offline replay of its captured trace: there
     is no second implementation to drift.
@@ -414,11 +412,13 @@ class ServingSession:
                     ServingStatus.REJECTED_DEADLINE, reason,
                 )
             if admitted:
+                engine._retriever_tracker.ensure_current()
                 results = engine.retriever.retrieve_batch(
                     [entry.request for _, entry, _ in admitted],
                     n=engine.config.n_best,
                     threshold=engine.config.threshold,
                 )
+                engine._count_prefilter()
                 for (trace_index, entry, decision), result in zip(admitted, results):
                     infeasible = self.admission.feasibility_failure(result)
                     if infeasible is not None:
@@ -605,13 +605,15 @@ class ServingEngine:
         self.scheduler = MicroBatchScheduler(
             max_batch=self.config.max_batch, max_wait_us=self.config.max_wait_us
         )
-        self.retriever = ShardedRetriever(
-            case_base,
-            shard_count=self.config.shard_count,
-            backend=self.config.backend,
-            prefilter=self.config.prefilter,
+        #: One retrieval engine over the whole case base.  It pins the
+        #: (possibly derived) bounds table it was built with, so a delta
+        #: window that may move that table rebuilds it; the engine's backend
+        #: absorbs every other window.
+        self._retriever_tracker = RevisionTrackedCache(
+            case_base, rebuild=self._rebuild_retriever, apply=self._retriever_bounds_hold
         )
-        self.retriever.observability = self.observability
+        self._rebuild_retriever()
+        self._retriever_tracker.mark_current()
         # The modelled unit must be the one that would deliver the configured
         # ranking depth, or the "exact" service times describe a different
         # design point; widen n_best like the allocation manager does.
@@ -647,6 +649,39 @@ class ServingEngine:
         )
         #: Optional online-learning adapter (revise + retain between batches).
         self.learner = OnlineLearner(case_base, self.config) if self.config.learn else None
+
+    # -- retrieval -----------------------------------------------------------------
+
+    def _rebuild_retriever(self) -> None:
+        self.retriever = RetrievalEngine(
+            self.case_base, backend=self.config.backend, prefilter=self.config.prefilter
+        )
+        #: Backend pre-filter counts already in the registry (new ones start at 0).
+        self._prefilter_emitted = (0, 0, 0)
+
+    def _retriever_bounds_hold(self, summary: DeltaSummary) -> bool:
+        return not summary.bounds_changed and (
+            self.case_base.has_explicit_bounds
+            or deltas_preserve_derived_bounds(summary.deltas, self.retriever.bounds)
+        )
+
+    def _count_prefilter(self) -> None:
+        """Fold the backend's new pre-filter counts into the registry."""
+        if self.config.prefilter == "off" or not self.observability.metrics_enabled:
+            return
+        backend = self.retriever.backend
+        totals = tuple(
+            getattr(backend, f"prefilter_{name}", 0)
+            for name in ("requests", "rows_pruned", "rows_total")
+        )
+        requests, pruned, rows = (
+            total - emitted for total, emitted in zip(totals, self._prefilter_emitted)
+        )
+        self._prefilter_emitted = totals
+        registry = self.observability.registry
+        catalog.prefilter_requests(registry).inc(requests)
+        for outcome, count in (("pruned", pruned), ("evaluated", rows - pruned)):
+            catalog.prefilter_rows(registry).labels(outcome=outcome).inc(count)
 
     # -- request screening ---------------------------------------------------------
 

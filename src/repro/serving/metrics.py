@@ -89,7 +89,7 @@ class MetricsCollector:
         self._batch_size = catalog.batch_size(self.registry)
         self._cycles = catalog.modelled_cycles(self.registry)
         # Materialise every stage series up front so the exposition always
-        # carries the full queue/admission/retrieval/merge histogram set,
+        # carries the full queue/admission/retrieval histogram set,
         # and keep the bound children -- the per-request observation path
         # is hot enough that repeated labels() lookups show up in replays.
         for stage in catalog.STAGES:

@@ -1,423 +1,6 @@
-"""Sharded case-base workers with bit-identical rank merging.
+# perfbench/spans.py wraps ShardedRetriever.retrieve_batch as its retrieval
+# layer, so the name stays importable from this module as an alias of the one
+# engine serving calls (it is not exported from repro.serving).
+from ..core.retrieval import RetrievalEngine
 
-A production-scale case base is partitioned across ``shard_count`` worker
-shards: each shard holds every ``shard_count``-th implementation variant of
-each function type (round-robin over the type's ID-sorted variant list), runs
-its own :class:`~repro.core.retrieval.RetrievalEngine` over its slice, and
-the per-shard rankings are merged by ``(-similarity, implementation_id)`` --
-exactly the global ranking order every backend uses.
-
-Bit-identity of the merge rests on a property of the vectorized kernel (and
-trivially of the naive loop): the global similarity of one implementation is
-computed independently of every *other* implementation -- per-attribute
-element-wise IEEE-754 double operations accumulated in ascending
-attribute-ID order of the *request*.  Partitioning the implementation axis
-therefore changes nothing about any individual similarity value, and sorting
-the merged pool with the shared comparison key reproduces the unsharded
-ranking exactly (asserted by the differential and property suites, and gated
-by ``repro serve-trace --engine compare``).
-
-What is *not* preserved bit-for-bit is the ``best_updates`` statistics
-counter: the sequential scan's strict-improvement count depends on visit
-order, which sharding changes by construction.  Merged statistics are the
-sum over shards (all other counters match the unsharded totals).
-"""
-
-from __future__ import annotations
-
-import time
-from typing import List, Optional, Sequence
-
-from ..core.attributes import BoundsTable
-from ..core.caching import RevisionTrackedCache
-from ..core.case_base import CaseBase
-from ..core.deltas import (
-    DeltaSummary,
-    NetImplementationEvent,
-    deltas_preserve_derived_bounds,
-)
-from ..core.exceptions import RetrievalError
-from ..core.request import FunctionRequest
-from ..core.retrieval import (
-    RetrievalEngine,
-    RetrievalResult,
-    RetrievalStatistics,
-)
-from ..observability import catalog
-
-
-def build_shards(case_base: CaseBase, shard_count: int) -> List[CaseBase]:
-    """Partition a case base into ``shard_count`` round-robin shards.
-
-    Shard ``k`` receives implementations ``k, k + N, k + 2N, ...`` of every
-    function type's ID-sorted variant list.  Shards share the parent's schema,
-    bounds table and :class:`~repro.core.case_base.Implementation` objects
-    (retrieval never mutates them); types with no variants falling into a
-    shard are omitted from that shard entirely, so a shard count larger than
-    a type's variant count simply leaves some shards unaware of the type.
-    """
-    if shard_count < 1:
-        raise RetrievalError(f"shard_count must be at least 1, got {shard_count}")
-    bounds = case_base.bounds  # derive once; every shard pins the same table
-    shards = [
-        CaseBase(schema=case_base.schema, bounds=bounds) for _ in range(shard_count)
-    ]
-    for function_type in case_base.sorted_types():
-        implementations = function_type.sorted_implementations()
-        for shard_index, shard in enumerate(shards):
-            members = implementations[shard_index::shard_count]
-            if not members:
-                continue
-            shard_type = shard.add_type(function_type.type_id, name=function_type.name)
-            for implementation in members:
-                shard_type.add(implementation)
-    return shards
-
-
-class ShardedRetriever:
-    """Batch retrieval over ``shard_count`` case-base worker shards.
-
-    With ``shard_count == 1`` this is a thin wrapper around a single
-    :class:`~repro.core.retrieval.RetrievalEngine` on the original case base
-    (no partitioning, no merge) -- the unsharded reference the compare mode
-    and the property suite measure against.
-
-    The shard partition subscribes to the case base's mutation log through
-    the shared :class:`~repro.core.caching.RevisionTrackedCache`: a delta
-    window re-partitions only the touched function types across the existing
-    shard case bases (whose engines then patch just those types), preserving
-    the bit-identical merged ranking; a truncated log or an unstable derived
-    bounds table falls back to the full shard rebuild.
-    """
-
-    def __init__(
-        self,
-        case_base: CaseBase,
-        *,
-        shard_count: int = 1,
-        backend: str = "vectorized",
-        prefilter: str = "off",
-    ) -> None:
-        if backend not in ("naive", "reference", "vectorized"):
-            raise RetrievalError(
-                f"unknown shard backend {backend!r}; "
-                f"expected 'naive', 'reference' or 'vectorized'"
-            )
-        if shard_count < 1:
-            raise RetrievalError(f"shard_count must be at least 1, got {shard_count}")
-        if prefilter not in RetrievalEngine.PREFILTERS:
-            raise RetrievalError(
-                f"unknown prefilter {prefilter!r}; "
-                f"known: {list(RetrievalEngine.PREFILTERS)}"
-            )
-        self.case_base = case_base
-        self.shard_count = int(shard_count)
-        self.backend = backend
-        self.prefilter = prefilter
-        #: Optional :class:`~repro.observability.Observability` hub installed
-        #: by the owning engine; fan-out/merge spans and shard counters are
-        #: emitted through it when present.
-        self.observability = None
-        self._engines: List[RetrievalEngine] = []
-        self._shards: List[CaseBase] = []
-        self._bounds_snapshot: Optional[BoundsTable] = None
-        self._tracker = RevisionTrackedCache(
-            case_base, rebuild=self._rebuild, apply=self._apply_deltas
-        )
-
-    # -- shard lifecycle -----------------------------------------------------------
-
-    def invalidate(self) -> None:
-        """Force a full shard rebuild on next use (pre-delta behaviour)."""
-        self._tracker.invalidate()
-
-    def _rebuild(self) -> None:
-        """Full rebuild: re-partition everything and recreate the engines."""
-        if self.shard_count == 1:
-            self._shards = []
-            self._engines = [
-                RetrievalEngine(
-                    self.case_base, backend=self.backend, prefilter=self.prefilter
-                )
-            ]
-            self._bounds_snapshot = self._engines[0].bounds
-        else:
-            self._shards = build_shards(self.case_base, self.shard_count)
-            self._engines = [
-                RetrievalEngine(shard, backend=self.backend, prefilter=self.prefilter)
-                for shard in self._shards
-            ]
-            self._bounds_snapshot = self._shards[0].bounds
-
-    def _apply_deltas(self, summary: DeltaSummary) -> bool:
-        """Re-partition only the touched types across the existing shards.
-
-        A full rebuild re-derives the effective bounds table, so incremental
-        application is only bit-identical when that table provably cannot
-        have moved; otherwise fall back.  With a single shard the wrapped
-        engine's backend consumes the same delta window itself, so nothing
-        needs re-partitioning here.
-        """
-        if summary.bounds_changed:
-            return False
-        if not self.case_base.has_explicit_bounds and not deltas_preserve_derived_bounds(
-            summary.deltas, self._bounds_snapshot
-        ):
-            return False
-        if self.shard_count == 1:
-            return True
-        for type_id in sorted(summary.reset_types):
-            self._repartition(type_id)
-        for type_id, events in sorted(summary.impl_events.items()):
-            if not self._forward_events(type_id, events):
-                self._repartition(type_id)
-        return True
-
-    def _forward_events(self, type_id: int, events) -> bool:
-        """Route membership-stable events straight to their owning shards.
-
-        Round-robin assignment sends the variant at ID-sorted position ``i``
-        to shard ``i % N``, so a replacement (same ID) never moves anything,
-        and additions whose IDs sort after every other current member (the
-        retain step's ``max + 1`` allocation) extend the tail without
-        re-assigning existing members.  Those two cases -- the whole online
-        learning traffic -- touch exactly one shard per event; anything else
-        (removals, mid-list insertions) returns ``False`` for the full
-        round-robin re-partition of the type.
-        """
-        if type_id not in self.case_base:
-            return False
-        function_type = self.case_base.get_type(type_id)
-        member_ids = sorted(function_type.implementations)
-        added = sorted(
-            event.implementation_id
-            for event in events.values()
-            if event.kind == NetImplementationEvent.ADDED
-        )
-        if any(
-            event.kind == NetImplementationEvent.REMOVED for event in events.values()
-        ):
-            return False
-        if added and member_ids[-len(added):] != added:
-            return False  # insertion below the tail shifts other assignments
-        replaced_ids = {
-            event.implementation_id
-            for event in events.values()
-            if event.kind == NetImplementationEvent.REPLACED
-        }
-        owners = {}
-        for position, implementation_id in enumerate(member_ids):
-            if implementation_id in replaced_ids or implementation_id in added:
-                owners[implementation_id] = self._shards[position % self.shard_count]
-        for event in sorted(events.values(), key=lambda e: e.implementation_id):
-            shard = owners[event.implementation_id]
-            if event.kind == NetImplementationEvent.ADDED:
-                if type_id not in shard:
-                    shard.add_type(type_id, name=function_type.name)
-                shard.add_implementation(type_id, event.implementation)
-            else:  # REPLACED
-                if (
-                    type_id not in shard
-                    or event.implementation_id not in shard.get_type(type_id)
-                ):
-                    return False  # inconsistent partition; rebuild the type
-                shard.replace_implementation(type_id, event.implementation)
-        return True
-
-    def _repartition(self, type_id: int) -> None:
-        """Reassign one function type's variants round-robin across the shards."""
-        if type_id in self.case_base:
-            function_type = self.case_base.get_type(type_id)
-            members = function_type.sorted_implementations()
-            name = function_type.name
-        else:
-            members, name = [], ""
-        for shard_index, shard in enumerate(self._shards):
-            if type_id in shard:
-                shard.remove_type(type_id)
-            assigned = members[shard_index :: self.shard_count]
-            if assigned:
-                # The bulk-build idiom of :func:`build_shards`: one ADD_TYPE
-                # delta resets the type wholesale in the shard engine's
-                # backend, so per-implementation deltas would be redundant.
-                shard_type = shard.add_type(type_id, name=name)
-                for implementation in assigned:
-                    shard_type.add(implementation)
-
-    def _ensure_current(self) -> List[RetrievalEngine]:
-        self._tracker.ensure_current()
-        return self._engines
-
-    @property
-    def engines(self) -> List[RetrievalEngine]:
-        """The per-shard engines (index = shard number)."""
-        return list(self._ensure_current())
-
-    # -- retrieval -----------------------------------------------------------------
-
-    def _screen(self, request: FunctionRequest) -> None:
-        """Raise the unsharded path's errors for requests no shard can serve.
-
-        :meth:`CaseBase.get_type` raises ``UnknownFunctionTypeError`` for a
-        type the case base does not know; an empty function type raises the
-        backends' shared "no implementation variants" error.  With one shard
-        the engine raises these itself; with many shards the per-shard
-        engines never see the offending type (empty slices are omitted from
-        every shard), so the screen reproduces the errors here.
-        """
-        function_type = self.case_base.get_type(request.type_id)
-        if len(function_type) == 0:
-            raise RetrievalError(
-                f"function type {request.type_id} has no implementation variants"
-            )
-
-    def retrieve_batch(
-        self,
-        requests: Sequence[FunctionRequest],
-        *,
-        n: Optional[int] = None,
-        threshold: Optional[float] = None,
-    ) -> List[RetrievalResult]:
-        """Evaluate a request batch across all shards and merge the rankings.
-
-        Result ``i`` belongs to request ``i``; per-request mode semantics
-        match :meth:`RetrievalEngine.retrieve_batch` (``n=None,
-        threshold=None`` returns the single most similar variant).  Each
-        shard evaluates the sub-batch of requests whose type it holds, then
-        per-request rankings are merged by ``(-similarity,
-        implementation_id)`` and cut to ``n``.
-        """
-        engines = self._ensure_current()
-        requests = list(requests)
-        observability = self.observability
-        if len(engines) == 1:
-            self._count_shard(0, len(requests))
-            results = engines[0].retrieve_batch(requests, n=n, threshold=threshold)
-            self._count_prefilter()
-            return results
-        for request in requests:
-            self._screen(request)
-        #: Per-request pools of (shard ranking, shard statistics).
-        pools: List[List[RetrievalResult]] = [[] for _ in requests]
-        for shard_index, engine in enumerate(engines):
-            member_indices = [
-                index
-                for index, request in enumerate(requests)
-                if request.type_id in engine.case_base
-            ]
-            if not member_indices:
-                continue
-            started = time.perf_counter()
-            shard_results = engine.retrieve_batch(
-                [requests[index] for index in member_indices],
-                n=n,
-                threshold=threshold,
-            )
-            for index, result in zip(member_indices, shard_results):
-                pools[index].append(result)
-            self._count_shard(shard_index, len(member_indices))
-            if observability is not None:
-                observability.batch_span(
-                    f"shard-{shard_index}",
-                    shard=shard_index,
-                    requests=len(member_indices),
-                    annotations={
-                        "wall_us": (time.perf_counter() - started) * 1e6
-                    },
-                )
-        started = time.perf_counter()
-        merged = [
-            self._merge(request, pool, n=n, threshold=threshold)
-            for request, pool in zip(requests, pools)
-        ]
-        if observability is not None:
-            merge_wall_us = (time.perf_counter() - started) * 1e6
-            observability.batch_span(
-                "merge",
-                requests=len(requests),
-                candidates=sum(len(pool) for pool in pools),
-                annotations={"wall_us": merge_wall_us},
-            )
-            if observability.metrics_enabled:
-                catalog.stage_latency(observability.registry).labels(
-                    stage="merge"
-                ).observe(merge_wall_us)
-        self._count_prefilter()
-        return merged
-
-    @property
-    def prefilter_stats(self) -> dict:
-        """Aggregated pre-filter counters over the shard engines' backends.
-
-        ``{"requests", "rows_total", "rows_pruned"}`` -- all zero when the
-        prefilter axis is off or the screen always fell through.
-        """
-        totals = {"requests": 0, "rows_total": 0, "rows_pruned": 0}
-        for engine in self._engines:
-            backend = engine.backend
-            totals["requests"] += getattr(backend, "prefilter_requests", 0)
-            totals["rows_total"] += getattr(backend, "prefilter_rows_total", 0)
-            totals["rows_pruned"] += getattr(backend, "prefilter_rows_pruned", 0)
-        return totals
-
-    def _count_prefilter(self) -> None:
-        """Fold the backends' pre-filter counter deltas into the registry."""
-        observability = self.observability
-        if (
-            self.prefilter == "off"
-            or observability is None
-            or not observability.metrics_enabled
-        ):
-            return
-        totals = self.prefilter_stats
-        emitted = getattr(self, "_prefilter_emitted", None)
-        if emitted is None or totals["requests"] < emitted["requests"]:
-            # First emission, or a shard rebuild reset the backend counters.
-            emitted = {"requests": 0, "rows_total": 0, "rows_pruned": 0}
-        registry = observability.registry
-        delta_requests = totals["requests"] - emitted["requests"]
-        if delta_requests:
-            catalog.prefilter_requests(registry).inc(delta_requests)
-        delta_pruned = totals["rows_pruned"] - emitted["rows_pruned"]
-        if delta_pruned:
-            catalog.prefilter_rows(registry).labels(outcome="pruned").inc(delta_pruned)
-        delta_evaluated = (totals["rows_total"] - totals["rows_pruned"]) - (
-            emitted["rows_total"] - emitted["rows_pruned"]
-        )
-        if delta_evaluated:
-            catalog.prefilter_rows(registry).labels(outcome="evaluated").inc(
-                delta_evaluated
-            )
-        self._prefilter_emitted = totals
-
-    def _count_shard(self, shard_index: int, count: int) -> None:
-        """Count retrieval sub-requests landing on one shard."""
-        observability = self.observability
-        if count and observability is not None and observability.metrics_enabled:
-            catalog.shard_requests(observability.registry).labels(
-                shard=shard_index
-            ).inc(count)
-
-    @staticmethod
-    def _merge(
-        request: FunctionRequest,
-        pool: List[RetrievalResult],
-        *,
-        n: Optional[int],
-        threshold: Optional[float],
-    ) -> RetrievalResult:
-        """Merge per-shard rankings into the global ranking order."""
-        ranked = sorted(
-            (entry for result in pool for entry in result.ranked),
-            key=lambda entry: (-entry.similarity, entry.implementation_id),
-        )
-        if n is not None:
-            ranked = ranked[:n]
-        elif threshold is None:
-            # Most-similar mode: every shard returned its single best; keep
-            # the global winner only, like the unsharded scan would.
-            ranked = ranked[:1]
-        statistics = RetrievalStatistics()
-        for result in pool:
-            statistics.merge(result.statistics)
-        return RetrievalResult(request.type_id, ranked, statistics, threshold=threshold)
+ShardedRetriever = RetrievalEngine

@@ -5,7 +5,7 @@ near-duplicate dialects: ``ApplicationAPI.serving_engine(**overrides)`` /
 ``cluster_engine(devices=...)`` took keyword soup, and ``serve-trace`` /
 ``serve-cluster`` each re-declared (and slowly diverged on) the same argparse
 plumbing.  ``ServingSpec`` collapses them: a single frozen dataclass spanning
-the workload x engine x backend x shards x fleet x learning axes, with
+the workload x engine x backend x fleet x learning axes, with
 
 * :meth:`ServingSpec.from_args` / :meth:`ServingSpec.add_arguments` -- the
   CLI surface (``serve-trace``, ``serve-cluster`` and ``repro serve`` all
@@ -35,10 +35,6 @@ from ..core.case_base import CaseBase
 from ..core.exceptions import ReproError
 from ..observability import DEFAULT_TRACE_RING, ObservabilityConfig
 from ..resilience import FaultPlan
-
-#: Spec fields whose ``ServingConfig`` counterpart is named differently.
-_CONFIG_FIELD_MAP = {"shards": "shard_count"}
-
 
 @dataclass(frozen=True)
 class ServingSpec:
@@ -71,7 +67,6 @@ class ServingSpec:
     #: Two-stage retrieval screen (``"off"`` or ``"bounds"``); bit-identical
     #: to the full scan by construction, so it is a pure performance axis.
     prefilter: str = "off"
-    shards: int = 1
     max_batch: int = 32
     max_wait_us: float = 500.0
     deadline_us: Optional[float] = None
@@ -161,7 +156,6 @@ class ServingSpec:
         return ServingConfig(
             max_batch=self.max_batch,
             max_wait_us=self.max_wait_us,
-            shard_count=self.shards,
             backend=self.backend,
             prefilter=self.prefilter,
             cycle_engine=cycle_engine if cycle_engine is not None else self.cycle_engine,
@@ -341,8 +335,6 @@ class ServingSpec:
                          "the built-in platform case base for workload traffic, "
                          "the paper example otherwise)")
         sub.add_argument("--seed", type=int, default=2004)
-        sub.add_argument("--shards", type=int, default=1,
-                         help="number of case-base worker shards (default 1)")
         sub.add_argument("--prefilter", choices=["off", "bounds"], default="off",
                          help="two-stage exact retrieval: screen implementation "
                               "blocks with a similarity upper bound before exact "
@@ -440,7 +432,6 @@ class ServingSpec:
             reconfig_us=getattr(args, "reconfig_us", None),
             backend=backend,
             prefilter=getattr(args, "prefilter", defaults.prefilter),
-            shards=getattr(args, "shards", defaults.shards),
             max_batch=getattr(args, "max_batch", defaults.max_batch),
             max_wait_us=getattr(args, "max_wait_us", defaults.max_wait_us),
             deadline_us=getattr(args, "deadline_us", None),
@@ -494,17 +485,17 @@ class ServingSpec:
     def from_wire(cls, payload: Mapping) -> "ServingSpec":
         """Rebuild a spec from :meth:`to_wire` output (version-checked)."""
         schemas.check_envelope(payload, kind="serving-spec")
-        # Specs written before the multi-process execution tier was removed
-        # carry ``execution``/``workers``; inline values describe exactly what
-        # is served today.  A process-tier spec would otherwise serve inline
+        # Specs written before the process execution tier and case-base
+        # sharding were removed carry these keys; only the values describing
+        # what is served today load.  Any other value would serve differently
         # without a word, so it is refused.
-        execution = payload.get("execution", "inline")
-        workers = payload.get("workers", 0)
-        if execution != "inline" or workers != 0:
+        today = {"execution": "inline", "workers": 0, "shards": 1}
+        retired = {k: payload[k] for k, v in today.items() if payload.get(k, v) != v}
+        if retired:
             raise schemas.SchemaError(
-                f"serving-spec asks for the removed process execution tier "
-                f"(execution={execution!r}, workers={workers!r}); shards are "
-                f"evaluated in-process only, so drop both keys"
+                f"serving-spec asks for the removed process execution tier or "
+                f"case-base sharding ({retired!r}); one in-process retrieval "
+                f"engine serves the whole case base, so drop these keys"
             )
         valid = {field.name for field in dataclasses.fields(cls)}
         kwargs = {

@@ -1,14 +1,17 @@
 """Property-based test: incremental delta application is bit-identical, always.
 
-Persistent consumers (a vectorized engine, sharded retrievers, the
+Persistent consumers (a vectorized engine, a serving engine, the
 hardware/software cycle units) absorb random interleavings of case-base
 mutations -- add / remove / replace / retain-style appends, plus occasional
 type-level churn -- through the delta log, while fresh consumers are rebuilt
 from scratch at every checkpoint.  Rankings, similarity doubles, retrieval
-statistics, raw fixed-point similarities, exact cycle counts and sharded
-merges must agree exactly across every backend x engine x shard axis; the
-trackers' counters additionally prove the incremental path actually engaged
-(so the property can never pass vacuously through silent full rebuilds).
+statistics, raw fixed-point similarities and exact cycle counts must agree
+exactly across every backend x engine axis.  Outcomes are compared, not only
+results: when a probe batch raises (e.g. a derived bounds table lacking a
+requested attribute), the live and fresh consumers must raise the same error
+type with the same message.  The trackers' counters additionally prove the
+incremental path actually engaged (so the property can never pass vacuously
+through silent full rebuilds).
 
 Uses hypothesis when available and degrades to a seeded parametrized sweep
 otherwise, following the pattern of the other property suites.
@@ -24,14 +27,15 @@ from repro.core import (
     ExecutionTarget,
     FunctionRequest,
     Implementation,
+    ReproError,
     RetrievalEngine,
 )
 from repro.hardware import HardwareRetrievalUnit
-from repro.serving import ShardedRetriever
+from repro.serving import ServingConfig, ServingEngine, trace_from_requests
 from repro.software import SoftwareRetrievalUnit
 
 try:
-    from hypothesis import HealthCheck, given, settings
+    from hypothesis import HealthCheck, example, given, settings
     from hypothesis import strategies as st
 
     HAVE_HYPOTHESIS = True
@@ -39,7 +43,6 @@ except ImportError:  # pragma: no cover - exercised only without hypothesis
     HAVE_HYPOTHESIS = False
 
 
-SHARD_COUNTS = [1, 3]
 ATTRIBUTE_POOL = list(range(1, 7))
 VALUE_RANGE = (0, 200)
 
@@ -88,7 +91,7 @@ def _mutate(case_base: CaseBase, rng: random.Random, step: int) -> None:
                 },
             ),
         )
-    elif choice < 0.5:  # mid-list insertion (exercises the re-partition path)
+    elif choice < 0.5:  # mid-list insertion (shifts every later row)
         taken = {i.implementation_id for i in implementations}
         free = [i for i in range(1, 40) if i not in taken]
         case_base.add_implementation(
@@ -167,14 +170,26 @@ def _software_view(results):
     ]
 
 
+def _outcome(view, call):
+    """``view(call())``, or the type and message of the error it raised."""
+    try:
+        return ("returned", view(call()))
+    except ReproError as error:
+        return ("raised", type(error), str(error))
+
+
+def _served_view(report):
+    return [(record.status, ranking) for record, ranking in zip(
+        report.served, report.rankings()
+    )]
+
+
 def check_incremental_equals_rebuild(seed: int, explicit_bounds: bool) -> None:
     rng = random.Random(seed)
     case_base = _build_case_base(rng, explicit_bounds)
 
     live_engine = RetrievalEngine(case_base, backend="vectorized")
-    live_sharded = {
-        count: ShardedRetriever(case_base, shard_count=count) for count in SHARD_COUNTS
-    }
+    live_serving = ServingEngine(case_base, config=ServingConfig(n_best=4))
     live_hardware = HardwareRetrievalUnit(case_base)
     live_software = SoftwareRetrievalUnit(case_base)
 
@@ -183,34 +198,42 @@ def check_incremental_equals_rebuild(seed: int, explicit_bounds: bool) -> None:
         # An engine pins its (possibly derived) bounds at construction --
         # pre-existing semantics, independent of the delta subsystem -- so
         # the fresh rebuild it must match shares the live engine's bounds.
-        # The sharded retrievers and the units, by contrast, re-derive
-        # bounds on full rebuild; their incremental paths fall back exactly
-        # when a window could move derived bounds, so they are compared
-        # against genuinely fresh consumers.
+        # The serving engine and the units, by contrast, re-derive bounds on
+        # full rebuild; their incremental paths fall back exactly when a
+        # window could move derived bounds, so they are compared against
+        # genuinely fresh consumers.
         fresh_engine = RetrievalEngine(
             case_base, bounds=live_engine.bounds, backend="vectorized"
         )
         golden = RetrievalEngine(case_base, bounds=live_engine.bounds, backend="naive")
-        expected = _engine_view(fresh_engine.retrieve_batch(probes, n=4))
-        assert _engine_view(live_engine.retrieve_batch(probes, n=4)) == expected
-        assert _engine_view(golden.retrieve_batch(probes, n=4)) == expected
-        for count, retriever in live_sharded.items():
-            fresh_sharded = ShardedRetriever(case_base, shard_count=count)
-            assert _engine_view(retriever.retrieve_batch(probes, n=4)) == _engine_view(
-                fresh_sharded.retrieve_batch(probes, n=4)
-            )
+        expected = _outcome(_engine_view, lambda: fresh_engine.retrieve_batch(probes, n=4))
+        assert _outcome(
+            _engine_view, lambda: live_engine.retrieve_batch(probes, n=4)
+        ) == expected
+        assert _outcome(_engine_view, lambda: golden.retrieve_batch(probes, n=4)) == expected
+        trace = trace_from_requests(probes)
+        fresh_serving = ServingEngine(
+            case_base, config=ServingConfig(n_best=4, backend="naive")
+        )
+        assert _outcome(_served_view, lambda: live_serving.serve(trace)) == _outcome(
+            _served_view, lambda: fresh_serving.serve(trace)
+        )
         fresh_hardware = HardwareRetrievalUnit(case_base)
         for engine_name in ("vectorized", "stepwise"):
-            assert _hardware_view(
-                live_hardware.run_batch(probes, engine="vectorized")
-            ) == _hardware_view(fresh_hardware.run_batch(probes, engine=engine_name))
-        assert live_hardware.predict_cycles(probes) == fresh_hardware.predict_cycles(
-            probes, engine="stepwise"
+            assert _outcome(
+                _hardware_view, lambda: live_hardware.run_batch(probes, engine="vectorized")
+            ) == _outcome(
+                _hardware_view, lambda: fresh_hardware.run_batch(probes, engine=engine_name)
+            )
+        assert _outcome(list, lambda: live_hardware.predict_cycles(probes)) == _outcome(
+            list, lambda: fresh_hardware.predict_cycles(probes, engine="stepwise")
         )
         fresh_software = SoftwareRetrievalUnit(case_base)
-        assert _software_view(
-            live_software.run_batch(probes, engine="vectorized")
-        ) == _software_view(fresh_software.run_batch(probes, engine="stepwise"))
+        assert _outcome(
+            _software_view, lambda: live_software.run_batch(probes, engine="vectorized")
+        ) == _outcome(
+            _software_view, lambda: fresh_software.run_batch(probes, engine="stepwise")
+        )
 
     checkpoint()  # cold caches
     steps = rng.randint(3, 9)
@@ -228,7 +251,7 @@ def check_incremental_equals_rebuild(seed: int, explicit_bounds: bool) -> None:
         incremental = (
             live_hardware._tracker.incremental_count
             + live_software._tracker.incremental_count
-            + sum(r._tracker.incremental_count for r in live_sharded.values())
+            + live_engine.backend.tracker.incremental_count
         )
         assert incremental > 0
 
@@ -241,6 +264,9 @@ if HAVE_HYPOTHESIS:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(seed=st.integers(min_value=0, max_value=10_000), explicit=st.booleans())
+    # A derived bounds table lacking a probed attribute: both cycle units
+    # raise, and must raise alike.
+    @example(seed=661, explicit=False)
     def test_incremental_vs_rebuild_bit_identity(seed, explicit):
         check_incremental_equals_rebuild(seed, explicit)
 
@@ -252,15 +278,16 @@ else:  # pragma: no cover - exercised only without hypothesis
         check_incremental_equals_rebuild(seed, explicit)
 
 
-def test_learning_serving_compare_sharded_vs_unsharded():
-    """Mid-trace learning: sharded and unsharded replays stay bit-identical.
+def test_learning_serving_compare_against_golden_path():
+    """Mid-trace learning: the served and golden-path replays stay bit-identical.
 
     Both engines start from identical snapshots of one case base, learn from
     their own traffic (revise + retain between micro-batches) and must
     produce identical rankings, statuses and case-base evolution -- the
-    ``repro serve-trace --learn --engine compare`` guarantee.
+    ``repro serve-trace --learn --engine compare`` guarantee, whose reference
+    is the naive retrieval loop with the stepwise cycle walk.
     """
-    from repro.serving import ServingConfig, ServingEngine, synthetic_trace
+    from repro.serving import synthetic_trace
     from repro.tools import CaseBaseGenerator, GeneratorSpec
 
     generator = CaseBaseGenerator(
@@ -272,16 +299,14 @@ def test_learning_serving_compare_sharded_vs_unsharded():
     trace = synthetic_trace(source, 80, mean_interarrival_us=40.0, seed=5)
     config = dict(max_batch=16, n_best=3, learn=True, novelty_threshold=0.97,
                   learn_capacity=12)
-    sharded_base, unsharded_base = source.copy(), source.copy()
-    sharded = ServingEngine(
-        sharded_base, config=ServingConfig(shard_count=3, **config)
+    served_base, golden_base = source.copy(), source.copy()
+    served = ServingEngine(served_base, config=ServingConfig(**config)).serve(trace)
+    golden = ServingEngine(
+        golden_base,
+        config=ServingConfig(backend="naive", cycle_engine="stepwise", **config),
     ).serve(trace)
-    unsharded = ServingEngine(
-        unsharded_base, config=ServingConfig(shard_count=1, **config)
-    ).serve(trace)
-    assert sharded.rankings() == unsharded.rankings()
-    assert [r.status for r in sharded.served] == [r.status for r in unsharded.served]
-    assert sharded.metrics["learning"] == unsharded.metrics["learning"]
-    assert sharded_base.to_dict() == unsharded_base.to_dict()
+    assert _served_view(served) == _served_view(golden)
+    assert served.metrics["learning"] == golden.metrics["learning"]
+    assert served_base.to_dict() == golden_base.to_dict()
     # Learning visibly evolved the case base mid-stream.
-    assert sharded_base.revision > source.revision
+    assert served_base.revision > source.revision

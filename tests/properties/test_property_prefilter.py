@@ -10,7 +10,8 @@ per-attribute breakdowns the vectorized kernel never materialises).
 
 The suite shrinks ``_TypeMatrices.BLOCK_ROWS`` / ``PREFILTER_MIN_ROWS`` so
 the screen engages on test-sized case bases, checks every retrieval mode
-across the backend x shard x prefilter axes, and proves non-vacuity on a
+and the batch path across the backend x prefilter axes, and proves
+non-vacuity on a
 locality-structured case base where the screen demonstrably prunes (uniform
 random columns give every block a full-range bound, which never prunes --
 the counters keep that honest).
@@ -28,7 +29,6 @@ from repro.core.attributes import AttributeSchema, BoundsTable
 from repro.core.backends import VectorizedBackend, _TypeMatrices
 from repro.core.case_base import CaseBase, ExecutionTarget, Implementation
 from repro.core.request import FunctionRequest
-from repro.serving import ShardedRetriever
 from repro.tools import CaseBaseGenerator, GeneratorSpec
 
 try:
@@ -113,18 +113,14 @@ def check_pruned_equals_naive(seed: int, salt: int, n: int) -> None:
         assert observed.statistics == expected.statistics
 
 
-def check_sharded_prefilter(seed: int, shards: int, backend: str) -> None:
-    """The prefilter axis composes with sharding without changing a bit."""
+def check_batch_prefilter(seed: int, backend: str) -> None:
+    """The prefilter axis leaves batch retrieval bit-identical."""
     generator = CaseBaseGenerator(SPEC, seed=seed % 50)
     case_base = generator.case_base()
     requests = [generator.request(salt=salt, attribute_count=3) for salt in range(6)]
     with small_blocks():
-        off = ShardedRetriever(
-            case_base, shard_count=shards, backend=backend, prefilter="off"
-        )
-        on = ShardedRetriever(
-            case_base, shard_count=shards, backend=backend, prefilter="bounds"
-        )
+        off = RetrievalEngine(case_base, backend=backend, prefilter="off")
+        on = RetrievalEngine(case_base, backend=backend, prefilter="bounds")
         expected = off.retrieve_batch(requests, n=4)
         observed = on.retrieve_batch(requests, n=4)
         assert [_slim_view(result) for result in observed] == [
@@ -210,11 +206,10 @@ if HAVE_HYPOTHESIS:
         check_pruned_equals_naive(seed, salt, n)
 
     @pytest.mark.parametrize("backend", ["naive", "vectorized"])
-    @pytest.mark.parametrize("shards", [1, 3])
     @COMMON
     @given(seed=st.integers(0, 10_000))
-    def test_sharded_prefilter(backend, shards, seed):
-        check_sharded_prefilter(seed, shards, backend)
+    def test_batch_prefilter(backend, seed):
+        check_batch_prefilter(seed, backend)
 
 else:  # pragma: no cover - fallback sweep without hypothesis
 
@@ -228,7 +223,6 @@ else:  # pragma: no cover - fallback sweep without hypothesis
         check_pruned_equals_naive(seed, salt=seed * 3, n=4)
 
     @pytest.mark.parametrize("backend", ["naive", "vectorized"])
-    @pytest.mark.parametrize("shards", [1, 3])
     @pytest.mark.parametrize("seed", range(4))
-    def test_sharded_prefilter(backend, shards, seed):
-        check_sharded_prefilter(seed, shards, backend)
+    def test_batch_prefilter(backend, seed):
+        check_batch_prefilter(seed, backend)

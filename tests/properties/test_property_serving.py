@@ -1,11 +1,12 @@
-"""Property-based test: sharded retrieval merges bit-identically, always.
+"""Property-based test: serving retrieves exactly what the engine retrieves.
 
-For any generated case base, any request mix, any shard count and any
-retrieval mode, the sharded merge must reproduce the unsharded ranking
+For any generated case base, any request mix and any retrieval mode, the
+rankings a :class:`~repro.serving.ServingEngine` serves must equal a direct
+naive-loop :class:`~repro.core.retrieval.RetrievalEngine` retrieval
 *exactly* -- same implementation IDs in the same order with bit-equal
 similarity doubles -- across the backend axis (naive golden loop vs the
-NumPy-vectorized kernel) and the serving-engine axis (the cycle engines
-behind admission never influence rankings, only latency modelling).
+NumPy-vectorized kernel) and the cycle-engine axis (the cycle engines behind
+admission never influence rankings or statuses, only latency modelling).
 
 Uses hypothesis when available and degrades to a seeded parametrized sweep
 otherwise, following the pattern of the other property suites.
@@ -14,7 +15,7 @@ otherwise, following the pattern of the other property suites.
 import pytest
 
 from repro.core import RetrievalEngine
-from repro.serving import ServingConfig, ServingEngine, ShardedRetriever, synthetic_trace
+from repro.serving import ServingConfig, ServingEngine, synthetic_trace
 from repro.tools import CaseBaseGenerator, GeneratorSpec
 
 try:
@@ -30,7 +31,7 @@ BACKENDS = ["naive", "vectorized"]
 CYCLE_ENGINES = ["stepwise", "vectorized"]
 
 #: Small sizing with deliberate attribute gaps (missing-attribute handling is
-#: part of the similarity arithmetic being merged).
+#: part of the similarity arithmetic being compared).
 SPEC = GeneratorSpec(
     type_count=3,
     implementations_per_type=6,
@@ -44,36 +45,48 @@ def _exact_rankings(result):
     return [(entry.implementation_id, entry.similarity) for entry in result.ranked]
 
 
-def check_sharded_equals_unsharded(
-    seed: int, shard_count: int, n: int, backend: str
+def _outcomes(report):
+    return [(record.status, ranking) for record, ranking in zip(
+        report.served, report.rankings()
+    )]
+
+
+def check_serving_equals_engine(
+    seed: int, n: int, threshold, backend: str
 ) -> None:
     generator = CaseBaseGenerator(SPEC, seed=seed % 50)
     case_base = generator.case_base()
-    requests = [generator.request(salt=200 + salt, attribute_count=3) for salt in range(6)]
-    reference = RetrievalEngine(case_base, backend=backend)
-    sharded = ShardedRetriever(case_base, shard_count=shard_count, backend=backend)
-    mode = {"n": n} if n > 0 else {}
-    expected = reference.retrieve_batch(requests, **mode)
-    merged = sharded.retrieve_batch(requests, **mode)
-    for expected_result, merged_result in zip(expected, merged):
-        assert _exact_rankings(merged_result) == _exact_rankings(expected_result)
+    trace = synthetic_trace(case_base, 12, mean_interarrival_us=50.0, seed=seed)
+    report = ServingEngine(
+        case_base,
+        config=ServingConfig(backend=backend, n_best=n, threshold=threshold, max_batch=4),
+    ).serve(trace)
+    reference = RetrievalEngine(case_base, backend="naive")
+    served = [record for record in report.served if record.status.served]
+    assert served  # no vacuous pass: unconstrained admission serves traffic
+    for record in served:
+        expected = reference.retrieve(
+            trace[record.index].request, n=n, threshold=threshold
+        )
+        assert _exact_rankings(record.result) == _exact_rankings(expected)
 
 
-def check_serving_engine_axes(seed: int, shard_count: int, cycle_engine: str) -> None:
-    """The full serving pipeline preserves the equality across engine axes."""
+def check_serving_engine_axes(seed: int, cycle_engine: str) -> None:
+    """The full pipeline matches the golden path across the engine axes."""
     generator = CaseBaseGenerator(SPEC, seed=seed % 50)
     case_base = generator.case_base()
     trace = synthetic_trace(case_base, 10, mean_interarrival_us=50.0, seed=seed)
-    reports = [
+    served, golden = (
         ServingEngine(
             case_base,
             config=ServingConfig(
-                shard_count=count, cycle_engine=cycle_engine, n_best=4, max_batch=4
+                backend=backend, cycle_engine=engine, n_best=4, max_batch=4,
+                deadline_us=400.0,
             ),
         ).serve(trace)
-        for count in (1, shard_count)
-    ]
-    assert reports[0].rankings() == reports[1].rankings()
+        for backend, engine in (("vectorized", cycle_engine), ("naive", "stepwise"))
+    )
+    assert _outcomes(served) == _outcomes(golden)
 
 
 if HAVE_HYPOTHESIS:
@@ -88,28 +101,28 @@ if HAVE_HYPOTHESIS:
     @COMMON
     @given(
         seed=st.integers(0, 10_000),
-        shard_count=st.integers(1, 8),
-        n=st.integers(0, 7),  # 0 selects most-similar mode
+        n=st.integers(1, 7),
+        threshold=st.none() | st.floats(0.0, 1.0, allow_nan=False),
     )
-    def test_sharded_equals_unsharded(backend, seed, shard_count, n):
-        check_sharded_equals_unsharded(seed, shard_count, n, backend)
+    def test_serving_equals_engine(backend, seed, n, threshold):
+        check_serving_equals_engine(seed, n, threshold, backend)
 
     @pytest.mark.parametrize("cycle_engine", CYCLE_ENGINES)
     @COMMON
-    @given(seed=st.integers(0, 10_000), shard_count=st.integers(2, 6))
-    def test_serving_engine_axes(cycle_engine, seed, shard_count):
-        check_serving_engine_axes(seed, shard_count, cycle_engine)
+    @given(seed=st.integers(0, 10_000))
+    def test_serving_engine_axes(cycle_engine, seed):
+        check_serving_engine_axes(seed, cycle_engine)
 
 else:  # pragma: no cover - fallback sweep without hypothesis
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", range(8))
-    def test_sharded_equals_unsharded(backend, seed):
-        for shard_count in (1, 2, 3, 7):
-            for n in (0, 1, 3, 7):
-                check_sharded_equals_unsharded(seed, shard_count, n, backend)
+    def test_serving_equals_engine(backend, seed):
+        for n in (1, 3, 7):
+            for threshold in (None, 0.5):
+                check_serving_equals_engine(seed, n, threshold, backend)
 
     @pytest.mark.parametrize("cycle_engine", CYCLE_ENGINES)
     @pytest.mark.parametrize("seed", range(4))
     def test_serving_engine_axes(cycle_engine, seed):
-        check_serving_engine_axes(seed, shard_count=2 + seed % 4, cycle_engine=cycle_engine)
+        check_serving_engine_axes(seed, cycle_engine=cycle_engine)

@@ -39,7 +39,6 @@ def _spec_kwargs(rng: random.Random) -> dict:
         "software_workers": rng.randint(0, 3),
         "reconfig_us": rng.choice([None, rng.uniform(0.0, 1e6)]),
         "backend": rng.choice(["vectorized", "naive"]),
-        "shards": rng.randint(1, 8),
         "max_batch": rng.randint(1, 128),
         "max_wait_us": rng.uniform(1.0, 1e6),
         "deadline_us": rng.choice([None, rng.uniform(1.0, 1e6)]),
@@ -71,7 +70,6 @@ if HAVE_HYPOTHESIS:
         devices=st.integers(1, 6),
         software_workers=st.integers(0, 3),
         backend=st.sampled_from(["vectorized", "naive"]),
-        shards=st.integers(1, 8),
         max_batch=st.integers(1, 128),
         max_wait_us=st.floats(1.0, 1e6, allow_nan=False),
         deadline_us=st.none() | st.floats(1.0, 1e6, allow_nan=False),
@@ -86,7 +84,7 @@ if HAVE_HYPOTHESIS:
     @settings(max_examples=60, deadline=None)
     def test_wire_round_trip_is_identity(
         workloads, duration_ms, random_count, mean_interarrival_us, seed,
-        cluster, devices, software_workers, backend, shards, max_batch,
+        cluster, devices, software_workers, backend, max_batch,
         max_wait_us, deadline_us, cycle_engine, clock_mhz, n_best, learn,
         learning_rate, novelty_threshold, learn_capacity,
     ):
@@ -100,7 +98,6 @@ if HAVE_HYPOTHESIS:
             devices=devices,
             software_workers=software_workers,
             backend=backend,
-            shards=shards,
             max_batch=max_batch,
             max_wait_us=max_wait_us,
             deadline_us=deadline_us,

@@ -127,7 +127,7 @@ class TestTwoServerEquivalence:
 class TestFleetRouting:
     def test_rankings_bit_identical_to_single_device(self, cluster_case_base):
         trace = _trace(cluster_case_base)
-        config = ServingConfig(max_batch=32, n_best=5, shard_count=3)
+        config = ServingConfig(max_batch=32, n_best=5)
         single = ServingEngine(cluster_case_base, config=config).serve(trace)
         fleet = DeviceFleet.build(
             cluster_case_base, hardware_devices=4, software_devices=1

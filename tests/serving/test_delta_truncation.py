@@ -6,8 +6,8 @@ must take the documented full-rebuild fallback -- and stay bit-identical
 with a from-scratch build while doing so.  The property sweep covers this
 only incidentally (its windows rarely overflow); these tests force the
 truncation deliberately, on every consumer class the serving path relies on:
-the vectorized backend, the shard partition, both retrieval units, the
-serving engine's screening tables, and the device fleet's image streams.
+the vectorized backend, both retrieval units, the serving engine's retrieval
+engine and screening tables, and the device fleet's image streams.
 """
 
 import pytest
@@ -16,12 +16,7 @@ from repro.core import CaseBase, RetrievalEngine
 from repro.core.deltas import DeltaLog
 from repro.hardware import HardwareRetrievalUnit
 from repro.platform import DeviceFleet
-from repro.serving import (
-    ServingConfig,
-    ServingEngine,
-    ShardedRetriever,
-    synthetic_trace,
-)
+from repro.serving import ServingConfig, ServingEngine, synthetic_trace
 from repro.software import SoftwareRetrievalUnit
 from repro.tools import CaseBaseGenerator, GeneratorSpec
 
@@ -60,17 +55,14 @@ class TestConsumerFallback:
         probes = [generator.request(salt=index) for index in range(8)]
 
         engine = RetrievalEngine(case_base, backend="vectorized")
-        sharded = ShardedRetriever(case_base, shard_count=3)
         hardware = HardwareRetrievalUnit(case_base)
         software = SoftwareRetrievalUnit(case_base)
         # Warm every cache so the next refresh must absorb the window.
         engine.retrieve_batch(probes, n=3)
-        sharded.retrieve_batch(probes, n=3)
         hardware.run_batch(probes)
         software.run_batch(probes)
         trackers = {
             "backend": engine.backend.tracker,
-            "shards": sharded._tracker,
             "hardware": hardware._tracker,
             "software": software._tracker,
         }
@@ -82,10 +74,7 @@ class TestConsumerFallback:
             trackers["backend"].revision
         ) is None
 
-        live = {
-            "backend": engine.retrieve_batch(probes, n=3),
-            "shards": sharded.retrieve_batch(probes, n=3),
-        }
+        live = engine.retrieve_batch(probes, n=3)
         live_hardware = hardware.run_batch(probes)
         live_software = software.run_batch(probes)
 
@@ -97,14 +86,13 @@ class TestConsumerFallback:
             case_base, bounds=engine.bounds, backend="vectorized"
         )
         expected = fresh_engine.retrieve_batch(probes, n=3)
-        for name in ("backend", "shards"):
-            assert [
-                [(e.implementation_id, e.similarity) for e in result.ranked]
-                for result in live[name]
-            ] == [
-                [(e.implementation_id, e.similarity) for e in result.ranked]
-                for result in expected
-            ], name
+        assert [
+            [(e.implementation_id, e.similarity) for e in result.ranked]
+            for result in live
+        ] == [
+            [(e.implementation_id, e.similarity) for e in result.ranked]
+            for result in expected
+        ]
         fresh_hardware = HardwareRetrievalUnit(case_base)
         assert [
             (r.best_id, r.best_similarity_raw, r.ranked, r.cycles)
@@ -145,7 +133,7 @@ class TestTruncationMidTrace:
         """
         source = generator.case_base()
         trace = synthetic_trace(source, 40, mean_interarrival_us=400.0, seed=5)
-        config = ServingConfig(max_batch=4, shard_count=2, learn=True)
+        config = ServingConfig(max_batch=4, learn=True)
 
         default_case_base = source.copy()
         default_report = ServingEngine(default_case_base, config=config).serve(trace)
@@ -162,10 +150,10 @@ class TestTruncationMidTrace:
         assert tiny_report.metrics["learning"] == default_report.metrics["learning"]
         assert tiny_case_base.revision == default_case_base.revision
         # The tiny log genuinely truncated: the learning trace mutates more
-        # than one revision per window, so the retriever had to rebuild at
-        # least once mid-trace (beyond its initial construction build).
+        # than one revision per window, so the retrieval engine had to be
+        # rebuilt mid-trace (its construction build is not counted).
         assert default_report.metrics["learning"]["revisions"] > 1
-        assert tiny_engine.retriever._tracker.rebuild_count > 1
+        assert tiny_engine._retriever_tracker.rebuild_count > 0
 
     def test_screen_tables_rebuild_after_truncation(self, generator):
         case_base = generator.case_base()
@@ -205,7 +193,7 @@ class TestJournalOutlivesTheLog:
         case_base.delta_log.attach_tap(taps.append)
 
         trace = synthetic_trace(case_base, 40, mean_interarrival_us=400.0, seed=5)
-        config = ServingConfig(max_batch=4, shard_count=2, learn=True)
+        config = ServingConfig(max_batch=4, learn=True)
         report = ServingEngine(case_base, config=config).serve(trace)
         assert report.metrics["learning"]["revisions"] > 1
 

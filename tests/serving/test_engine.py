@@ -6,7 +6,17 @@ import pytest
 
 from repro.allocation import FeasibilityChecker
 from repro.apps import build_case_base, build_platform, build_scenario
-from repro.core import FunctionRequest, ReproError, paper_case_base
+from repro.core import (
+    BoundsTable,
+    CaseBase,
+    ExecutionTarget,
+    FunctionRequest,
+    Implementation,
+    ReproError,
+    RetrievalEngine,
+    paper_case_base,
+)
+from repro.core.backends import VectorizedBackend, _TypeMatrices
 from repro.serving import (
     ServingConfig,
     ServingEngine,
@@ -117,17 +127,70 @@ class TestDeadlines:
                 assert record.result.ids() == reference.result.ids()
 
 
-class TestSharding:
-    def test_shard_count_above_case_count_still_matches_unsharded(self):
-        case_base = paper_case_base()  # 1 type x 3 implementations
-        trace = synthetic_trace(case_base, 12, seed=4)
-        sharded = ServingEngine(
-            case_base, config=ServingConfig(shard_count=16, n_best=3)
-        ).serve(trace)
-        unsharded = ServingEngine(
-            case_base, config=ServingConfig(shard_count=1, n_best=3)
-        ).serve(trace)
-        assert sharded.rankings() == unsharded.rankings()
+class TestRetrieval:
+    """Serving retrieves through one engine over the whole case base."""
+
+    @staticmethod
+    def _ranking(result):
+        return [(entry.implementation_id, entry.similarity) for entry in result.ranked]
+
+    def test_derived_bounds_growth_rebuilds_the_engine(self):
+        # No explicit bounds table: the case base derives one from its
+        # contents, and an engine pins the table it was built with.
+        case_base = CaseBase()
+        function_type = case_base.add_type(1, name="filter")
+        for implementation_id, values in ((1, (10, 20)), (2, (30, 5)), (3, (20, 12))):
+            function_type.add(Implementation(
+                implementation_id, ExecutionTarget.GPP, dict(zip((1, 2), values))
+            ))
+        request = FunctionRequest(1, [(1, 18, 1.0), (2, 14, 2.0)])
+        engine = ServingEngine(case_base, config=ServingConfig(n_best=3))
+        engine.serve(trace_from_requests([request]))
+        pinned = engine.retriever.bounds
+        # A case outside attribute 1's range moves the derived table.
+        case_base.add_implementation(
+            1, Implementation(4, ExecutionTarget.FPGA, {1: 400, 2: 10})
+        )
+        [record] = engine.serve(trace_from_requests([request])).served
+        fresh = RetrievalEngine(case_base, backend="naive").retrieve(request, n=3)
+        stale = RetrievalEngine(case_base, bounds=pinned).retrieve(request, n=3)
+        assert self._ranking(record.result) == self._ranking(fresh)
+        assert self._ranking(fresh) != self._ranking(stale)
+        assert engine._retriever_tracker.rebuild_count == 1
+
+    def test_prefilter_metrics_track_the_backend_counters(self, monkeypatch):
+        # Shrink the screen's thresholds so a 256-row type prunes blocks.
+        monkeypatch.setattr(_TypeMatrices, "BLOCK_ROWS", 8)
+        monkeypatch.setattr(VectorizedBackend, "PREFILTER_MIN_ROWS", 16)
+        bounds = BoundsTable()
+        bounds.define(1, 0, 1024)
+        bounds.define(2, 0, 1024)
+        case_base = CaseBase(bounds=bounds)
+        function_type = case_base.add_type(1, name="clustered")
+        for index in range(256):
+            function_type.add(Implementation(
+                index + 1, ExecutionTarget.GPP, {1: index * 4, 2: 1024 - index * 4}
+            ))
+        requests = [
+            FunctionRequest(1, [(1, 1020 - 8 * k), (2, 4 + 8 * k)]) for k in range(8)
+        ]
+        engine = ServingEngine(
+            case_base, config=ServingConfig(prefilter="bounds", n_best=3, max_batch=4)
+        )
+        report = engine.serve(trace_from_requests(requests, interarrival_us=0.0))
+        assert report.metrics["batches"]["count"] == 2
+        backend = engine.retriever.backend
+        registry = engine.observability.registry
+        rows = registry.get("repro_prefilter_rows_total").values()
+        assert backend.prefilter_rows_pruned > 0
+        assert rows[("pruned",)] == backend.prefilter_rows_pruned
+        assert rows[("evaluated",)] == (
+            backend.prefilter_rows_total - backend.prefilter_rows_pruned
+        )
+        assert registry.get("repro_prefilter_requests_total").values() == {
+            (): backend.prefilter_requests
+        }
+        assert backend.prefilter_requests == len(requests)
 
 
 class TestRobustness:
@@ -195,13 +258,13 @@ class TestRobustness:
 class TestApplicationApiPlumbing:
     def test_serving_engine_shares_the_managers_case_base_and_feasibility(self):
         scenario = build_scenario()
-        engine = scenario.application_api.serving_engine(ServingSpec(shards=2, n_best=2))
+        engine = scenario.application_api.serving_engine(ServingSpec(n_best=2))
         assert engine.case_base is scenario.manager.case_base
         assert engine.admission.feasibility is scenario.manager.feasibility
         trace = trace_from_workloads(duration_us=500_000.0, seed=5)
         report = engine.serve(trace)
         assert report.metrics["served"] == len(trace)
-        assert report.config.shard_count == 2
+        assert report.config.n_best == 2
 
     def test_cluster_engine_shares_the_managers_stack(self):
         scenario = build_scenario()

@@ -87,7 +87,7 @@ class TestDifferentialGates:
 
     def test_serve_trace_bit_identical_with_tracing(self):
         spec = ServingSpec(random=24, seed=7, max_batch=4, max_wait_us=500.0,
-                           shards=2, n_best=3, deadline_us=50_000.0)
+                           n_best=3, deadline_us=50_000.0)
         case_base, trace = spec.resolve_inputs()
         traced = spec.build_engine(case_base.copy()).serve(trace)
         untraced = spec.replace(observability=DISABLED).build_engine(
@@ -211,7 +211,7 @@ class TestPrometheusScrape:
         assert '# TYPE repro_requests_total counter' in text
         assert 'repro_requests_total{status="served_hardware"} 3' in text
         assert '# TYPE repro_stage_latency_us histogram' in text
-        for stage in ("queue", "admission", "retrieval", "merge"):
+        for stage in ("queue", "admission", "retrieval"):
             assert f'repro_stage_latency_us_count{{stage="{stage}"}}' in text
         assert '# TYPE repro_worker_health_state gauge' in text
         assert '# TYPE repro_journal_commits_total counter' in text
@@ -428,7 +428,7 @@ class TestTraceCli:
 class TestCompareTraceIds:
     def test_diff_summary_names_the_trace_id(self, capsys):
         mismatches = cli._report_compare_mismatches(
-            "serve-trace", "sharded", "unsharded",
+            "serve-trace", "served", "golden",
             [[(1, 0.9)], [(2, 0.8)], [(3, 0.7)]],
             [[(1, 0.9)], [(9, 0.1)], [(3, 0.7)]],
         )

@@ -131,7 +131,7 @@ def test_serve_trace_learn_compare_cli(capsys):
     from repro.cli import main
 
     exit_code = main([
-        "serve-trace", "--random", "60", "--seed", "6", "--shards", "3",
+        "serve-trace", "--random", "60", "--seed", "6",
         "--max-batch", "8", "--learn", "--novelty-threshold", "0.99",
         "--engine", "compare", "--show", "2",
     ])

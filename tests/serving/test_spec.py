@@ -42,7 +42,7 @@ class TestFromArgs:
         spec = ServingSpec.from_args(_parse([
             "--workload", "heavy-traffic", "--duration-ms", "250",
             "--random", "12", "--mean-interarrival-us", "80",
-            "--seed", "9", "--shards", "4", "--max-batch", "8",
+            "--seed", "9", "--max-batch", "8",
             "--max-wait-us", "200", "--deadline-us", "900",
             "--cycle-engine", "stepwise", "--clock-mhz", "100",
             "--n-best", "5", "--learn", "--learning-rate", "0.25",
@@ -53,7 +53,6 @@ class TestFromArgs:
         assert spec.random == 12
         assert spec.mean_interarrival_us == 80.0
         assert spec.seed == 9
-        assert spec.shards == 4
         assert spec.max_batch == 8
         assert spec.max_wait_us == 200.0
         assert spec.deadline_us == 900.0
@@ -62,6 +61,13 @@ class TestFromArgs:
         assert spec.n_best == 5
         assert spec.learn and spec.learning_rate == 0.25
         assert spec.novelty_threshold == 0.8 and spec.learn_capacity == 4
+
+    def test_removed_shards_flag_is_not_parsed(self, capsys):
+        # Case-base sharding is gone: its flag must fail loudly rather than
+        # silently serve through one engine.
+        with pytest.raises(SystemExit):
+            _parse(["--shards", "4"])
+        assert "--shards" in capsys.readouterr().err
 
     def test_engine_naive_maps_onto_the_backend_axis(self):
         assert ServingSpec.from_args(_parse(["--engine", "naive"])).backend == "naive"
@@ -92,10 +98,12 @@ class TestFromArgs:
 
 class TestConstruction:
     def test_build_engine_single_node(self):
-        engine = ServingSpec(random=4, shards=2, n_best=2).build_engine()
+        engine = ServingSpec(random=4, prefilter="bounds", n_best=2).build_engine()
         assert isinstance(engine, ServingEngine)
-        assert engine.config.shard_count == 2
+        assert engine.config.prefilter == "bounds"
         assert engine.config.n_best == 2
+        assert engine.retriever.case_base is engine.case_base
+        assert engine.retriever.prefilter == "bounds"
 
     def test_build_engine_cluster(self):
         engine = ServingSpec(random=4, cluster=True, devices=2,
@@ -132,7 +140,7 @@ class TestConstruction:
 class TestWire:
     def test_wire_round_trip_is_identity(self):
         spec = ServingSpec(workloads=("heavy-traffic",), cluster=True,
-                           devices=3, shards=2, deadline_us=750.0, learn=True)
+                           devices=3, deadline_us=750.0, learn=True)
         assert ServingSpec.from_wire(spec.to_wire()) == spec
         assert ServingSpec.from_json(spec.to_json()) == spec
 
@@ -155,7 +163,7 @@ class TestWire:
         assert ServingSpec.from_wire(ServingSpec().to_wire()).fault_plan is None
 
     def test_inline_execution_keys_of_old_specs_still_load(self):
-        spec = ServingSpec(shards=2, max_batch=8)
+        spec = ServingSpec(prefilter="bounds", max_batch=8)
         document = spec.to_wire()
         assert "execution" not in document and "workers" not in document
         document.update(execution="inline", workers=0)
@@ -168,20 +176,34 @@ class TestWire:
         {"execution": "inline", "workers": 1},
     ])
     def test_process_tier_specs_fail_loudly(self, retired):
-        document = ServingSpec(shards=2).to_wire()
+        document = ServingSpec(max_batch=8).to_wire()
         document.update(retired)
         with pytest.raises(SchemaError, match="removed process execution tier"):
+            ServingSpec.from_wire(document)
+
+    def test_single_shard_key_of_old_specs_still_loads(self):
+        spec = ServingSpec(max_batch=8)
+        document = spec.to_wire()
+        assert "shards" not in document
+        document["shards"] = 1
+        assert ServingSpec.from_wire(document) == spec
+
+    @pytest.mark.parametrize("shards", [4, 2, 0])
+    def test_multi_shard_specs_fail_loudly(self, shards):
+        document = ServingSpec().to_wire()
+        document["shards"] = shards
+        with pytest.raises(SchemaError, match="case-base sharding .*'shards'"):
             ServingSpec.from_wire(document)
 
 
 class TestApplicationApiShims:
     def test_spec_first_construction(self):
         scenario = build_scenario()
-        spec = ServingSpec(shards=2, n_best=2)
+        spec = ServingSpec(max_batch=8, n_best=2)
         engine = scenario.application_api.serving_engine(spec)
         assert isinstance(engine, ServingEngine)
         assert engine.case_base is scenario.manager.case_base
-        assert engine.config.shard_count == 2
+        assert engine.config.max_batch == 8
 
     def test_spec_first_cluster_construction(self):
         scenario = build_scenario()
@@ -202,10 +224,10 @@ class TestApplicationApiShims:
         """The PR 6 keyword-override shim was removed outright in PR 7."""
         scenario = build_scenario()
         with pytest.raises(TypeError):
-            scenario.application_api.serving_engine(shard_count=2, n_best=2)
+            scenario.application_api.serving_engine(max_batch=2, n_best=2)
         assert not hasattr(ServingSpec, "from_engine_kwargs")
 
     def test_non_spec_arguments_are_rejected(self):
         scenario = build_scenario()
         with pytest.raises(RequestError, match="ServingSpec"):
-            scenario.application_api.serving_engine({"shards": 2})
+            scenario.application_api.serving_engine({"max_batch": 2})

@@ -238,11 +238,12 @@ class TestServeTrace:
         assert "modelled latency p50/p95/p99" in output
         assert "batches:" in output
 
-    def test_compare_mode_reports_bit_identical_shards(self, capsys):
-        assert main(["serve-trace", "--shards", "4", "--engine", "compare",
+    def test_compare_mode_reports_bit_identical_golden_path(self, capsys):
+        assert main(["serve-trace", "--engine", "compare",
                      "--duration-ms", "1000", "--seed", "7"]) == 0
         output = capsys.readouterr().out
-        assert "sharded (4) vs unsharded rankings bit-identical" in output
+        assert ("served vs golden-path rankings and statuses bit-identical"
+                in output)
 
     def test_random_trace_with_deadline_and_json_report(self, tmp_path, capsys):
         import json
@@ -304,12 +305,13 @@ class TestServeTrace:
         assert "--workers" in capsys.readouterr().err
 
 
-def _tampered_single_device_engine():
-    """A ServingEngine subclass that corrupts the unsharded reference replay.
+def _tampered_reference_engine(is_reference):
+    """A ServingEngine subclass that corrupts the compare mode's reference.
 
-    The compare modes re-serve the trace through a single-device (shard
-    count 1, no fleet) reference engine; tampering with that replay's
-    rankings forces a bit-identity failure without touching the primary
+    ``serve-trace --engine compare`` re-serves the trace on the golden path
+    (naive backend); ``serve-cluster --engine compare`` re-serves it on a
+    single device (no fleet).  Tampering with the replay ``is_reference``
+    picks out forces a bit-identity failure without touching the primary
     replay, so the tests can assert the non-zero exit code and the diff
     summary.
     """
@@ -318,7 +320,7 @@ def _tampered_single_device_engine():
     class TamperedServingEngine(ServingEngine):
         def serve(self, trace):
             report = ServingEngine.serve(self, trace)
-            if self.config.shard_count == 1 and not self.admission.cluster:
+            if is_reference(self):
                 for record in report.served:
                     if record.result is not None and len(record.result.ranked) > 1:
                         record.result.ranked.reverse()
@@ -335,16 +337,51 @@ class TestServeTraceCompareExitCode:
         import repro.serving
 
         monkeypatch.setattr(
-            repro.serving, "ServingEngine", _tampered_single_device_engine()
+            repro.serving, "ServingEngine",
+            _tampered_reference_engine(lambda engine: engine.config.backend == "naive"),
         )
-        # The sharded replay (--shards 4) is untouched; the tampered
-        # unsharded reference must trip the compare gate.
-        assert main(["serve-trace", "--shards", "4", "--engine", "compare",
+        # The vectorized replay is untouched; the tampered golden-path
+        # reference must trip the compare gate.
+        assert main(["serve-trace", "--engine", "compare",
                      "--random", "24", "--seed", "3", "--n-best", "5"]) == 1
         captured = capsys.readouterr()
         assert "bit-identity FAILED" in captured.err
         assert "request" in captured.err  # the per-request diff summary
-        assert "sharded=" in captured.err and "unsharded=" in captured.err
+        assert "served=" in captured.err and "golden=" in captured.err
+
+    def test_learn_compare_mismatch_exits_nonzero(self, monkeypatch, capsys):
+        import repro.serving
+
+        monkeypatch.setattr(
+            repro.serving, "ServingEngine",
+            _tampered_reference_engine(lambda engine: engine.config.backend == "naive"),
+        )
+        assert main(["serve-trace", "--engine", "compare", "--learn",
+                     "--random", "24", "--seed", "3", "--n-best", "5"]) == 1
+        assert "bit-identity FAILED" in capsys.readouterr().err
+
+    def test_compare_checks_statuses_not_only_rankings(self, monkeypatch, capsys):
+        import repro.serving
+        from repro.serving import ServingEngine, ServingStatus
+
+        class StatusTamperedEngine(ServingEngine):
+            def serve(self, trace):
+                report = ServingEngine.serve(self, trace)
+                if self.config.backend == "naive":
+                    record = report.served[0]
+                    record.status = (
+                        ServingStatus.SERVED_SOFTWARE
+                        if record.status is ServingStatus.SERVED_HARDWARE
+                        else ServingStatus.SERVED_HARDWARE
+                    )
+                return report
+
+        monkeypatch.setattr(repro.serving, "ServingEngine", StatusTamperedEngine)
+        assert main(["serve-trace", "--engine", "compare",
+                     "--random", "8", "--seed", "3"]) == 1
+        err = capsys.readouterr().err
+        assert "bit-identity FAILED for 1/8 requests" in err
+        assert "request 0 " in err
 
 
 class TestServeCluster:
@@ -371,7 +408,8 @@ class TestServeCluster:
         import repro.serving
 
         monkeypatch.setattr(
-            repro.serving, "ServingEngine", _tampered_single_device_engine()
+            repro.serving, "ServingEngine",
+            _tampered_reference_engine(lambda engine: not engine.admission.cluster),
         )
         assert main(["serve-cluster", "--devices", "2", "--engine", "compare",
                      "--random", "24", "--seed", "3", "--n-best", "5"]) == 1
