@@ -7,8 +7,9 @@ they live here exactly once now:
   ``BENCH_*.json`` baseline, but only when the matching environment variable
   names a path (CI's bench-smoke lane refreshes the artifacts; local runs
   stay read-only by default);
-* :func:`best_of` / :func:`interleaved_best_of` -- best-of-N wall-clock
-  timing, the noise-robust measurement the speedup gates compare.
+* :func:`best_of` / :func:`interleaved_best_of` -- best-of-N timing (wall
+  clock by default, or the calling thread's CPU time), the noise-robust
+  measurement the speedup gates compare.
 """
 
 import json
@@ -41,18 +42,21 @@ def best_of(runs, function):
     return interleaved_best_of(runs, function)[0]
 
 
-def interleaved_best_of(runs, *functions):
-    """``[(best wall seconds, last result), ...]`` per function, in order.
+def interleaved_best_of(runs, *functions, clock=time.perf_counter):
+    """``[(best seconds, last result), ...]`` per function, in order.
 
     Each of the ``runs`` rounds calls every function once, in turn, so a
     burst of host load lands on all sides of a ratio gate alike instead of
-    on whichever side happened to be timing when it struck.
+    on whichever side happened to be timing when it struck.  ``clock``
+    defaults to wall time; ``time.thread_time`` counts only the calling
+    thread's CPU time, which other processes on a busy host cannot inflate
+    (valid when the functions do all their work in the calling thread).
     """
     best = [float("inf")] * len(functions)
     results = [None] * len(functions)
     for _ in range(runs):
         for index, function in enumerate(functions):
-            start = time.perf_counter()
+            start = clock()
             results[index] = function()
-            best[index] = min(best[index], time.perf_counter() - start)
+            best[index] = min(best[index], clock() - start)
     return list(zip(best, results))

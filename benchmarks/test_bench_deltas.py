@@ -14,7 +14,9 @@ attributes):
   :class:`~repro.core.retrieval.RetrievalEngine` serving calls, plus the
   admission controller's exact cycle prediction on the hardware unit) must be at least :data:`SPEEDUP_GATE`
   faster with delta propagation than on the pre-delta full-rebuild path,
-  with bit-identical rankings and cycle counts;
+  with bit-identical rankings and cycle counts.  Every pass runs in the
+  calling thread and is timed in its CPU time (``time.thread_time``), so
+  load from other processes on the host does not skew the ratio;
 * the pre-delta baseline is reproduced faithfully: caches are invalidated
   after every mutation (``invalidate_cache()`` / ``invalidate()`` is
   exactly the old revision-keyed behaviour), and the image's compact-tree encoding -- which the pre-delta
@@ -86,7 +88,7 @@ def _run_pass(generator, retained, probes, *, full_rebuild):
     engine.retrieve_batch(probes, n=N_BEST)  # warm caches
     hardware.predict_cycles(probes)
     outputs = []
-    start = time.perf_counter()
+    start = time.thread_time()
     for type_id, implementation in retained:
         case_base.add_implementation(type_id, implementation)
         if full_rebuild:
@@ -100,7 +102,7 @@ def _run_pass(generator, retained, probes, *, full_rebuild):
             [[(e.implementation_id, e.similarity) for e in r.ranked] for r in rankings],
             cycles,
         ))
-    elapsed = time.perf_counter() - start
+    elapsed = time.thread_time() - start
     return elapsed, outputs, engine, hardware
 
 
@@ -205,7 +207,7 @@ def _run_invalidate_only(generator, retained, probes):
         engine.retrieve_batch(probes, n=N_BEST)
         hardware.predict_cycles(probes)
         outputs = []
-        start = time.perf_counter()
+        start = time.thread_time()
         for type_id, implementation in retained:
             case_base.add_implementation(type_id, implementation)
             engine.invalidate_cache()
@@ -217,7 +219,7 @@ def _run_invalidate_only(generator, retained, probes):
                  for r in rankings],
                 cycles,
             ))
-        elapsed = time.perf_counter() - start
+        elapsed = time.thread_time() - start
         if best is None or elapsed < best[0]:
             best = (elapsed, outputs)
     return best

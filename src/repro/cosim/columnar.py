@@ -8,6 +8,11 @@ image *once* into per-type columnar arrays:
 * every implementation's level-2 attribute list as padded ``(I, M)`` ID and
   value matrices (pad entries carry an ID larger than any legal 16-bit word,
   so ascending-order comparisons treat them like the end-of-list terminator),
+* per type, a dense attribute table (:class:`TypeTable`): one column per
+  attribute ID the type's lists hold, in ascending order, plus an all-absent
+  sentinel column, with presence, stored value and the "entries below"
+  counts the cycle formulas need -- built on first use from the two
+  matrices above,
 * the supplemental list's attribute IDs, pre-computed reciprocals and
   ``1 + dmax`` divisors as parallel arrays.
 
@@ -37,10 +42,6 @@ from ..memmap.words import END_OF_LIST
 #: 16-bit attribute ID, so it never matches and never counts as ``< a``.
 PAD_ID = 1 << 17
 
-#: Row offset shift of :attr:`TypeColumns.search_keys`: every ``entry_ids``
-#: value (16-bit IDs and ``PAD_ID``) is below ``1 << ROW_KEY_SHIFT``.
-ROW_KEY_SHIFT = PAD_ID.bit_length()
-
 #: Exact-cycle memo entries kept per columnar image (least recently used
 #: evicted first).
 CYCLE_MEMO_CAPACITY = 1024
@@ -63,6 +64,36 @@ def _delete_row(array: np.ndarray, index: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class TypeTable:
+    """Dense attribute table of one function type: ``U`` IDs, ``I`` variants.
+
+    Column ``k < U`` belongs to the type's ``k``-th smallest stored attribute
+    ID; column ``U`` is an all-absent sentinel.  A request attribute ``a``
+    reads the column of its ID, or the sentinel when no list of the type
+    holds it; either way its insertion index ``k = searchsorted(
+    attribute_ids, a)`` indexes ``below``, which is ``sum_i f_i(a)``.  The
+    cycle formulas only need implementation totals of the counts, so those
+    are per column; presence and values stay per implementation for the
+    similarity kernel.
+
+    Memory: ``3 * I * (U + 1)`` bytes for ``present`` and ``values`` plus
+    ``24 * (U + 1)`` for the vectors, with ``U <= I * M`` distinct IDs.
+    """
+
+    #: Ascending attribute IDs, then ``PAD_ID`` (sentinel), shape ``(U + 1,)``.
+    attribute_ids: np.ndarray
+    #: Attribute held by implementation, shape ``(U + 1, I)``.
+    present: np.ndarray
+    #: Stored 16-bit value, 0 where absent, shape ``(U + 1, I)``.
+    values: np.ndarray
+    #: Implementations holding the column's ID (0 for the sentinel), ``(U + 1,)``.
+    holders: np.ndarray
+    #: Entries with an ID below the column's, over all implementations: the
+    #: exclusive prefix sum of ``holders``, shape ``(U + 1,)``.
+    below: np.ndarray
+
+
+@dataclass(frozen=True)
 class TypeColumns:
     """One function type's implementation variants in columnar form."""
 
@@ -75,29 +106,38 @@ class TypeColumns:
     entry_ids: np.ndarray
     #: Attribute values per implementation, shape ``(I, M)``, 0 where padded.
     entry_values: np.ndarray
-    #: Number of real attribute entries per implementation, shape ``(I,)``.
-    entry_counts: np.ndarray
 
-    @property
+    @cached_property
     def implementation_count(self) -> int:
         """Number of implementation variants of this type."""
         return int(self.impl_ids.shape[0])
 
     @cached_property
-    def search_keys(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(keys, row_offsets, row_starts)`` for one-pass attribute lookups.
+    def table(self) -> TypeTable:
+        """The type's dense attribute table, built on first use.
 
-        ``keys`` is ``entry_ids`` with row ``i`` offset by ``row_offsets[i]
-        = i << ROW_KEY_SHIFT``, flattened: each row is ascending and below
-        the next row's offset, so the whole vector is sorted.
-        ``row_starts[i] = i * M`` is the row's first flat position.  Built
-        on first use per columns object (row patches make new objects).
+        Once per columns object: row patches of a type make a new object,
+        and types a delta window leaves alone keep theirs (and its table).
         """
-        count, width = self.entry_ids.shape
-        rows = np.arange(count, dtype=np.int64)
-        row_offsets = rows << ROW_KEY_SHIFT
-        keys = (self.entry_ids + row_offsets[:, None]).ravel()
-        return keys, row_offsets, rows * width
+        held = self.entry_ids != PAD_ID
+        attribute_ids = np.unique(self.entry_ids[held])
+        shape = (attribute_ids.shape[0] + 1, self.implementation_count)
+        columns = np.searchsorted(attribute_ids, self.entry_ids)[held]
+        rows = np.nonzero(held)[0]
+        present = np.zeros(shape, dtype=bool)
+        present[columns, rows] = True
+        values = np.zeros(shape, dtype=np.uint16)
+        values[columns, rows] = self.entry_values[held]
+        holders = present.sum(axis=1)
+        below = np.zeros_like(holders)
+        np.cumsum(holders[:-1], out=below[1:])
+        return TypeTable(
+            attribute_ids=np.append(attribute_ids, PAD_ID),
+            present=present,
+            values=values,
+            holders=holders,
+            below=below,
+        )
 
     def with_rows(
         self, patches: Dict[int, Optional[Tuple[Tuple[int, int], ...]]]
@@ -115,7 +155,6 @@ class TypeColumns:
         impl_ids = self.impl_ids
         entry_ids = self.entry_ids
         entry_values = self.entry_values
-        entry_counts = self.entry_counts
         copied = False
         for implementation_id, pairs in sorted(patches.items()):
             index = int(np.searchsorted(impl_ids, implementation_id))
@@ -126,7 +165,6 @@ class TypeColumns:
                 impl_ids = _delete_row(impl_ids, index)
                 entry_ids = _delete_row(entry_ids, index)
                 entry_values = _delete_row(entry_values, index)
-                entry_counts = _delete_row(entry_counts, index)
                 copied = True
                 continue
             width = entry_ids.shape[1]
@@ -141,16 +179,13 @@ class TypeColumns:
                 if not copied:
                     entry_ids = entry_ids.copy()
                     entry_values = entry_values.copy()
-                    entry_counts = entry_counts.copy()
                     copied = True
                 entry_ids[index] = row_ids
                 entry_values[index] = row_values
-                entry_counts[index] = len(pairs)
             else:
                 impl_ids = _insert_row(impl_ids, index, implementation_id)
                 entry_ids = _insert_row(entry_ids, index, row_ids)
                 entry_values = _insert_row(entry_values, index, row_values)
-                entry_counts = _insert_row(entry_counts, index, len(pairs))
                 copied = True
         return TypeColumns(
             type_id=self.type_id,
@@ -158,7 +193,6 @@ class TypeColumns:
             impl_ids=impl_ids,
             entry_ids=entry_ids,
             entry_values=entry_values,
-            entry_counts=entry_counts,
         )
 
 
@@ -197,15 +231,10 @@ class ColumnarImage:
         self.image = image
         self.fraction_format = image.fraction_format
         self.types: Dict[int, TypeColumns] = {}
-        #: Memoisation surface for the vectorized cycle engine's per-signature
-        #: structural quantities (see ``repro.cosim.vectorized``); entries are
-        #: carried forward below for types whose arrays were reused unchanged.
-        self.structural_cache: Dict[Tuple, object] = {}
         #: The vectorized engine's per-request exact-cycle memo,
         #: ``(model key, encoded request words) -> cycles``, bounded to
-        #: :data:`CYCLE_MEMO_CAPACITY`.  Kept apart from ``structural_cache``
-        #: so that unique-value traffic cannot flush the per-signature
-        #: entries; carried forward below by the same rule.
+        #: :data:`CYCLE_MEMO_CAPACITY`; carried forward below for types whose
+        #: arrays were reused unchanged.
         self.cycle_memo: "OrderedDict[Tuple, int]" = OrderedDict()
         self._decode_tree(
             image.tree.words, previous, frozenset(touched_types), row_patches or {}
@@ -224,9 +253,6 @@ class ColumnarImage:
                 for type_id, columns in self.types.items()
                 if previous.types.get(type_id) is columns
             }
-            for key, structural in previous.structural_cache.items():
-                if key[0] in reused:
-                    self.structural_cache[key] = structural
             for key, cycles in previous.cycle_memo.items():
                 if key[1][0] in reused:  # key[1][0]: the request's type word
                     self.cycle_memo[key] = cycles
@@ -302,9 +328,7 @@ class ColumnarImage:
         width = max((len(entries) for entries in attribute_lists), default=0)
         entry_ids = np.full((count, width), PAD_ID, dtype=np.int64)
         entry_values = np.zeros((count, width), dtype=np.int64)
-        entry_counts = np.zeros(count, dtype=np.int64)
         for row, entries in enumerate(attribute_lists):
-            entry_counts[row] = len(entries)
             for column, (attribute_id, value) in enumerate(entries):
                 entry_ids[row, column] = attribute_id
                 entry_values[row, column] = value
@@ -314,7 +338,6 @@ class ColumnarImage:
             impl_ids=np.array([impl_id for impl_id, _ in impl_blocks], dtype=np.int64),
             entry_ids=entry_ids,
             entry_values=entry_values,
-            entry_counts=entry_counts,
         )
 
     def _decode_supplemental(self, words: Tuple[int, ...]) -> None:

@@ -30,11 +30,16 @@ exactly that across every configuration axis.
 
 Three kernels keep the per-request cost low:
 
-* **Structural counts by one flat ``searchsorted``.**  Each type's attribute
-  lists are one sorted key vector (row ``i`` offset by ``i << ROW_KEY_SHIFT``),
-  so the presence, stored value and ``f_i(a)`` of every (request attribute,
-  implementation) pair come from a single binary search over it, memoised
-  per ``(type, attribute-ID set)`` signature.
+* **One pass per function type.**  A batch's memo misses are grouped by
+  type alone; their request blocks are left-padded to the group's widest
+  request and priced together against the type's dense attribute table
+  (:class:`~repro.cosim.columnar.TypeTable`: one column per stored
+  attribute ID in ascending order plus an all-absent sentinel).  An
+  attribute's insertion index in the type's short ID vector gives its
+  column and its ``f_i(a)`` total by gathers and a prefix sum, so the
+  structural counts, the similarity kernel and FINALIZE run over the
+  whole ``(b, R, I)`` block at once; padded slots are never present.  The
+  per-request counts then feed the cost formulas as plain ints.
 * **FINALIZE as the register file's insertion cascade.**  The n-best compare
   cycles need, per implementation, how many of the earlier top-``n`` values
   are at least as similar; the cascade (each level keeps the running maximum
@@ -45,21 +50,18 @@ Three kernels keep the per-request cost low:
   LRU map on the :class:`~repro.cosim.columnar.ColumnarImage`, consulted
   before any grouping, so a batch of repeated requests does no NumPy work.
   Delta windows keep an entry only when its type's arrays were reused
-  unchanged and the supplemental list is untouched (the rule the structural
-  cache follows); any other window, and every full rebuild, drops it.  The
-  full-result paths (``hardware_batch``/``software_batch``) and the stepwise
-  golden path are never memoised.
-
-Requests sharing a ``(type_id, attribute-ID set)`` signature are stacked and
-evaluated against the type's columnar matrices in one broadcast pass, which
-is what makes scenario-scale batches orders of magnitude faster than the
-word-at-a-time walk.
+  unchanged and the supplemental list is untouched; any other window, and
+  every full rebuild, drops it.  The full-result paths
+  (``hardware_batch``/``software_batch``) and the stepwise golden path are
+  never memoised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import (
+    Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -94,101 +96,88 @@ from .columnar import CYCLE_MEMO_CAPACITY, ColumnarImage, TypeColumns
 from .engine import CycleEngine
 
 
-@dataclass
-class _Group:
-    """Requests sharing one ``(type_id, attribute-ID tuple)`` signature."""
-
-    type_id: int
-    attribute_ids: Tuple[int, ...]
-    member_indices: List[int]
-    values: np.ndarray  # (B, R) raw attribute values
-    weights: np.ndarray  # (B, R) raw UQ0.16 weights
-
-
-@dataclass(frozen=True)
-class _HardwareGroupCosts:
-    """Request-value-independent hardware cost terms of one batch group."""
-
-    case_base_reads: int
-    request_reads: int
-    attribute_probes: int
-    supplemental_probes: int
-    missing_attributes: int
-    #: Total cycles excluding the per-request FINALIZE phase.
-    base_cycles: int
+#: Left padding of a type group's shorter requests, one ``(ID, value,
+#: weight)`` block per missing slot: the ID is below every attribute ID, so
+#: it reads the table's all-absent sentinel column and insertion index 0,
+#: where no entry lies below -- a padded slot is never present, contributes
+#: 0 to the similarity and drops out of every count.
+_PAD_BLOCK = (-1, 0, 0)
 
 
 @dataclass
-class _Structural:
-    """Value-independent per-implementation quantities of one group."""
+class _TypeGroup:
+    """The batch's requests for one function type, in request order."""
 
-    present: np.ndarray  # (R, I) request attribute present in implementation
-    case_values: np.ndarray  # (R, I) raw stored values (0 where absent)
-    matched_total: int  # matched (implementation, request attribute) pairs
-    missing_total: int  # missing (implementation, request attribute) pairs
-    probe_total: int  # attribute-list probes of the configured search
+    columns: TypeColumns
+    member_indices: List[int] = field(default_factory=list)
+    #: Encoded word image per member.
+    words: List[Tuple[int, ...]] = field(default_factory=list)
+
+
+class _Counts(NamedTuple):
+    """One request's structural counts, as plain ints."""
+
+    attributes: int  # R, the request's own attribute count
+    matched: int  # matched (implementation, request attribute) pairs
+    missing: int  # missing (implementation, request attribute) pairs
+    probes: int  # attribute-list probes of the configured search
     supplemental_last: int  # block index of the largest request attribute
-    reciprocals: np.ndarray  # (R,) raw 1/(1+dmax) constants
-    divisors: np.ndarray  # (R,) 1 + dmax divisors (divider variant)
 
 
-def _decode_encoded_request(words: Sequence[int]) -> Tuple[int, Tuple[int, ...], List[int], List[int]]:
-    """Split an encoded request image into (type, IDs, values, weights).
+@dataclass
+class _TypePass:
+    """One type group evaluated at once, ``b`` requests padded to ``R`` slots.
 
-    Strided tuple slices instead of per-block comprehensions: this runs once
-    per request per batch on the serving path.
+    The counts leave NumPy as per-request ints (one ``tolist`` per count
+    vector): the cost formulas then run in plain integer arithmetic, which
+    beats a dozen scalar-broadcast NumPy calls for the one to few requests
+    a type group usually holds.
     """
-    end = 1 + len(words) - 2  # exclude the type word and the terminator
-    ids = tuple(words[1:end:REQUEST_BLOCK_WORDS])
-    values = list(words[2:end:REQUEST_BLOCK_WORDS])
-    weights = list(words[3:end:REQUEST_BLOCK_WORDS])
-    return words[0], ids, values, weights
+
+    counts: List[_Counts]
+    similarities: np.ndarray  # (b, I) raw global similarities (zeros unless scored)
+    #: Software branch counts per request: negative differences, penalty
+    #: clamps, accumulator saturations (zeros unless counted).
+    branches: List[Tuple[int, int, int]]
 
 
 def _prepare_groups(
     columnar: ColumnarImage,
-    encoded_requests: Iterable[Sequence[int]],
+    encoded_requests: Iterable[Tuple[int, ...]],
     missing_bounds_error: Callable[[str], Exception],
-) -> List[_Group]:
-    """Validate and group the batch's encoded word images, in request order.
+) -> List[_TypeGroup]:
+    """Validate the batch's encoded word images and group them by type.
 
     ``encoded_requests`` may be a lazy ``map`` of the unit's encoder, so that
-    validation mirrors the stepwise walk per request: encoding errors first,
-    then the unknown-type check of the level-0 search, then (only when the
-    type has implementations to score) the supplemental-list check for the
-    lowest request attribute without a bounds entry.
+    validation mirrors the stepwise walk per request, in request order:
+    encoding errors first, then the unknown-type check of the level-0
+    search, then (only when the type has implementations to score) the
+    supplemental-list check for the lowest request attribute without a
+    bounds entry.  Each ``(type, attribute IDs)`` signature is checked once.
     """
-    building: Dict[Tuple[int, Tuple[int, ...]], _Group] = {}
-    raw_rows: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[List[int], List[int]]]] = {}
+    groups: Dict[int, _TypeGroup] = {}
+    checked = set()
+    supplemental_index = columnar.supplemental_index
     for index, words in enumerate(encoded_requests):
-        type_id, ids, values, weights = _decode_encoded_request(words)
-        key = (type_id, ids)
-        group = building.get(key)
+        type_id = words[0]
+        group = groups.get(type_id)
         if group is None:
-            # Signature-level validation, mirroring the stepwise walk of the
-            # first request carrying it: unknown type first, then (only when
-            # the type has implementations to score) the lowest request
-            # attribute without a supplemental (bounds) entry.
             columns = columnar.types.get(type_id)
             if columns is None:
                 raise UnknownFunctionTypeError(type_id)
-            if columns.implementation_count > 0:
-                supplemental_index = columnar.supplemental_index
+            group = groups[type_id] = _TypeGroup(columns)
+        if group.columns.implementation_count:
+            ids = words[1:-1:REQUEST_BLOCK_WORDS]
+            if (type_id, ids) not in checked:
                 for attribute_id in ids:
                     if attribute_id not in supplemental_index:
                         raise missing_bounds_error(
                             f"attribute {attribute_id} has no supplemental (bounds) entry"
                         )
-            group = _Group(type_id, ids, [], np.empty(0), np.empty(0))
-            building[key] = group
-            raw_rows[key] = []
+                checked.add((type_id, ids))
         group.member_indices.append(index)
-        raw_rows[key].append((values, weights))
-    for key, group in building.items():
-        rows = raw_rows[key]
-        group.values = np.array([values for values, _ in rows], dtype=np.int64)
-        group.weights = np.array([weights for _, weights in rows], dtype=np.int64)
-    return list(building.values())
+        group.words.append(words)
+    return list(groups.values())
 
 
 def _memoized_cycles(
@@ -197,7 +186,7 @@ def _memoized_cycles(
     requests: Sequence[FunctionRequest],
     encode: Callable[[FunctionRequest], Sequence[int]],
     missing_bounds_error: Callable[[str], Exception],
-    price_groups: Callable[[List[_Group]], List[int]],
+    price_group: Callable[[_TypeGroup], List[int]],
 ) -> List[int]:
     """Exact cycles per request through the columnar image's cycle memo.
 
@@ -205,9 +194,9 @@ def _memoized_cycles(
     model configuration (``model_key``) and the image, so the memo maps
     ``(model_key, words)`` to cycles.  It is consulted before any grouping:
     an all-hit batch does no decoding and no NumPy work, and the misses are
-    grouped and priced by ``price_groups`` in one call (which returns one
-    count per grouped request, group by group).  Only successfully priced
-    requests enter the memo; it is a bounded LRU map
+    grouped by type and priced by ``price_group`` one type pass each (which
+    returns one count per member, in member order).  Only successfully
+    priced requests enter the memo; it is a bounded LRU map
     (:data:`~repro.cosim.columnar.CYCLE_MEMO_CAPACITY`), carried forward
     across delta windows for types whose arrays were reused unchanged and
     dropped whole when the supplemental list changes.
@@ -233,122 +222,116 @@ def _memoized_cycles(
         groups = _prepare_groups(
             columnar, [keys[index][1] for index in misses], missing_bounds_error
         )
-        priced = price_groups(groups)
-        members = [misses[member] for group in groups for member in group.member_indices]
-        for index, count in zip(members, priced):
-            cycles[index] = count
-            memo[keys[index]] = count
+        for group in groups:
+            for member, count in zip(group.member_indices, price_group(group)):
+                index = misses[member]
+                cycles[index] = count
+                memo[keys[index]] = count
         while len(memo) > CYCLE_MEMO_CAPACITY:
             memo.popitem(last=False)
     return cycles  # type: ignore[return-value]
 
 
-#: Structural-cache entries kept per columnar image (cleared wholesale beyond).
-_STRUCTURAL_CACHE_CAPACITY = 256
-
 #: Contents of an empty n-best register level (below every similarity).
 _EMPTY_REGISTER = np.iinfo(np.int64).min
 
 
-def _structural_counts(
+def _type_pass(
     columnar: ColumnarImage,
-    columns: TypeColumns,
-    attribute_ids: Tuple[int, ...],
+    group: _TypeGroup,
     *,
     restart_search: bool,
-) -> _Structural:
-    """Memoised :func:`_compute_structural_counts` per (type, signature).
+    use_divider: bool,
+    fraction_fmt,
+    score: bool,
+    count_branches: bool,
+) -> _TypePass:
+    """Structural counts and similarities of every request of one type group.
 
-    The quantities are value-independent, so hot serving signatures reuse
-    them across batches; the cache lives on the columnar image, and the
-    image's delta-patch path carries entries forward for types whose arrays
-    were reused unchanged.
+    The members' ``(ID, value, weight)`` request blocks are left-padded to
+    the widest member (``R`` slots) and stacked into one ``(b, R, 3)``
+    array, straight from the encoded words.  Each attribute's insertion index
+    ``k`` in the type table's short ID vector (:class:`TypeTable`) gives
+    ``f_i(a)`` totals through ``below[k]``; its table column is ``k`` when
+    the ID is held there, else the sentinel.  Gathers on that column give
+    the matched counts and, for the similarity kernel (``score``), the
+    ``(b, R, I)`` presence and stored-value blocks.  With left padding the
+    last slot holds every request's largest attribute, which is what the
+    resume-search probe formula (``T_i = f_i(a_R) + R - matched_i(a_1 ..
+    a_{R-1})``) and the supplemental walk read; the restart ablation sums
+    ``f_i`` over all slots instead.
     """
-    cache = columnar.structural_cache
-    key = (columns.type_id, attribute_ids, restart_search)
-    structural = cache.get(key)
-    if structural is None:
-        structural = _compute_structural_counts(
-            columnar, columns, attribute_ids, restart_search=restart_search
-        )
-        if len(cache) >= _STRUCTURAL_CACHE_CAPACITY:
-            cache.clear()
-        cache[key] = structural
-    return structural
-
-
-def _compute_structural_counts(
-    columnar: ColumnarImage,
-    columns: TypeColumns,
-    attribute_ids: Tuple[int, ...],
-    *,
-    restart_search: bool,
-) -> _Structural:
-    """Presence/value matrices and exact probe counts for one signature.
-
-    One ``searchsorted`` over the type's flat key vector
-    (:attr:`TypeColumns.search_keys`: row ``i`` of ``entry_ids`` offset by
-    ``i << ROW_KEY_SHIFT``) answers every (request attribute,
-    implementation) lookup at once.  The insertion position of query
-    ``(i << ROW_KEY_SHIFT) + a`` minus the row start is ``f_i(a)``, the
-    number of list entries with ID below ``a`` -- the resume-search probe
-    formula uses it for the last request attribute, the restart formula sums
-    it over all of them.  The key at that position equals the query exactly
-    when ``a`` is present, and ``entry_values`` at the same flat position is
-    the stored value.  Queries above every entry of a full-width last row
-    land past the end, so positions are clipped before the lookup (a
-    clipped position never matches: its key belongs to a smaller ID).
-    """
-    request_count = len(attribute_ids)
-    ids = np.array(attribute_ids, dtype=np.int64)
-    implementation_count, width = columns.entry_ids.shape
-    if width:
-        keys, row_offsets, row_starts = columns.search_keys
-        queries = ids[:, None] + row_offsets  # (R, I)
-        positions = np.searchsorted(keys, queries)
-        below = positions - row_starts
-        np.minimum(positions, keys.shape[0] - 1, out=positions)
-        present = keys[positions] == queries
-        case_values = columns.entry_values.ravel()[positions]
-        case_values *= present
-    else:
-        below = np.zeros((request_count, implementation_count), dtype=np.int64)
-        present = np.zeros((request_count, implementation_count), dtype=bool)
-        case_values = below
-    pairs = request_count * implementation_count
-    matched_total = int(np.count_nonzero(present))
+    table = group.columns.table
+    implementation_count = group.columns.implementation_count
+    lengths = [len(words) // REQUEST_BLOCK_WORDS for words in group.words]
+    width = max(lengths)
+    block = np.array(
+        [
+            _PAD_BLOCK * (width - length) + words[1:-1]
+            for length, words in zip(lengths, group.words)
+        ],
+        dtype=np.int64,
+    ).reshape(len(lengths), width, REQUEST_BLOCK_WORDS)
+    ids = block[:, :, 0]
+    insertion = table.attribute_ids.searchsorted(ids)
+    sentinel = table.attribute_ids.shape[0] - 1
+    column = np.where(table.attribute_ids[insertion] == ids, insertion, sentinel)
+    held = table.holders[column]
+    matched = held.sum(axis=1).tolist()
+    attributes_per_request = [count * implementation_count for count in lengths]
     if restart_search:
-        probe_total = int(below.sum()) + pairs
+        below = table.below[insertion].sum(axis=1).tolist()
+        probes = [f + pairs for f, pairs in zip(below, attributes_per_request)]
     else:
-        probe_total = (
-            int(below[-1].sum()) + pairs - int(np.count_nonzero(present[:-1]))
-        )
-    if implementation_count > 0:
-        positions = [columnar.supplemental_index[a] for a in attribute_ids]
-        reciprocals = columnar.supplemental_reciprocals[positions]
-        divisors = columnar.supplemental_divisors[positions]
-        supplemental_last = positions[-1]
+        below = table.below[insertion[:, -1]].tolist()
+        held_last = held[:, -1].tolist()
+        probes = [
+            f + pairs - (found - found_last)
+            for f, pairs, found, found_last in zip(below, attributes_per_request, matched, held_last)
+        ]
+    batch_size = len(lengths)
+    if implementation_count:
+        # Every ID has a supplemental entry (checked by _prepare_groups);
+        # padded slots land on position 0.
+        positions = columnar.supplemental_ids.searchsorted(ids)
+        supplemental_last = positions[:, -1].tolist()
     else:
         # Nothing is ever scored: the supplemental list is never walked.
-        reciprocals = np.zeros(request_count, dtype=np.int64)
-        divisors = np.ones(request_count, dtype=np.int64)
-        supplemental_last = 0
-    return _Structural(
-        present=present,
-        case_values=case_values,
-        matched_total=matched_total,
-        missing_total=pairs - matched_total,
-        probe_total=probe_total,
-        supplemental_last=supplemental_last,
-        reciprocals=reciprocals,
-        divisors=divisors,
-    )
+        supplemental_last = [0] * batch_size
+    counts = list(map(
+        _Counts,
+        lengths,
+        matched,
+        [pairs - found for pairs, found in zip(attributes_per_request, matched)],
+        probes,
+        supplemental_last,
+    ))
+    branches = [(0, 0, 0)] * batch_size
+    if score and implementation_count:
+        constants = (
+            columnar.supplemental_divisors if use_divider
+            else columnar.supplemental_reciprocals
+        )[positions]
+        similarities, negative, clamped, saturated = _similarity_kernel(
+            table.present[column], table.values[column],
+            block[:, :, 1], block[:, :, 2], constants,
+            use_divider=use_divider,
+            fraction_fmt=fraction_fmt,
+            count_branches=count_branches,
+        )
+        if count_branches:
+            branches = list(zip(negative.tolist(), clamped.tolist(), saturated.tolist()))
+    else:
+        similarities = np.zeros((batch_size, implementation_count), dtype=np.int64)
+    return _TypePass(counts=counts, similarities=similarities, branches=branches)
 
 
 def _similarity_kernel(
-    structural: _Structural,
+    present: np.ndarray,
+    case_values: np.ndarray,
     values: np.ndarray,
     weights: np.ndarray,
+    constants: np.ndarray,
     *,
     use_divider: bool,
     fraction_fmt,
@@ -356,14 +339,15 @@ def _similarity_kernel(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Raw global similarities plus the software model's branch counts.
 
-    The per-attribute datapath (absolute difference, penalty multiply or
-    divide, ``1 - x``, weighting) is evaluated for the whole ``(batch,
-    attributes, implementations)`` cube at once.  Contributions are
-    non-negative and missing attributes contribute zero, so the running sum
-    only grows and the saturating accumulator ends at ``min(sum, max)``.
-    Only the software model's saturation branch count steps through the
-    attributes in ascending-ID order, because it fires exactly where the
-    stepwise accumulator saturates.
+    The per-attribute datapath (absolute difference, penalty multiply by the
+    reciprocal or divide by the divisor in ``constants``, ``1 - x``,
+    weighting) is evaluated for the whole ``(batch, attributes,
+    implementations)`` cube of ``present``/``case_values`` at once.
+    Contributions are non-negative and missing attributes contribute zero,
+    so the running sum only grows and the saturating accumulator ends at
+    ``min(sum, max)``.  Only the software model's saturation branch count
+    steps through the attributes in ascending-ID order, because it fires
+    exactly where the stepwise accumulator saturates.
 
     Returns ``(similarities, negative_differences, penalty_clamps,
     accumulator_saturations)``; the three counters (software model branch
@@ -371,21 +355,15 @@ def _similarity_kernel(
     are per-request totals over all matched (implementation, attribute)
     pairs.
     """
-    batch_size, request_count = values.shape
-    implementation_count = structural.present.shape[1]
+    batch_size, request_count, implementation_count = present.shape
     max_raw = fraction_fmt.max_raw
-    present = structural.present[None, :, :]  # (1, R, I)
-    case_values = structural.case_values[None, :, :]  # (1, R, I)
     request_values = values[:, :, None]  # (B, R, 1)
+    constants = constants[:, :, None]  # (B, R, 1)
     difference = np.abs(request_values - case_values)  # (B, R, I)
     if use_divider:
-        penalty = divide_fraction_array(
-            difference, structural.divisors[None, :, None], fraction_fmt
-        )
+        penalty = divide_fraction_array(difference, constants, fraction_fmt)
     else:
-        penalty = multiply_fraction_array(
-            difference, structural.reciprocals[None, :, None], fraction_fmt
-        )
+        penalty = multiply_fraction_array(difference, constants, fraction_fmt)
     local = one_minus_array(penalty, fraction_fmt)
     contribution = multiply_fractions_array(local, weights[:, :, None], fraction_fmt)
     contribution *= present
@@ -396,7 +374,7 @@ def _similarity_kernel(
         if not use_divider:
             # The software model's clamp branch fires on the *unclamped*
             # product, which the saturating multiply above discards.
-            product = difference * structural.reciprocals[None, :, None]
+            product = difference * constants
             clamped = ((product > max_raw) & present).sum(axis=(1, 2))
         saturated = np.zeros(batch_size, dtype=np.int64)
         running = np.zeros((batch_size, implementation_count), dtype=np.int64)
@@ -453,6 +431,20 @@ class VectorizedCycleEngine(CycleEngine):
 
     # -- hardware ------------------------------------------------------------------
 
+    @staticmethod
+    def _hardware_pass(
+        unit: HardwareRetrievalUnit, columnar: ColumnarImage, group: _TypeGroup, *, score: bool
+    ) -> _TypePass:
+        config = unit.config
+        return _type_pass(
+            columnar, group,
+            restart_search=config.restart_attribute_search,
+            use_divider=config.use_divider,
+            fraction_fmt=unit.fraction_format,
+            score=score,
+            count_branches=False,
+        )
+
     def hardware_batch(
         self, unit: HardwareRetrievalUnit, requests: Sequence[FunctionRequest]
     ) -> List[HardwareRetrievalResult]:
@@ -467,42 +459,44 @@ class VectorizedCycleEngine(CycleEngine):
         )
         results: List[HardwareRetrievalResult] = [None] * len(requests)  # type: ignore[list-item]
         for group in groups:
-            columns = columnar.types[group.type_id]
-            structural = _structural_counts(
-                columnar, columns, group.attribute_ids,
-                restart_search=config.restart_attribute_search,
-            )
-            costs = self._cached_hardware_group_costs(
-                columnar, config, columns, structural, group.attribute_ids
-            )
-            similarities, _, _, _ = _similarity_kernel(
-                structural, group.values, group.weights,
-                use_divider=config.use_divider,
-                fraction_fmt=unit.fraction_format,
-                count_branches=False,
-            )
-            if columns.implementation_count:
-                best_indices = np.argmax(similarities, axis=1)
-                best_updates = prefix_maxima_count(similarities)
+            columns = group.columns
+            implementation_count = columns.implementation_count
+            priced = self._hardware_pass(unit, columnar, group, score=True)
+            similarities = priced.similarities
+            if implementation_count:
+                best_indices = np.argmax(similarities, axis=1).tolist()
+                best_updates = prefix_maxima_count(similarities).tolist()
             else:
-                best_indices = best_updates = np.zeros(len(group.member_indices), np.int64)
+                best_indices = best_updates = [0] * len(group.member_indices)
             if config.n_best > 1:
-                finalize_cycles = _nbest_finalize_cycles(similarities, config.n_best)
+                finalize_cycles = _nbest_finalize_cycles(similarities, config.n_best).tolist()
                 # Stable descending sort = the register file's tie rule
                 # (equal similarities keep their level-1 list order).
                 ranked_orders = np.argsort(
                     -similarities, axis=1, kind="stable"
                 )[:, : config.n_best]
             else:
-                finalize_cycles = np.full(
-                    len(group.member_indices), columns.implementation_count, np.int64
-                )
+                finalize_cycles = [implementation_count] * len(group.member_indices)
                 ranked_orders = None
-            for row, index in enumerate(group.member_indices):
+            rows = zip(
+                group.member_indices, priced.counts,
+                self._hardware_costs(config, columns, priced.counts),
+                finalize_cycles, best_updates, best_indices,
+            )
+            for row, (index, counts, costs, finalize, updates, best_index) in enumerate(rows):
+                case_base_reads, request_reads, supplemental_probes, base_cycles = costs
+                statistics = HardwareStatistics(
+                    cycles=base_cycles + finalize,
+                    case_base_reads=case_base_reads,
+                    request_reads=request_reads,
+                    implementations_visited=implementation_count,
+                    attribute_probes=counts.probes,
+                    supplemental_probes=supplemental_probes,
+                    missing_attributes=counts.missing,
+                    best_updates=updates,
+                )
                 results[index] = self._assemble_hardware(
-                    unit, group, columns, costs, similarities[row],
-                    int(best_indices[row]), int(best_updates[row]),
-                    int(finalize_cycles[row]),
+                    unit, columns, statistics, similarities[row], best_index,
                     None if ranked_orders is None else ranked_orders[row],
                 )
         return results
@@ -513,14 +507,14 @@ class VectorizedCycleEngine(CycleEngine):
         """Exact per-request cycle counts without assembling result objects.
 
         Same derivation as :meth:`hardware_batch` -- the shared
-        :meth:`_hardware_group_costs` terms plus the per-request FINALIZE
-        cycles -- but skipping ranking assembly and statistics objects, and
-        answering repeated requests from the per-request cycle memo
+        :meth:`_hardware_costs` terms plus the per-request FINALIZE cycles --
+        but skipping ranking assembly and statistics objects, and answering
+        repeated requests from the per-request cycle memo
         (:func:`_memoized_cycles`).  For the baseline ``n_best == 1`` unit
-        every request of a signature group costs exactly the same; only the
-        n-best register file makes the count value-dependent.  The cosim
-        differential suite asserts equality with the stepwise golden walk
-        across all configuration axes.
+        FINALIZE costs one cycle per implementation, so the similarity kernel
+        is skipped; only the n-best register file makes the count
+        value-dependent.  The cosim differential suite asserts equality with
+        the stepwise golden walk across all configuration axes.
         """
         config = unit.config
         if config.trace:
@@ -529,30 +523,14 @@ class VectorizedCycleEngine(CycleEngine):
             )
         columnar = unit.columnar_image()
 
-        def price(groups: List[_Group]) -> List[int]:
-            cycles: List[int] = []
-            for group in groups:
-                columns = columnar.types[group.type_id]
-                structural = _structural_counts(
-                    columnar, columns, group.attribute_ids,
-                    restart_search=config.restart_attribute_search,
-                )
-                costs = self._cached_hardware_group_costs(
-                    columnar, config, columns, structural, group.attribute_ids
-                )
-                if config.n_best > 1:
-                    similarities, _, _, _ = _similarity_kernel(
-                        structural, group.values, group.weights,
-                        use_divider=config.use_divider,
-                        fraction_fmt=unit.fraction_format,
-                        count_branches=False,
-                    )
-                    finalize = _nbest_finalize_cycles(similarities, config.n_best)
-                    cycles.extend((costs.base_cycles + finalize).tolist())
-                else:
-                    count = costs.base_cycles + columns.implementation_count
-                    cycles.extend([count] * len(group.member_indices))
-            return cycles
+        def price(group: _TypeGroup) -> List[int]:
+            priced = self._hardware_pass(unit, columnar, group, score=config.n_best > 1)
+            costs = self._hardware_costs(config, group.columns, priced.counts)
+            if config.n_best > 1:
+                finalize = _nbest_finalize_cycles(priced.similarities, config.n_best).tolist()
+            else:
+                finalize = [group.columns.implementation_count] * len(costs)
+            return [terms[-1] + cycles for terms, cycles in zip(costs, finalize)]
 
         # The configuration's field values: a plain tuple hashes in C, the
         # dataclass's generated ``__hash__`` in Python on every lookup.
@@ -562,125 +540,76 @@ class VectorizedCycleEngine(CycleEngine):
             HardwareModelError, price,
         )
 
-    @classmethod
-    def _cached_hardware_group_costs(
-        cls,
-        columnar: ColumnarImage,
-        config: HardwareConfig,
-        columns: TypeColumns,
-        structural: _Structural,
-        attribute_ids: Tuple[int, ...],
-    ) -> "_HardwareGroupCosts":
-        """Memoised :meth:`_hardware_group_costs` per (type, signature, config).
-
-        The terms are value-independent, so hot serving signatures reuse them
-        across batches; entries ride the columnar image's structural cache
-        and are carried forward by the delta-patch path exactly like the
-        structural quantities themselves.
-        """
-        cache = columnar.structural_cache
-        key = (columns.type_id, attribute_ids, config, "hardware-costs")
-        costs = cache.get(key)
-        if costs is None:
-            costs = cls._hardware_group_costs(
-                config, columns, structural, len(attribute_ids)
-            )
-            if len(cache) >= _STRUCTURAL_CACHE_CAPACITY:
-                cache.clear()
-            cache[key] = costs
-        return costs
-
     @staticmethod
-    def _hardware_group_costs(
-        config: HardwareConfig,
-        columns: TypeColumns,
-        structural: _Structural,
-        request_count: int,
-    ) -> "_HardwareGroupCosts":
-        """Value-independent cost terms shared by every request of one group.
+    def _hardware_costs(
+        config: HardwareConfig, columns: TypeColumns, counts: List[_Counts]
+    ) -> List[Tuple[int, int, int, int]]:
+        """``(case_base_reads, request_reads, supplemental_probes,
+        base_cycles)`` per request of one type pass.
 
         Every term of the hardware cycle and memory-access accounting except
         the FINALIZE phase (n-best register-file compares) and the
-        ``best_updates`` counter depends only on the group's structural
-        quantities -- all requests sharing a ``(type, attribute-set)``
-        signature therefore share these numbers.  Computing them once per
-        group is both the single source of truth for
-        :meth:`_assemble_hardware` and the whole trick behind the
-        cycles-only prediction fast path (:meth:`hardware_cycles`).
+        ``best_updates`` counter follows from the request's structural
+        counts; ``base_cycles`` is the total without FINALIZE.  The single
+        source of truth for :meth:`hardware_batch` and the cycles-only
+        prediction fast path (:meth:`hardware_cycles`).
         """
         implementation_count = columns.implementation_count
-        position = columns.position
-        matched_total = structural.matched_total
-        missing_total = structural.missing_total
-        probe_total = structural.probe_total
-        supplemental_probes_per_walk = structural.supplemental_last + request_count
         walkers = (
             min(implementation_count, 1) if config.cache_reciprocals else implementation_count
         )
-
-        request_block = request_count * (2 if config.wide_attribute_fetch else 3) + 1
-        supplemental_walk = supplemental_probes_per_walk + request_count * (
-            2 if config.use_divider else 1
-        )
-        search_value_loads = 0 if config.wide_attribute_fetch else matched_total
+        request_words = 2 if config.wide_attribute_fetch else 3  # per attribute fetch
+        constant_words = 2 if config.use_divider else 1  # bounds pair or reciprocal
+        value_loads = 0 if config.wide_attribute_fetch else 1  # per matched attribute
         compute_cycles = 1 if config.pipelined_datapath else 3
         if config.use_divider:
             compute_cycles = compute_cycles - 1 + HardwareConfig.DIVIDER_CYCLES
         accumulate_cycles = 1 if config.pipelined_datapath else 2
-
-        return _HardwareGroupCosts(
-            case_base_reads=(
-                (position + 2)
-                + (2 * implementation_count + 1)
-                + walkers * supplemental_walk
-                + probe_total
-                + search_value_loads
-            ),
-            request_reads=1 + implementation_count * request_block,
-            attribute_probes=probe_total,
-            supplemental_probes=walkers * supplemental_probes_per_walk,
-            missing_attributes=missing_total,
-            base_cycles=(
-                1  # fetch request type
-                + (position + 2)  # level-0 search incl. pointer load
-                + (2 * implementation_count + 1)  # implementation ID/pointer loads + terminator
-                + implementation_count * request_block  # request attribute fetches
-                + walkers * supplemental_walk
-                + probe_total
-                + search_value_loads
-                + matched_total * compute_cycles
-                + missing_total  # one cycle per missing attribute (s_i = 0)
-                + matched_total * accumulate_cycles
-                + 1  # deliver result
-            ),
+        list_reads = (
+            (columns.position + 2)  # level-0 search incl. pointer load
+            + (2 * implementation_count + 1)  # implementation ID/pointer loads + terminator
         )
+        costs = []
+        for request_count, matched, missing, probes, supplemental_last in counts:
+            # Each walker probes the supplemental list up to the largest
+            # request attribute, re-probing once per found attribute, and
+            # loads each attribute's constant words.
+            supplemental_probes = walkers * (supplemental_last + request_count)
+            case_base_reads = (
+                list_reads
+                + supplemental_probes
+                + walkers * constant_words * request_count
+                + probes
+                + value_loads * matched
+            )
+            # The type word, then per implementation the request's attribute
+            # blocks and its terminator.
+            request_reads = 1 + implementation_count * (request_words * request_count + 1)
+            costs.append((
+                case_base_reads,
+                request_reads,
+                supplemental_probes,
+                # One cycle per memory read, then the datapath: compute and
+                # accumulate per matched attribute, one cycle per missing
+                # attribute (s_i = 0), one to deliver the result.
+                case_base_reads
+                + request_reads
+                + (compute_cycles + accumulate_cycles) * matched
+                + missing
+                + 1,
+            ))
+        return costs
 
     @staticmethod
     def _assemble_hardware(
         unit: HardwareRetrievalUnit,
-        group: _Group,
         columns: TypeColumns,
-        costs: "_HardwareGroupCosts",
+        statistics: HardwareStatistics,
         similarities: np.ndarray,
         best_index: int,
-        best_updates: int,
-        finalize_cycles: int,
         ranked_order: Optional[np.ndarray],
     ) -> HardwareRetrievalResult:
-        config = unit.config
-        implementation_count = columns.implementation_count
-        statistics = HardwareStatistics(
-            case_base_reads=costs.case_base_reads,
-            request_reads=costs.request_reads,
-            implementations_visited=implementation_count,
-            attribute_probes=costs.attribute_probes,
-            supplemental_probes=costs.supplemental_probes,
-            missing_attributes=costs.missing_attributes,
-            best_updates=best_updates,
-        )
-        statistics.cycles = costs.base_cycles + finalize_cycles
-
-        if implementation_count:
+        if columns.implementation_count:
             best_id = int(columns.impl_ids[best_index])
             best_raw = int(similarities[best_index])
         else:
@@ -693,17 +622,41 @@ class VectorizedCycleEngine(CycleEngine):
         else:
             ranked = [(best_id, best_raw)] if best_raw >= 0 else []
         return HardwareRetrievalResult(
-            type_id=group.type_id,
+            type_id=columns.type_id,
             best_id=best_id,
             best_similarity_raw=max(best_raw, 0),
             ranked=ranked,
             statistics=statistics,
-            clock_mhz=config.clock_mhz,
+            clock_mhz=unit.config.clock_mhz,
             fraction_format=unit.fraction_format,
             trace=None,
         )
 
     # -- software ------------------------------------------------------------------
+
+    @staticmethod
+    def _software_pass(
+        unit: SoftwareRetrievalUnit, columnar: ColumnarImage, group: _TypeGroup
+    ) -> Tuple[_TypePass, List[int]]:
+        """One type pass plus each request's best-update count.
+
+        Unlike the hardware unit, the soft-core's branch costs depend on the
+        datapath outcomes (negative, clamped, saturated local similarities),
+        so the similarity kernel always runs.
+        """
+        priced = _type_pass(
+            columnar, group,
+            restart_search=False,
+            use_divider=False,
+            fraction_fmt=unit.fraction_format,
+            score=True,
+            count_branches=True,
+        )
+        if group.columns.implementation_count:
+            improved = prefix_maxima_count(priced.similarities).tolist()
+        else:
+            improved = [0] * len(group.member_indices)
+        return priced, improved
 
     def software_batch(
         self, unit: SoftwareRetrievalUnit, requests: Sequence[FunctionRequest]
@@ -714,26 +667,17 @@ class VectorizedCycleEngine(CycleEngine):
         )
         results: List[SoftwareRetrievalResult] = [None] * len(requests)  # type: ignore[list-item]
         for group in groups:
-            columns = columnar.types[group.type_id]
-            structural = _structural_counts(
-                columnar, columns, group.attribute_ids, restart_search=False
-            )
-            similarities, negative, clamped, saturated = _similarity_kernel(
-                structural, group.values, group.weights,
-                use_divider=False,
-                fraction_fmt=unit.fraction_format,
-                count_branches=True,
-            )
+            columns = group.columns
+            priced, improved = self._software_pass(unit, columnar, group)
+            similarities = priced.similarities
             if columns.implementation_count:
-                best_indices = np.argmax(similarities, axis=1)
-                best_updates = prefix_maxima_count(similarities)
+                best_indices = np.argmax(similarities, axis=1).tolist()
             else:
-                best_indices = best_updates = np.zeros(len(group.member_indices), np.int64)
-            for row, index in enumerate(group.member_indices):
+                best_indices = [0] * len(group.member_indices)
+            rows = zip(group.member_indices, priced.counts, priced.branches, improved, best_indices)
+            for row, (index, counts, branches, updates, best_index) in enumerate(rows):
                 results[index] = self._assemble_software(
-                    unit, group, columns, structural,
-                    similarities[row], int(negative[row]), int(clamped[row]), int(saturated[row]),
-                    int(best_indices[row]), int(best_updates[row]),
+                    unit, columns, counts, branches, updates, similarities[row], best_index
                 )
         return results
 
@@ -746,40 +690,20 @@ class VectorizedCycleEngine(CycleEngine):
         :meth:`_software_instruction_counters` accounting, then totals the
         counters against the unit's cost model directly -- no
         result/statistics construction -- and answers repeated requests from
-        the per-request cycle memo (:func:`_memoized_cycles`).  Unlike the
-        hardware unit, the soft-core's branch costs depend on the datapath
-        outcomes (negative, clamped, saturated local similarities), so the
-        similarity kernel still runs on a miss; only the assembly is
-        skipped.  Differentially tested against the stepwise golden walk.
+        the per-request cycle memo (:func:`_memoized_cycles`).
+        Differentially tested against the stepwise golden walk.
         """
         columnar = unit.columnar_image()
         cost_model = unit.cost_model
 
-        def price(groups: List[_Group]) -> List[int]:
-            cycles: List[int] = []
-            for group in groups:
-                columns = columnar.types[group.type_id]
-                structural = _structural_counts(
-                    columnar, columns, group.attribute_ids, restart_search=False
-                )
-                similarities, negative, clamped, saturated = _similarity_kernel(
-                    structural, group.values, group.weights,
-                    use_divider=False,
-                    fraction_fmt=unit.fraction_format,
-                    count_branches=True,
-                )
-                if columns.implementation_count:
-                    best_updates = prefix_maxima_count(similarities)
-                else:
-                    best_updates = np.zeros(len(group.member_indices), np.int64)
-                for row in range(len(group.member_indices)):
-                    counters, _, _ = self._software_instruction_counters(
-                        unit, group, columns, structural,
-                        int(negative[row]), int(clamped[row]), int(saturated[row]),
-                        int(best_updates[row]),
-                    )
-                    cycles.append(counters.total_cycles(cost_model))
-            return cycles
+        def price(group: _TypeGroup) -> List[int]:
+            priced, improved = self._software_pass(unit, columnar, group)
+            return [
+                self._software_instruction_counters(
+                    unit, group.columns, counts, branches, updates
+                )[0].total_cycles(cost_model)
+                for counts, branches, updates in zip(priced.counts, priced.branches, improved)
+            ]
 
         # The cost model's cycle table is a dict; its plain-valued items key
         # the model.
@@ -794,12 +718,9 @@ class VectorizedCycleEngine(CycleEngine):
     @staticmethod
     def _software_instruction_counters(
         unit: SoftwareRetrievalUnit,
-        group: _Group,
         columns: TypeColumns,
-        structural: _Structural,
-        negative: int,
-        clamped: int,
-        saturated: int,
+        counts: _Counts,
+        branches: Tuple[int, int, int],
         improved: int,
     ) -> tuple:
         """Emitted-instruction counters of one run: ``(counters, memory_reads,
@@ -810,14 +731,15 @@ class VectorizedCycleEngine(CycleEngine):
         soft-core instruction accounting.
         """
         inline = unit.inline_helpers
-        request_count = len(group.attribute_ids)
+        request_count = counts.attributes
         implementation_count = columns.implementation_count
         position = columns.position
-        matched_total = structural.matched_total
-        missing_total = structural.missing_total
-        probe_total = structural.probe_total
+        matched_total = counts.matched
+        missing_total = counts.missing
+        probe_total = counts.probes
+        negative, clamped, saturated = branches
         advance_total = probe_total - matched_total - missing_total
-        supplemental_advances = structural.supplemental_last  # per scoring walk
+        supplemental_advances = counts.supplemental_last  # per scoring walk
         supplemental_probes = supplemental_advances + request_count
         #: main() plus, per implementation, the scoring helper, one
         #: supplemental and one attribute-search helper per request attribute
@@ -838,7 +760,7 @@ class VectorizedCycleEngine(CycleEngine):
             + matched_total  # attribute value loads
         )
 
-        counts = {
+        emitted = {
             InstructionClass.LOAD: memory_reads + (0 if inline else 3 * helper_calls),
             InstructionClass.ALU: (
                 4  # main() setup
@@ -879,37 +801,30 @@ class VectorizedCycleEngine(CycleEngine):
             ),
         }
         if not inline:
-            counts[InstructionClass.STORE] = 3 * helper_calls
-            counts[InstructionClass.CALL] = helper_calls
-            counts[InstructionClass.RETURN] = helper_calls
+            emitted[InstructionClass.STORE] = 3 * helper_calls
+            emitted[InstructionClass.CALL] = helper_calls
+            emitted[InstructionClass.RETURN] = helper_calls
         counters = InstructionCounters(
-            counts={kind: count for kind, count in counts.items() if count > 0}
+            counts={kind: count for kind, count in emitted.items() if count > 0}
         )
         return counters, memory_reads, helper_calls
 
     @staticmethod
     def _assemble_software(
         unit: SoftwareRetrievalUnit,
-        group: _Group,
         columns: TypeColumns,
-        structural: _Structural,
-        similarities: np.ndarray,
-        negative: int,
-        clamped: int,
-        saturated: int,
-        best_index: int,
+        counts: _Counts,
+        branches: Tuple[int, int, int],
         improved: int,
+        similarities: np.ndarray,
+        best_index: int,
     ) -> SoftwareRetrievalResult:
         counters, memory_reads, helper_calls = (
             VectorizedCycleEngine._software_instruction_counters(
-                unit, group, columns, structural, negative, clamped, saturated, improved
+                unit, columns, counts, branches, improved
             )
         )
-        implementation_count = columns.implementation_count
-        missing_total = structural.missing_total
-        inline = unit.inline_helpers
-
-        if implementation_count:
+        if columns.implementation_count:
             best_id = int(columns.impl_ids[best_index])
             best_raw = int(similarities[best_index])
         else:
@@ -918,12 +833,12 @@ class VectorizedCycleEngine(CycleEngine):
             cycles=counters.total_cycles(unit.cost_model),
             instructions=counters.total_instructions(),
             memory_reads=memory_reads,
-            implementations_visited=implementation_count,
-            helper_calls=0 if inline else helper_calls,
-            missing_attributes=missing_total,
+            implementations_visited=columns.implementation_count,
+            helper_calls=0 if unit.inline_helpers else helper_calls,
+            missing_attributes=counts.missing,
         )
         return SoftwareRetrievalResult(
-            type_id=group.type_id,
+            type_id=columns.type_id,
             best_id=best_id,
             best_similarity_raw=max(best_raw, 0),
             statistics=statistics,

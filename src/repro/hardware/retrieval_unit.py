@@ -377,8 +377,9 @@ class HardwareRetrievalUnit:
 
         The QoS-prediction companion of :meth:`run_batch`: admission-control
         layers need service times (``cycles / clock``) but no rankings, and
-        the vectorized engine derives the counts from the group-constant cost
-        terms alone -- considerably cheaper than assembling result objects.
+        the vectorized engine derives the counts from one pass per function
+        type over the batch's structural counts (plus the n-best FINALIZE
+        cycles) -- considerably cheaper than assembling result objects.
         The counts are guaranteed identical to ``[r.cycles for r in
         run_batch(requests)]`` on every engine (differentially tested).
         """

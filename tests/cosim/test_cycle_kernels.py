@@ -3,13 +3,14 @@
 * FINALIZE: the n-best insertion cascade against an O(I^2) brute-force
   oracle written from the register file's definition (and against the
   hardware model's :class:`NBestRegisterFile` itself).
-* Structural counts: the flat ``searchsorted`` lookups against the stepwise
-  walk on delta-patched columns -- extra ``PAD_ID`` columns left by
-  ``TypeColumns.with_rows`` and a full-width last row whose lookups land past
-  the end of the key vector -- for both attribute-search modes and the
-  divider variant.
+* Structural counts: the per-type attribute table against the attribute
+  lists, and the vectorized counts against the stepwise walk on
+  delta-patched columns -- extra ``PAD_ID`` columns left by
+  ``TypeColumns.with_rows`` and a full-width last row -- for both
+  attribute-search modes and the divider variant.
 * The cycle memo: value-exact keys, the delta carry-forward rule, the bound,
-  and its separation from the structural cache.
+  and that neither a memo flood nor a delta to another type rebuilds a
+  type's table.
 """
 
 import numpy as np
@@ -19,10 +20,7 @@ from repro.core import BoundsTable, CaseBase, FunctionRequest
 from repro.core.case_base import ExecutionTarget, Implementation
 from repro.core.exceptions import UnknownFunctionTypeError
 from repro.cosim.columnar import CYCLE_MEMO_CAPACITY, PAD_ID, ColumnarImage
-from repro.cosim.vectorized import (
-    _compute_structural_counts,
-    _nbest_finalize_cycles,
-)
+from repro.cosim.vectorized import _nbest_finalize_cycles
 from repro.hardware import HardwareConfig, HardwareRetrievalUnit
 from repro.hardware.datapath import NBestRegisterFile
 from repro.memmap.image import CaseBaseImage
@@ -137,12 +135,13 @@ def test_structural_counts_on_patched_columns(restart, divider):
     unit.run_batch(PATCHED_REQUESTS, engine="vectorized")  # decode the columns
     # Shrink implementation 1 (pads its row) and drop nothing else: the row
     # patch keeps the width, so every row now ends in PAD_ID columns except
-    # the full-width last row, whose lookups of ID 7 land past the end.
+    # the full-width last row; ID 7 is above every ID of the type.
     case_base.replace_implementation(
         1, Implementation(1, ExecutionTarget.GPP, {2: 45, 5: 25})
     )
     columns = unit.columnar_image().types[1]
-    assert int(columns.entry_counts.max()) == columns.entry_ids.shape[1]
+    entry_counts = (columns.entry_ids != PAD_ID).sum(axis=1)
+    assert int(entry_counts.max()) == columns.entry_ids.shape[1]
     assert columns.entry_ids[-1, -1] != PAD_ID  # full-width last row
     assert (columns.entry_ids[0, 2:] == PAD_ID).all()
     assert [r.statistics for r in unit.run_batch(PATCHED_REQUESTS, engine="vectorized")] == [
@@ -155,7 +154,7 @@ def test_structural_counts_on_patched_columns(restart, divider):
     # Removing the widest row leaves an extra PAD_ID column in every row.
     case_base.remove_implementation(1, 4)
     columns = unit.columnar_image().types[1]
-    assert int(columns.entry_counts.max()) < columns.entry_ids.shape[1]
+    assert int((columns.entry_ids != PAD_ID).sum(axis=1).max()) < columns.entry_ids.shape[1]
     assert [vars(r.statistics) for r in unit.run_batch(PATCHED_REQUESTS, engine="vectorized")] == (
         _stepwise_statistics(case_base, config, PATCHED_REQUESTS)
     )
@@ -164,33 +163,25 @@ def test_structural_counts_on_patched_columns(restart, divider):
 def test_structural_lookups_match_the_attribute_lists():
     case_base = _patched_case_base()
     unit = HardwareRetrievalUnit(case_base)
-    columnar = unit.columnar_image()
-    columns = columnar.types[1]
-    attribute_ids = (1, 3, 4, 7)
-    for restart in (False, True):
-        structural = _compute_structural_counts(
-            columnar, columns, attribute_ids, restart_search=restart
-        )
-        lists = [
-            case_base.get_type(1).implementations[int(i)].attributes
-            for i in columns.impl_ids
-        ]
+    columns = unit.columnar_image().types[1]
+    table = columns.table
+    lists = [
+        case_base.get_type(1).implementations[int(i)].attributes for i in columns.impl_ids
+    ]
+    stored = sorted({a for attributes in lists for a in attributes})
+    assert table.attribute_ids.tolist() == stored + [PAD_ID]  # sentinel last
+    assert table.present.shape == table.values.shape == (len(stored) + 1, len(lists))
+    assert not table.present[-1].any() and not table.values[-1].any()
+    for column, attribute_id in enumerate(stored + [PAD_ID]):
         for row, attributes in enumerate(lists):
-            for column, attribute_id in enumerate(attribute_ids):
-                assert structural.present[column, row] == (attribute_id in attributes)
-                assert structural.case_values[column, row] == attributes.get(attribute_id, 0)
-        below = [[sum(1 for a in attributes if a < b) for b in attribute_ids] for attributes in lists]
-        pairs = len(lists) * len(attribute_ids)
-        if restart:
-            expected = sum(map(sum, below)) + pairs
-        else:
-            found_before_last = sum(
-                1 for attributes in lists for a in attribute_ids[:-1] if a in attributes
-            )
-            expected = sum(row[-1] for row in below) + pairs - found_before_last
-        assert structural.probe_total == expected
-        assert structural.matched_total == int(structural.present.sum())
-        assert structural.missing_total == pairs - structural.matched_total
+            assert table.present[column, row] == (attribute_id in attributes)
+            assert table.values[column, row] == attributes.get(attribute_id, 0)
+        assert table.holders[column] == sum(attribute_id in a for a in lists)
+        # Insertion index ``column``: sum_i f_i(a) for any ID a it covers.
+        assert table.below[column] == sum(1 for a in lists for b in a if b < attribute_id)
+    for attribute_id in (0, 4, 7, 1 << 16):  # held, and between/above the IDs
+        insertion = int(table.attribute_ids.searchsorted(attribute_id))
+        assert table.below[insertion] == sum(1 for a in lists for b in a if b < attribute_id)
 
 
 # -- the per-request cycle memo --------------------------------------------------
@@ -232,6 +223,7 @@ def test_memo_follows_row_patches_per_type():
     after = unit.columnar_image()
     assert after is not before
     assert after.types[2] is before.types[2]  # reused as it was
+    assert after.types[2].table is before.types[2].table  # with its table
     assert dict(after.cycle_memo) == carried  # type 1 dropped, type 2 kept
     fresh = HardwareRetrievalUnit(case_base, config=HardwareConfig(n_best=2))
     assert unit.predict_cycles([patched, untouched]) == [
@@ -273,26 +265,25 @@ def test_carry_forward_requires_the_same_supplemental_words():
         wider.define(attribute_id, 0, 400)
     rebounded = ColumnarImage(CaseBaseImage(case_base, bounds=wider), previous=columnar)
     assert len(rebounded.cycle_memo) == 0
-    assert len(rebounded.structural_cache) == 0
 
 
-def test_memo_flood_stays_bounded_and_spares_the_structural_cache():
+def test_memo_flood_stays_bounded_and_spares_the_type_tables():
     case_base = _patched_case_base()
     unit = HardwareRetrievalUnit(case_base, config=HardwareConfig(n_best=3))
     hot = FunctionRequest(1, [(1, 60), (3, 40)])
     hot_cycles = unit.predict_cycles([hot])
     columnar = unit.columnar_image()
-    structural = dict(columnar.structural_cache)
-    assert structural
+    tables = {type_id: columns.table for type_id, columns in columnar.types.items()}
     flood = [
         FunctionRequest(1, [(1, value % 200), (3, value // 200)])
         for value in range(CYCLE_MEMO_CAPACITY + 200)
     ]
     for start in range(0, len(flood), 64):
         unit.predict_cycles(flood[start:start + 64])
+    assert unit.columnar_image() is columnar
     assert len(columnar.cycle_memo) == CYCLE_MEMO_CAPACITY
-    for key, entry in structural.items():
-        assert columnar.structural_cache[key] is entry
+    for type_id, table in tables.items():
+        assert columnar.types[type_id].table is table
     assert unit.predict_cycles([hot]) == hot_cycles
 
 

@@ -6,10 +6,13 @@ degrades to a seeded-random parametrized sweep otherwise, matching
 engines' whole contract: over random case bases, random requests and random
 configuration axes, the vectorized engine reproduces the stepwise golden
 models *exactly* -- retrieval decision, ranked list, raw similarities, cycle
-counts, instruction counters and memory-read counters.  Two kernel
+counts, instruction counters and memory-read counters.  Batches mixing attribute counts
+within one type exercise the left-padded type passes, including attributes
+no implementation holds and a type without implementations.  Two kernel
 properties back it: the n-best FINALIZE cascade equals an O(I^2)
-brute-force count, and the flat-``searchsorted`` structural counts stay
-exact on row-patched (``PAD_ID``-widened) columns after random deltas.
+brute-force count, and after random deltas (row patches that pad, shrink
+or widen the columns) every type's attribute table equals the one of a
+fresh decode and the structural counts stay exact.
 """
 
 import random
@@ -114,8 +117,66 @@ def check_finalize_cascade(rows, capacity: int) -> None:
 POOL = list(range(1, 7))
 
 
+def check_padded_batches(
+    seed: int, wide: bool, pipelined: bool, cache: bool, restart: bool, divider: bool,
+    n_best: int, inline: bool,
+) -> None:
+    """Up to 8 requests sharing types, attribute counts 1..len(POOL) mixed.
+
+    Attributes 7 and 8 have bounds but no implementation holds them, and
+    type 3 has no implementations at all.
+    """
+    rng = random.Random(seed)
+    bounds = BoundsTable()
+    for attribute_id in range(1, 9):
+        bounds.define(attribute_id, 0, 100)
+    case_base = CaseBase(bounds=bounds)
+    for type_id in (1, 2):
+        function_type = case_base.add_type(type_id)
+        for implementation_id in range(1, rng.randint(2, 6)):
+            attributes = rng.sample(POOL, rng.randint(1, len(POOL)))
+            function_type.add(Implementation(
+                implementation_id, ExecutionTarget.GPP,
+                {a: rng.randint(0, 100) for a in attributes},
+            ))
+    case_base.add_type(3)
+    requests = [
+        FunctionRequest(rng.choice((1, 1, 2, 3)), [
+            (a, rng.randint(0, 100), rng.randint(1, 5))
+            for a in sorted(rng.sample(range(1, 9), rng.randint(1, 8)))
+        ])
+        for _ in range(rng.randint(1, 8))
+    ]
+    hardware = HardwareRetrievalUnit(case_base, config=HardwareConfig(
+        wide_attribute_fetch=wide, pipelined_datapath=pipelined, cache_reciprocals=cache,
+        restart_attribute_search=restart, use_divider=divider, n_best=n_best,
+    ))
+    golden = hardware.run_batch(requests, engine="stepwise")
+    for stepwise, vectorized in zip(golden, hardware.run_batch(requests, engine="vectorized")):
+        assert stepwise.best_id == vectorized.best_id
+        assert stepwise.ranked == vectorized.ranked
+        assert stepwise.statistics == vectorized.statistics
+    assert hardware.predict_cycles(requests) == [result.cycles for result in golden]
+    for cost_model in (microblaze_cost_model(), microblaze_soft_multiply_model()):
+        software = SoftwareRetrievalUnit(case_base, cost_model=cost_model, inline_helpers=inline)
+        golden = software.run_batch(requests, engine="stepwise")
+        for stepwise, vectorized in zip(golden, software.run_batch(requests, engine="vectorized")):
+            assert stepwise.best_id == vectorized.best_id
+            assert stepwise.statistics == vectorized.statistics
+            assert stepwise.counters.counts == vectorized.counters.counts
+        assert software.predict_cycles(requests) == [result.cycles for result in golden]
+
+
+def assert_tables_equal(live, fresh) -> None:
+    for name in ("attribute_ids", "present", "values", "holders", "below"):
+        live_array, fresh_array = getattr(live, name), getattr(fresh, name)
+        assert live_array.dtype == fresh_array.dtype, name
+        assert np.array_equal(live_array, fresh_array), name
+
+
 def check_structural_after_deltas(seed: int, restart: bool, divider: bool) -> None:
-    """Row patches (shrinks, removals, inserts) then stepwise == vectorized."""
+    """Row patches (shrinks, widenings, removals, inserts), then every type
+    table equals a fresh decode's and stepwise == vectorized."""
     rng = random.Random(seed)
     bounds = BoundsTable()
     for attribute_id in POOL:
@@ -142,11 +203,17 @@ def check_structural_after_deltas(seed: int, restart: bool, divider: bool) -> No
         implementations = case_base.implementations(type_id)
         victim = rng.choice(implementations)
         choice = rng.random()
-        if choice < 0.5:  # shrink: leaves PAD_ID columns in the patched row
+        if choice < 0.35:  # shrink: leaves PAD_ID columns in the patched row
             keep = rng.sample(sorted(victim.attributes), rng.randint(1, len(victim.attributes)))
             case_base.replace_implementation(type_id, Implementation(
                 victim.implementation_id, victim.target,
                 {a: rng.randint(0, 100) for a in keep},
+            ))
+        elif choice < 0.55:  # widen: may outgrow the columns' pad width
+            grown = rng.sample(POOL, rng.randint(len(victim.attributes), len(POOL)))
+            case_base.replace_implementation(type_id, Implementation(
+                victim.implementation_id, victim.target,
+                {a: rng.randint(0, 100) for a in grown},
             ))
         elif choice < 0.75 and len(implementations) > 1:
             case_base.remove_implementation(type_id, victim.implementation_id)
@@ -156,7 +223,12 @@ def check_structural_after_deltas(seed: int, restart: bool, divider: bool) -> No
                 min(set(range(1, 20)) - taken), ExecutionTarget.DSP,
                 {a: rng.randint(0, 100) for a in rng.sample(POOL, rng.randint(1, 3))},
             ))
+        live = unit.columnar_image()
         fresh = HardwareRetrievalUnit(case_base, config=config)
+        decoded = fresh.columnar_image()
+        assert live.types.keys() == decoded.types.keys()
+        for type_id, columns in decoded.types.items():
+            assert_tables_equal(live.types[type_id].table, columns.table)
         golden = fresh.run_batch(requests, engine="stepwise")
         assert [r.statistics for r in unit.run_batch(requests, engine="vectorized")] == [
             r.statistics for r in golden
@@ -196,6 +268,22 @@ if HAVE_HYPOTHESIS:
     def test_software_engines_exact(seed, salt, inline, soft_multiply):
         check_software_exact(seed, salt, inline, soft_multiply)
 
+    @COMMON
+    @given(
+        seed=st.integers(0, 10_000),
+        wide=st.booleans(),
+        pipelined=st.booleans(),
+        cache=st.booleans(),
+        restart=st.booleans(),
+        divider=st.booleans(),
+        n_best=st.integers(1, 8),
+        inline=st.booleans(),
+    )
+    def test_padded_type_passes_exact(
+        seed, wide, pipelined, cache, restart, divider, n_best, inline
+    ):
+        check_padded_batches(seed, wide, pipelined, cache, restart, divider, n_best, inline)
+
     @settings(max_examples=150, deadline=None)
     @given(
         data=st.data(),
@@ -231,6 +319,14 @@ else:  # pragma: no cover - fallback sweep without hypothesis
     def test_software_engines_exact(seed):
         check_software_exact(
             seed, salt=seed * 5, inline=seed % 2 == 0, soft_multiply=seed % 3 == 0
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_padded_type_passes_exact(seed):
+        check_padded_batches(
+            seed, wide=seed % 2 == 0, pipelined=seed % 3 == 0, cache=seed % 2 == 1,
+            restart=seed % 4 == 0, divider=seed % 3 == 1, n_best=(seed % 4) + 1,
+            inline=seed % 2 == 1,
         )
 
     @pytest.mark.parametrize("seed", range(8))
