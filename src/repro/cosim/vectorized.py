@@ -278,16 +278,17 @@ def _type_pass(
     column = np.where(table.attribute_ids[insertion] == ids, insertion, sentinel)
     held = table.holders[column]
     matched = held.sum(axis=1).tolist()
-    attributes_per_request = [count * implementation_count for count in lengths]
+    # (implementation, request attribute) pairs per request
+    pairs = [count * implementation_count for count in lengths]
     if restart_search:
         below = table.below[insertion].sum(axis=1).tolist()
-        probes = [f + pairs for f, pairs in zip(below, attributes_per_request)]
+        probes = [f + p for f, p in zip(below, pairs)]
     else:
         below = table.below[insertion[:, -1]].tolist()
         held_last = held[:, -1].tolist()
         probes = [
-            f + pairs - (found - found_last)
-            for f, pairs, found, found_last in zip(below, attributes_per_request, matched, held_last)
+            f + p - (found - found_last)
+            for f, p, found, found_last in zip(below, pairs, matched, held_last)
         ]
     batch_size = len(lengths)
     if implementation_count:
@@ -302,7 +303,7 @@ def _type_pass(
         _Counts,
         lengths,
         matched,
-        [pairs - found for pairs, found in zip(attributes_per_request, matched)],
+        [p - found for p, found in zip(pairs, matched)],
         probes,
         supplemental_last,
     ))
