@@ -49,8 +49,9 @@ def interleaved_best_of(runs, *functions, clock=time.perf_counter):
     burst of host load lands on all sides of a ratio gate alike instead of
     on whichever side happened to be timing when it struck.  ``clock``
     defaults to wall time; ``time.thread_time`` counts only the calling
-    thread's CPU time, which other processes on a busy host cannot inflate
-    (valid when the functions do all their work in the calling thread).
+    thread's CPU time, leaving out the time it waits descheduled while other
+    processes run (valid when the functions do all their work in the
+    calling thread).
     """
     best = [float("inf")] * len(functions)
     results = [None] * len(functions)

@@ -16,7 +16,7 @@ attributes):
   faster with delta propagation than on the pre-delta full-rebuild path,
   with bit-identical rankings and cycle counts.  Every pass runs in the
   calling thread and is timed in its CPU time (``time.thread_time``), so
-  load from other processes on the host does not skew the ratio;
+  time spent descheduled while other processes run does not count;
 * the pre-delta baseline is reproduced faithfully: caches are invalidated
   after every mutation (``invalidate_cache()`` / ``invalidate()`` is
   exactly the old revision-keyed behaviour), and the image's compact-tree encoding -- which the pre-delta

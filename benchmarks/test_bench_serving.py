@@ -11,8 +11,8 @@ the shape the vectorized backend's signature grouping is built for:
 * micro-batched serving (``max_batch=128``) must beat one-at-a-time serving
   (``max_batch=1``) by at least :data:`SPEEDUP_GATE` in throughput, with
   identical per-request outcomes.  Both sides replay in the calling thread
-  and are timed in its CPU time (``time.thread_time``), so load from other
-  processes on the host does not skew the ratio;
+  and are timed in its CPU time (``time.thread_time``), so time spent
+  descheduled while other processes run does not count;
 * under a saturating deadline the admission gate triages deterministically.
 
 Setting ``BENCH_SERVING_JSON=<path>`` records the measured numbers as a JSON
