@@ -149,9 +149,9 @@ def test_incremental_retain_speedup_gate(benchmark, table3_generator):
 
     # The fast path must actually have engaged: every mutation absorbed
     # incrementally, never through a silent full rebuild.
-    assert engine.backend.tracker.incremental_count >= RETAIN_COUNT
+    assert engine.case_base.type_tables.tracker.incremental_count >= RETAIN_COUNT
     assert hardware._tracker.incremental_count >= RETAIN_COUNT
-    assert engine.backend.tracker.rebuild_count <= 1  # the initial build only
+    assert engine.case_base.type_tables.tracker.rebuild_count <= 1  # the initial build only
     assert hardware._tracker.rebuild_count == 0  # built eagerly in __init__
 
     speedup = full_seconds / incremental_seconds

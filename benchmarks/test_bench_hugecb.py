@@ -10,7 +10,7 @@ The ISSUE-10 acceptance criteria at >= 10^5 implementations:
   the screen can prove nothing) its overhead must stay bounded;
 * reopening a persisted :class:`~repro.memmap.ImageStore` image must be
   O(types), not O(implementations): dramatically cheaper than re-encoding
-  the vectorized matrices, and near-constant across case-base sizes.
+  the per-type tables, and near-constant across case-base sizes.
 
 All measurements are recorded into ``BENCH_hugecb.json`` when
 ``BENCH_HUGECB_JSON`` names a path (CI's hugecb-smoke lane refreshes the
@@ -24,7 +24,6 @@ import pytest
 from repro.apps import HugeCaseBaseWorkload, build_case_base
 from repro.core import RetrievalEngine
 from repro.core.attributes import AttributeSchema, BoundsTable
-from repro.core.backends import _TypeMatrices
 from repro.core.case_base import CaseBase, ExecutionTarget, Implementation
 from repro.core.request import FunctionRequest
 from repro.memmap import ImageStore
@@ -197,13 +196,15 @@ def test_memmap_reopen_is_constant_time(benchmark, workload_setup, tmp_path):
     )
     quarter = build_case_base([quarter_workload])
 
+    def encode():
+        tables = case_base.type_tables
+        tables.invalidate()  # encode every type afresh
+        return [tables.table(t.type_id) for t in case_base.sorted_types()]
+
     def measure():
-        encode_seconds, matrices = gating.best_of(1, lambda: {
-            function_type.type_id: _TypeMatrices(function_type.sorted_implementations())
-            for function_type in case_base.sorted_types()
-        })
+        encode_seconds, _ = gating.best_of(1, encode)
         store = ImageStore(tmp_path / "full")
-        save_seconds, _ = gating.best_of(1, lambda: store.save(case_base, matrices=matrices))
+        save_seconds, _ = gating.best_of(1, lambda: store.save(case_base))  # reuses the tables
         reopen_seconds, reopened = gating.best_of(3, lambda: store.open(case_base))
         quarter_store = ImageStore(tmp_path / "quarter")
         quarter_store.save(quarter)
@@ -215,7 +216,7 @@ def test_memmap_reopen_is_constant_time(benchmark, workload_setup, tmp_path):
     )
     assert reopened is not None
 
-    # The reopened matrices serve bit-identically to a fresh encode.
+    # The reopened tables serve bit-identically to a fresh encode.
     fresh = RetrievalEngine(case_base, backend="vectorized")
     adopted = RetrievalEngine(case_base, backend="vectorized")
     assert reopened.install(adopted)

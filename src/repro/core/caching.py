@@ -1,8 +1,10 @@
 """Shared revision-tracked caching with incremental delta application.
 
-Before this module, three layers (the vectorized retrieval backend, and the
-cosim columnar image plus encoded memory images of the hardware/software
-units) each hand-rolled the same pattern::
+Every state derived from a case base -- its one columnar image
+(:class:`~repro.core.columnar.TypeTables`, read by the vectorized retrieval
+backend and the vectorized cycle engines), the encoded CB-MEM images of the
+hardware/software units, the serving engine's screens -- once hand-rolled
+the same pattern::
 
     self._revision = -1
     ...

@@ -19,11 +19,16 @@ from __future__ import annotations
 import copy
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from .attributes import AttributeBounds, AttributeSchema, BoundsTable, Number
 from .deltas import CaseBaseDelta, DeltaKind, DeltaLog
 from .exceptions import CaseBaseError, DuplicateEntryError, UnknownFunctionTypeError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
+    from .columnar import TypeTables
 
 
 class ExecutionTarget(enum.Enum):
@@ -227,6 +232,17 @@ class CaseBase:
         #: (:class:`~repro.core.caching.RevisionTrackedCache` consumers) patch
         #: their derived state incrementally instead of rebuilding.
         self.delta_log = DeltaLog()
+        self._type_tables: Optional["TypeTables"] = None
+
+    @property
+    def type_tables(self) -> "TypeTables":
+        """The case base's one columnar image (:mod:`repro.core.columnar`),
+        shared by every retrieval backend and cycle engine reading it."""
+        if self._type_tables is None:
+            from .columnar import TypeTables
+
+            self._type_tables = TypeTables(self)
+        return self._type_tables
 
     # -- structure manipulation -------------------------------------------------
 

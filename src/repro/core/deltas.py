@@ -3,10 +3,12 @@
 The paper defers "dynamic update mechanisms of Case-Base data structures ...
 enabling for a self-learning system" to future work; :mod:`repro.core.learning`
 models that revise/retain cycle, but until this module every accelerated
-consumer (vectorized backend matrices, the cosim columnar image, the encoded
-hardware/software memory images) kept a private cache keyed to
+consumer kept a private cache keyed to
 :attr:`~repro.core.case_base.CaseBase.revision` and rebuilt from scratch on
-*any* change -- O(case base) per retained case.
+*any* change -- O(case base) per retained case.  Today the consumers are the
+case base's one columnar image (:mod:`repro.core.columnar`, patched once per
+window for the vectorized backend and both vectorized cycle engines) and
+each retrieval unit's encoded CB-MEM image.
 
 This module gives mutations structure so consumers can react proportionally:
 

@@ -4,18 +4,16 @@ Mirrors the pluggable-backend design of :mod:`repro.core.backends` for the
 cycle-accurate hardware and software retrieval models: the stepwise models
 remain the golden reference, and :class:`VectorizedCycleEngine` reproduces
 their results *and* their exact cycle/instruction/memory-read counters from
-columnar NumPy arrays, orders of magnitude faster on scenario-scale batches.
+the case base's shared columnar image (:mod:`repro.core.columnar`), orders
+of magnitude faster on scenario-scale batches.
 """
 
-from .columnar import ColumnarImage, TypeColumns
 from .engine import CycleEngine, StepwiseCycleEngine, resolve_cycle_engine
 from .vectorized import VectorizedCycleEngine
 
 __all__ = [
-    "ColumnarImage",
     "CycleEngine",
     "StepwiseCycleEngine",
-    "TypeColumns",
     "VectorizedCycleEngine",
     "resolve_cycle_engine",
 ]

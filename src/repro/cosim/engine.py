@@ -12,8 +12,9 @@ image one access at a time) stay the golden reference, and a
   path that reproduces results *and* cycle/instruction/memory counters
   exactly (see that module for the accounting derivation).
 
-Engines are stateless; all cached state (decoded columnar image, encoded
-requests) lives on the retrieval units, keyed to the case-base revision.
+Engines are stateless; all cached state lives on the retrieval units
+(encoded images, cycle memo, encoded requests) or on the case base (its
+shared columnar image), keyed to the case-base revision.
 """
 
 from __future__ import annotations

@@ -32,9 +32,11 @@ Three kernels keep the per-request cost low:
 
 * **One pass per function type.**  A batch's memo misses are grouped by
   type alone; their request blocks are left-padded to the group's widest
-  request and priced together against the type's dense attribute table
-  (:class:`~repro.cosim.columnar.TypeTable`: one column per stored
-  attribute ID in ascending order plus an all-absent sentinel).  An
+  request and priced together against the type's dense attribute table in
+  the case base's shared columnar image
+  (:class:`~repro.core.columnar.TypeTable`: one column per stored
+  attribute ID in ascending order plus an all-absent sentinel; its float
+  values equal the integral 16-bit CB-MEM words).  An
   attribute's insertion index in the type's short ID vector gives its
   column and its ``f_i(a)`` total by gathers and a prefix sum, so the
   structural counts, the similarity kernel and FINALIZE run over the
@@ -47,11 +49,11 @@ Three kernels keep the per-request cost low:
   ``n`` vectorized passes, O(``n * I``) instead of an ``I x I`` comparison.
 * **A per-request exact-cycle memo.**  ``hardware_cycles``/``software_cycles``
   map ``(model configuration, encoded request words)`` to cycles in a bounded
-  LRU map on the :class:`~repro.cosim.columnar.ColumnarImage`, consulted
-  before any grouping, so a batch of repeated requests does no NumPy work.
-  Delta windows keep an entry only when its type's arrays were reused
-  unchanged and the supplemental list is untouched; any other window, and
-  every full rebuild, drops it.  The full-result paths
+  LRU map on the unit's :class:`~repro.memmap.image.DeltaTrackedImage`,
+  consulted before any grouping, so a batch of repeated requests does no
+  NumPy work.  A delta window drops the entries of every type it touches
+  or moves in the level-0 list; a full rebuild (also any supplemental
+  change) drops them all.  The full-result paths
   (``hardware_batch``/``software_batch``) and the stepwise golden path are
   never memoised.
 """
@@ -71,6 +73,7 @@ from ..core.exceptions import (
     SoftwareModelError,
     UnknownFunctionTypeError,
 )
+from ..core.columnar import TypeTable
 from ..core.request import FunctionRequest
 from ..fixedpoint.vectorized import (
     divide_fraction_array,
@@ -92,7 +95,7 @@ from ..software.retrieval_sw import (
     SoftwareRetrievalUnit,
     SoftwareStatistics,
 )
-from .columnar import CYCLE_MEMO_CAPACITY, ColumnarImage, TypeColumns
+from ..memmap.image import CYCLE_MEMO_CAPACITY, DeltaTrackedImage
 from .engine import CycleEngine
 
 
@@ -108,7 +111,9 @@ _PAD_BLOCK = (-1, 0, 0)
 class _TypeGroup:
     """The batch's requests for one function type, in request order."""
 
-    columns: TypeColumns
+    table: TypeTable
+    #: 0-based position of the type's block in the level-0 list.
+    position: int
     member_indices: List[int] = field(default_factory=list)
     #: Encoded word image per member.
     words: List[Tuple[int, ...]] = field(default_factory=list)
@@ -142,7 +147,7 @@ class _TypePass:
 
 
 def _prepare_groups(
-    columnar: ColumnarImage,
+    image: DeltaTrackedImage,
     encoded_requests: Iterable[Tuple[int, ...]],
     missing_bounds_error: Callable[[str], Exception],
 ) -> List[_TypeGroup]:
@@ -157,16 +162,18 @@ def _prepare_groups(
     """
     groups: Dict[int, _TypeGroup] = {}
     checked = set()
-    supplemental_index = columnar.supplemental_index
+    supplemental_index = image.supplemental_index
     for index, words in enumerate(encoded_requests):
         type_id = words[0]
         group = groups.get(type_id)
         if group is None:
-            columns = columnar.types.get(type_id)
-            if columns is None:
+            position = image.positions.get(type_id)
+            if position is None:
                 raise UnknownFunctionTypeError(type_id)
-            group = groups[type_id] = _TypeGroup(columns)
-        if group.columns.implementation_count:
+            group = groups[type_id] = _TypeGroup(
+                image.tables.table(type_id, current=True), position
+            )
+        if group.table.implementation_count:
             ids = words[1:-1:REQUEST_BLOCK_WORDS]
             if (type_id, ids) not in checked:
                 for attribute_id in ids:
@@ -181,14 +188,14 @@ def _prepare_groups(
 
 
 def _memoized_cycles(
-    columnar: ColumnarImage,
+    image: DeltaTrackedImage,
     model_key: Hashable,
     requests: Sequence[FunctionRequest],
     encode: Callable[[FunctionRequest], Sequence[int]],
     missing_bounds_error: Callable[[str], Exception],
     price_group: Callable[[_TypeGroup], List[int]],
 ) -> List[int]:
-    """Exact cycles per request through the columnar image's cycle memo.
+    """Exact cycles per request through the unit image's cycle memo.
 
     A cycle count is a pure function of the encoded request words, the
     model configuration (``model_key``) and the image, so the memo maps
@@ -197,18 +204,18 @@ def _memoized_cycles(
     grouped by type and priced by ``price_group`` one type pass each (which
     returns one count per member, in member order).  Only successfully
     priced requests enter the memo; it is a bounded LRU map
-    (:data:`~repro.cosim.columnar.CYCLE_MEMO_CAPACITY`), carried forward
-    across delta windows for types whose arrays were reused unchanged and
-    dropped whole when the supplemental list changes.
+    (:data:`~repro.memmap.image.CYCLE_MEMO_CAPACITY`) whose entries
+    :class:`~repro.memmap.image.DeltaTrackedImage` drops per type as delta
+    windows touch or move the type, and whole on a full rebuild.
     """
     try:
         keys = [(model_key, encode(request)) for request in requests]
     except ReproError:
         # Raise what the in-order walk raises first: an earlier request may
         # fail validation before this one fails to encode.
-        _prepare_groups(columnar, map(encode, requests), missing_bounds_error)
+        _prepare_groups(image, map(encode, requests), missing_bounds_error)
         raise
-    memo = columnar.cycle_memo
+    memo = image.cycle_memo
     cycles: List[Optional[int]] = [None] * len(keys)
     misses: List[int] = []
     for index, key in enumerate(keys):
@@ -220,7 +227,7 @@ def _memoized_cycles(
             cycles[index] = count
     if misses:
         groups = _prepare_groups(
-            columnar, [keys[index][1] for index in misses], missing_bounds_error
+            image, [keys[index][1] for index in misses], missing_bounds_error
         )
         for group in groups:
             for member, count in zip(group.member_indices, price_group(group)):
@@ -237,7 +244,7 @@ _EMPTY_REGISTER = np.iinfo(np.int64).min
 
 
 def _type_pass(
-    columnar: ColumnarImage,
+    image: DeltaTrackedImage,
     group: _TypeGroup,
     *,
     restart_search: bool,
@@ -261,8 +268,8 @@ def _type_pass(
     a_{R-1})``) and the supplemental walk read; the restart ablation sums
     ``f_i`` over all slots instead.
     """
-    table = group.columns.table
-    implementation_count = group.columns.implementation_count
+    table = group.table
+    implementation_count = table.implementation_count
     lengths = [len(words) // REQUEST_BLOCK_WORDS for words in group.words]
     width = max(lengths)
     block = np.array(
@@ -294,7 +301,7 @@ def _type_pass(
     if implementation_count:
         # Every ID has a supplemental entry (checked by _prepare_groups);
         # padded slots land on position 0.
-        positions = columnar.supplemental_ids.searchsorted(ids)
+        positions = image.supplemental_ids.searchsorted(ids)
         supplemental_last = positions[:, -1].tolist()
     else:
         # Nothing is ever scored: the supplemental list is never walked.
@@ -310,11 +317,12 @@ def _type_pass(
     branches = [(0, 0, 0)] * batch_size
     if score and implementation_count:
         constants = (
-            columnar.supplemental_divisors if use_divider
-            else columnar.supplemental_reciprocals
+            image.supplemental_divisors if use_divider
+            else image.supplemental_reciprocals
         )[positions]
+        # The float plane holds the integral 16-bit words exactly.
         similarities, negative, clamped, saturated = _similarity_kernel(
-            table.present[column], table.values[column],
+            table.present[column], table.values[column].astype(np.int64),
             block[:, :, 1], block[:, :, 2], constants,
             use_divider=use_divider,
             fraction_fmt=fraction_fmt,
@@ -434,11 +442,11 @@ class VectorizedCycleEngine(CycleEngine):
 
     @staticmethod
     def _hardware_pass(
-        unit: HardwareRetrievalUnit, columnar: ColumnarImage, group: _TypeGroup, *, score: bool
+        unit: HardwareRetrievalUnit, image: DeltaTrackedImage, group: _TypeGroup, *, score: bool
     ) -> _TypePass:
         config = unit.config
         return _type_pass(
-            columnar, group,
+            image, group,
             restart_search=config.restart_attribute_search,
             use_divider=config.use_divider,
             fraction_fmt=unit.fraction_format,
@@ -454,15 +462,15 @@ class VectorizedCycleEngine(CycleEngine):
             raise HardwareModelError(
                 "FSM tracing requires the stepwise cycle engine (engine='stepwise')"
             )
-        columnar = unit.columnar_image()
+        image = unit.pricing_image()
         groups = _prepare_groups(
-            columnar, map(unit.encoded_request_words, requests), HardwareModelError
+            image, map(unit.encoded_request_words, requests), HardwareModelError
         )
         results: List[HardwareRetrievalResult] = [None] * len(requests)  # type: ignore[list-item]
         for group in groups:
-            columns = group.columns
-            implementation_count = columns.implementation_count
-            priced = self._hardware_pass(unit, columnar, group, score=True)
+            table = group.table
+            implementation_count = table.implementation_count
+            priced = self._hardware_pass(unit, image, group, score=True)
             similarities = priced.similarities
             if implementation_count:
                 best_indices = np.argmax(similarities, axis=1).tolist()
@@ -481,7 +489,7 @@ class VectorizedCycleEngine(CycleEngine):
                 ranked_orders = None
             rows = zip(
                 group.member_indices, priced.counts,
-                self._hardware_costs(config, columns, priced.counts),
+                self._hardware_costs(config, group, priced.counts),
                 finalize_cycles, best_updates, best_indices,
             )
             for row, (index, counts, costs, finalize, updates, best_index) in enumerate(rows):
@@ -497,7 +505,7 @@ class VectorizedCycleEngine(CycleEngine):
                     best_updates=updates,
                 )
                 results[index] = self._assemble_hardware(
-                    unit, columns, statistics, similarities[row], best_index,
+                    unit, table, statistics, similarities[row], best_index,
                     None if ranked_orders is None else ranked_orders[row],
                 )
         return results
@@ -522,28 +530,28 @@ class VectorizedCycleEngine(CycleEngine):
             raise HardwareModelError(
                 "FSM tracing requires the stepwise cycle engine (engine='stepwise')"
             )
-        columnar = unit.columnar_image()
+        image = unit.pricing_image()
 
         def price(group: _TypeGroup) -> List[int]:
-            priced = self._hardware_pass(unit, columnar, group, score=config.n_best > 1)
-            costs = self._hardware_costs(config, group.columns, priced.counts)
+            priced = self._hardware_pass(unit, image, group, score=config.n_best > 1)
+            costs = self._hardware_costs(config, group, priced.counts)
             if config.n_best > 1:
                 finalize = _nbest_finalize_cycles(priced.similarities, config.n_best).tolist()
             else:
-                finalize = [group.columns.implementation_count] * len(costs)
+                finalize = [group.table.implementation_count] * len(costs)
             return [terms[-1] + cycles for terms, cycles in zip(costs, finalize)]
 
         # The configuration's field values: a plain tuple hashes in C, the
         # dataclass's generated ``__hash__`` in Python on every lookup.
         model_key = tuple(vars(config).values())
         return _memoized_cycles(
-            columnar, model_key, requests, unit.encoded_request_words,
+            image, model_key, requests, unit.encoded_request_words,
             HardwareModelError, price,
         )
 
     @staticmethod
     def _hardware_costs(
-        config: HardwareConfig, columns: TypeColumns, counts: List[_Counts]
+        config: HardwareConfig, group: _TypeGroup, counts: List[_Counts]
     ) -> List[Tuple[int, int, int, int]]:
         """``(case_base_reads, request_reads, supplemental_probes,
         base_cycles)`` per request of one type pass.
@@ -555,7 +563,7 @@ class VectorizedCycleEngine(CycleEngine):
         source of truth for :meth:`hardware_batch` and the cycles-only
         prediction fast path (:meth:`hardware_cycles`).
         """
-        implementation_count = columns.implementation_count
+        implementation_count = group.table.implementation_count
         walkers = (
             min(implementation_count, 1) if config.cache_reciprocals else implementation_count
         )
@@ -567,7 +575,7 @@ class VectorizedCycleEngine(CycleEngine):
             compute_cycles = compute_cycles - 1 + HardwareConfig.DIVIDER_CYCLES
         accumulate_cycles = 1 if config.pipelined_datapath else 2
         list_reads = (
-            (columns.position + 2)  # level-0 search incl. pointer load
+            (group.position + 2)  # level-0 search incl. pointer load
             + (2 * implementation_count + 1)  # implementation ID/pointer loads + terminator
         )
         costs = []
@@ -604,26 +612,26 @@ class VectorizedCycleEngine(CycleEngine):
     @staticmethod
     def _assemble_hardware(
         unit: HardwareRetrievalUnit,
-        columns: TypeColumns,
+        table: TypeTable,
         statistics: HardwareStatistics,
         similarities: np.ndarray,
         best_index: int,
         ranked_order: Optional[np.ndarray],
     ) -> HardwareRetrievalResult:
-        if columns.implementation_count:
-            best_id = int(columns.impl_ids[best_index])
+        if table.implementation_count:
+            best_id = int(table.impl_ids[best_index])
             best_raw = int(similarities[best_index])
         else:
             best_id, best_raw = 0, -1
         if ranked_order is not None:
             ranked = [
-                (int(columns.impl_ids[int(i)]), int(similarities[int(i)]))
+                (int(table.impl_ids[int(i)]), int(similarities[int(i)]))
                 for i in ranked_order
             ]
         else:
             ranked = [(best_id, best_raw)] if best_raw >= 0 else []
         return HardwareRetrievalResult(
-            type_id=columns.type_id,
+            type_id=table.type_id,
             best_id=best_id,
             best_similarity_raw=max(best_raw, 0),
             ranked=ranked,
@@ -637,7 +645,7 @@ class VectorizedCycleEngine(CycleEngine):
 
     @staticmethod
     def _software_pass(
-        unit: SoftwareRetrievalUnit, columnar: ColumnarImage, group: _TypeGroup
+        unit: SoftwareRetrievalUnit, image: DeltaTrackedImage, group: _TypeGroup
     ) -> Tuple[_TypePass, List[int]]:
         """One type pass plus each request's best-update count.
 
@@ -646,14 +654,14 @@ class VectorizedCycleEngine(CycleEngine):
         so the similarity kernel always runs.
         """
         priced = _type_pass(
-            columnar, group,
+            image, group,
             restart_search=False,
             use_divider=False,
             fraction_fmt=unit.fraction_format,
             score=True,
             count_branches=True,
         )
-        if group.columns.implementation_count:
+        if group.table.implementation_count:
             improved = prefix_maxima_count(priced.similarities).tolist()
         else:
             improved = [0] * len(group.member_indices)
@@ -662,23 +670,22 @@ class VectorizedCycleEngine(CycleEngine):
     def software_batch(
         self, unit: SoftwareRetrievalUnit, requests: Sequence[FunctionRequest]
     ) -> List[SoftwareRetrievalResult]:
-        columnar = unit.columnar_image()
+        image = unit.pricing_image()
         groups = _prepare_groups(
-            columnar, map(unit.encoded_request_words, requests), SoftwareModelError
+            image, map(unit.encoded_request_words, requests), SoftwareModelError
         )
         results: List[SoftwareRetrievalResult] = [None] * len(requests)  # type: ignore[list-item]
         for group in groups:
-            columns = group.columns
-            priced, improved = self._software_pass(unit, columnar, group)
+            priced, improved = self._software_pass(unit, image, group)
             similarities = priced.similarities
-            if columns.implementation_count:
+            if group.table.implementation_count:
                 best_indices = np.argmax(similarities, axis=1).tolist()
             else:
                 best_indices = [0] * len(group.member_indices)
             rows = zip(group.member_indices, priced.counts, priced.branches, improved, best_indices)
             for row, (index, counts, branches, updates, best_index) in enumerate(rows):
                 results[index] = self._assemble_software(
-                    unit, columns, counts, branches, updates, similarities[row], best_index
+                    unit, group, counts, branches, updates, similarities[row], best_index
                 )
         return results
 
@@ -694,14 +701,14 @@ class VectorizedCycleEngine(CycleEngine):
         the per-request cycle memo (:func:`_memoized_cycles`).
         Differentially tested against the stepwise golden walk.
         """
-        columnar = unit.columnar_image()
+        image = unit.pricing_image()
         cost_model = unit.cost_model
 
         def price(group: _TypeGroup) -> List[int]:
-            priced, improved = self._software_pass(unit, columnar, group)
+            priced, improved = self._software_pass(unit, image, group)
             return [
                 self._software_instruction_counters(
-                    unit, group.columns, counts, branches, updates
+                    unit, group, counts, branches, updates
                 )[0].total_cycles(cost_model)
                 for counts, branches, updates in zip(priced.counts, priced.branches, improved)
             ]
@@ -712,14 +719,14 @@ class VectorizedCycleEngine(CycleEngine):
             (kind.value, cost) for kind, cost in cost_model.cycles.items()
         )
         return _memoized_cycles(
-            columnar, model_key, requests, unit.encoded_request_words,
+            image, model_key, requests, unit.encoded_request_words,
             SoftwareModelError, price,
         )
 
     @staticmethod
     def _software_instruction_counters(
         unit: SoftwareRetrievalUnit,
-        columns: TypeColumns,
+        group: _TypeGroup,
         counts: _Counts,
         branches: Tuple[int, int, int],
         improved: int,
@@ -733,8 +740,8 @@ class VectorizedCycleEngine(CycleEngine):
         """
         inline = unit.inline_helpers
         request_count = counts.attributes
-        implementation_count = columns.implementation_count
-        position = columns.position
+        implementation_count = group.table.implementation_count
+        position = group.position
         matched_total = counts.matched
         missing_total = counts.missing
         probe_total = counts.probes
@@ -813,7 +820,7 @@ class VectorizedCycleEngine(CycleEngine):
     @staticmethod
     def _assemble_software(
         unit: SoftwareRetrievalUnit,
-        columns: TypeColumns,
+        group: _TypeGroup,
         counts: _Counts,
         branches: Tuple[int, int, int],
         improved: int,
@@ -822,11 +829,12 @@ class VectorizedCycleEngine(CycleEngine):
     ) -> SoftwareRetrievalResult:
         counters, memory_reads, helper_calls = (
             VectorizedCycleEngine._software_instruction_counters(
-                unit, columns, counts, branches, improved
+                unit, group, counts, branches, improved
             )
         )
-        if columns.implementation_count:
-            best_id = int(columns.impl_ids[best_index])
+        table = group.table
+        if table.implementation_count:
+            best_id = int(table.impl_ids[best_index])
             best_raw = int(similarities[best_index])
         else:
             best_id, best_raw = 0, -1
@@ -834,12 +842,12 @@ class VectorizedCycleEngine(CycleEngine):
             cycles=counters.total_cycles(unit.cost_model),
             instructions=counters.total_instructions(),
             memory_reads=memory_reads,
-            implementations_visited=columns.implementation_count,
+            implementations_visited=table.implementation_count,
             helper_calls=0 if unit.inline_helpers else helper_calls,
             missing_attributes=counts.missing,
         )
         return SoftwareRetrievalResult(
-            type_id=columns.type_id,
+            type_id=table.type_id,
             best_id=best_id,
             best_similarity_raw=max(best_raw, 0),
             statistics=statistics,

@@ -40,7 +40,6 @@ from ..memmap.request_list import EncodedRequest
 from ..memmap.words import END_OF_LIST
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from ..cosim.columnar import ColumnarImage
     from ..cosim.engine import CycleEngine
 from .datapath import (
     AccumulatorUnit,
@@ -199,6 +198,7 @@ class HardwareRetrievalUnit:
             case_base, rebuild=self._rebuild_image, apply=self._apply_deltas
         )
         self._tracker.mark_current()
+        self._delta_image.tables.add_dependent(self._tracker)
         self._components = standard_datapath_components()
         if self.config.use_divider:
             # The divider replaces the reciprocal multiplier (section 4.1's
@@ -215,19 +215,20 @@ class HardwareRetrievalUnit:
         """Refresh the memory image when the case base has mutated.
 
         Shares the :class:`~repro.core.caching.RevisionTrackedCache` protocol
-        with the reference engine's vectorized backend: when the case base's
+        with the case base's shared columnar image: when the case base's
         delta log still covers the window, only the touched types are
-        re-encoded and re-decoded (and the encoded-request cache survives --
-        request encoding is case-base independent); a truncated log or an
-        unstable effective bounds table falls back to the full rebuild.
-        (In-place edits of an :class:`Implementation`'s attribute dict bypass
-        the revision counter, as everywhere else.)
+        re-encoded (and the encoded-request cache survives -- request
+        encoding is case-base independent); a truncated log or an unstable
+        effective bounds table falls back to the full rebuild.  (In-place
+        edits of an :class:`Implementation`'s attribute dict bypass the
+        revision counter, as everywhere else; see :meth:`invalidate`.)
         """
         self._tracker.ensure_current()
 
     def invalidate(self) -> None:
-        """Force a full image rebuild on next use (pre-delta behaviour)."""
-        self._tracker.invalidate()
+        """Force a full rebuild on next use, here and in every other consumer
+        of the case base's shared columnar image (after in-place edits)."""
+        self._delta_image.tables.invalidate()
 
     def _rebuild_image(self) -> None:
         """Full rebuild: re-encode everything, drop derived and request caches."""
@@ -277,10 +278,12 @@ class HardwareRetrievalUnit:
         """The request's encoded word image (cached; used by the cycle engines)."""
         return self._encoded_request(request).words
 
-    def columnar_image(self) -> "ColumnarImage":
-        """Columnar (NumPy) decode of the current image, built once per revision."""
+    def pricing_image(self) -> DeltaTrackedImage:
+        """The current encoded image the vectorized cycle engine prices from
+        (the shared type tables hang off it as ``tables``)."""
         self._ensure_current()
-        return self._delta_image.columnar_image()
+        self._delta_image.tables.tracker.ensure_current()
+        return self._delta_image
 
     def image_word_count(self) -> int:
         """Word count of the current CB-MEM image (refreshed if stale).
@@ -355,8 +358,8 @@ class HardwareRetrievalUnit:
         ``engine`` selects the execution strategy: ``"stepwise"`` runs the
         golden word-at-a-time model per request, ``"vectorized"`` derives
         bit-identical results and exact cycle counters analytically from the
-        columnar image (orders of magnitude faster on large batches), and
-        ``"auto"`` (default) picks the vectorized path unless the
+        case base's columnar image (orders of magnitude faster on large
+        batches), and ``"auto"`` (default) picks the vectorized path unless the
         configuration requires the stepwise walk (FSM tracing).  Result ``i``
         belongs to request ``i``; an erroneous request raises the same
         exception the sequential model raises, and no partial results are

@@ -6,12 +6,19 @@ list, and the request memory (``Req-MEM``) holding the encoded request.
 :class:`CaseBaseImage` builds both images from high-level objects and reports
 their footprints (Table 3); :func:`build_memories` instantiates the
 :class:`~repro.memmap.ram.RamBlock` objects the cycle-accurate model reads.
+:class:`DeltaTrackedImage` keeps one retrieval unit's image current across
+case-base delta windows, together with what the vectorized cycle engines
+need besides the case base's shared type tables: level-0 positions, the
+supplemental list's arrays and the per-request cycle memo.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..core.attributes import BoundsTable
 from ..core.case_base import CaseBase
@@ -27,11 +34,16 @@ from .implementation_tree import (
 )
 from .ram import BramBank, RamBlock
 from .request_list import EncodedRequest, encode_request
-from .supplemental_list import EncodedSupplementalList, encode_supplemental
-from .words import WORD_BYTES
+from .supplemental_list import (
+    SUPPLEMENTAL_BLOCK_WORDS,
+    EncodedSupplementalList,
+    encode_supplemental,
+)
+from .words import END_OF_LIST, WORD_BYTES
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from ..cosim.columnar import ColumnarImage
+#: Exact-cycle memo entries kept per unit image (least recently used
+#: evicted first).
+CYCLE_MEMO_CAPACITY = 1024
 
 
 @dataclass(frozen=True)
@@ -166,15 +178,21 @@ class CaseBaseImage:
 class DeltaTrackedImage:
     """Delta-aware maintenance of one retrieval unit's encoded memory state.
 
-    Owns the pieces the hardware and software units share: the segmented
-    tree encoder, the current :class:`CaseBaseImage`, the lazy columnar
-    decode and the delta-application rules (effective-bounds stability,
-    per-type segment re-encode with assembled-buffer splicing, columnar row
-    patching, empty-case-base fallback).  The owning unit keeps only its
-    substrate-specific memory form (CB-MEM :class:`~repro.memmap.ram.RamBlock`
-    vs a flat word list) and its encoded-request cache -- which survives
-    incremental windows, because request encoding never depended on
-    case-base contents.
+    Owns what the hardware and software units share and what depends on
+    their bounds or on the encoding: the segmented tree encoder and the
+    current :class:`CaseBaseImage` (the CB-MEM words of the stepwise walk),
+    each type's level-0 ``position``, the supplemental list's IDs,
+    reciprocals, ``1 + dmax`` divisors and index, and the vectorized
+    engines' per-request cycle memo.  The per-type attribute tables come
+    from the case base's shared columnar image (:attr:`tables`).  The owning
+    unit keeps its substrate-specific memory form (CB-MEM
+    :class:`~repro.memmap.ram.RamBlock` vs a flat word list) and its
+    encoded-request cache.
+
+    Cycle memo rule: a delta window drops the entries of every type it
+    touches or whose level-0 position it shifts (a type added or removed
+    before it); a full rebuild -- including any supplemental change --
+    drops them all.
     """
 
     def __init__(
@@ -186,13 +204,44 @@ class DeltaTrackedImage:
         self.case_base = case_base
         self._bounds = bounds
         self._segments = SegmentedTreeEncoder()
+        #: The case base's shared per-type attribute tables.
+        self.tables = case_base.type_tables
+        #: The vectorized engines' per-request exact-cycle memo,
+        #: ``(model key, encoded request words) -> cycles``, bounded to
+        #: :data:`CYCLE_MEMO_CAPACITY` (least recently used evicted first).
+        self.cycle_memo: "OrderedDict[Tuple, int]" = OrderedDict()
+        self._encode(fraction_format)
+
+    def _encode(self, fraction_format: QFormat) -> None:
+        """Full encode of the words, positions and supplemental arrays."""
         self.image = CaseBaseImage(
-            case_base,
-            bounds=bounds,
+            self.case_base,
+            bounds=self._bounds,
             fraction_format=fraction_format,
-            tree=self._segments.encode_full(case_base),
+            tree=self._segments.encode_full(self.case_base),
         )
-        self.columnar: Optional["ColumnarImage"] = None
+        self.positions = self._segments.positions()
+        ids: List[int] = []
+        reciprocals: List[int] = []
+        divisors: List[int] = []
+        words = self.image.supplemental.words
+        index = 0
+        while words[index] != END_OF_LIST:
+            ids.append(words[index])
+            divisors.append((words[index + 2] - words[index + 1]) + 1)
+            reciprocals.append(words[index + 3])
+            index += SUPPLEMENTAL_BLOCK_WORDS
+        #: Supplemental attribute IDs in (ascending) list order, shape ``(S,)``.
+        self.supplemental_ids = np.array(ids, dtype=np.int64)
+        #: Raw UQ0.16 reciprocals ``1/(1+dmax)`` parallel to the IDs.
+        self.supplemental_reciprocals = np.array(reciprocals, dtype=np.int64)
+        #: ``1 + dmax`` divisors for the iterative-divider design alternative.
+        self.supplemental_divisors = np.array(divisors, dtype=np.int64)
+        #: Attribute ID -> position in the supplemental list.
+        self.supplemental_index: Dict[int, int] = {
+            attribute_id: position for position, attribute_id in enumerate(ids)
+        }
+        self.cycle_memo.clear()
 
     def words(self) -> List[int]:
         """A fresh combined CB-MEM word list (tree then supplemental list).
@@ -210,14 +259,8 @@ class DeltaTrackedImage:
         return self.image.tree.size_words
 
     def rebuild(self) -> None:
-        """Full rebuild: re-encode every type, drop the columnar decode."""
-        self.image = CaseBaseImage(
-            self.case_base,
-            bounds=self._bounds,
-            fraction_format=self.image.fraction_format,
-            tree=self._segments.encode_full(self.case_base),
-        )
-        self.columnar = None
+        """Full rebuild: re-encode every type, drop the whole cycle memo."""
+        self._encode(self.image.fraction_format)
 
     def _bounds_stable(self, summary: DeltaSummary) -> bool:
         """Whether the image's supplemental list provably stays unchanged."""
@@ -230,7 +273,7 @@ class DeltaTrackedImage:
         return deltas_preserve_derived_bounds(summary.deltas, self.image.bounds)
 
     def apply(self, summary: DeltaSummary) -> bool:
-        """Patch image and columnar decode for one delta window.
+        """Patch the image (and the cycle memo) for one delta window.
 
         ``False`` requests the full rebuild instead (empty case base --
         preserving the usual empty-encode error -- or unstable effective
@@ -248,25 +291,16 @@ class DeltaTrackedImage:
             tree=tree,
             supplemental=self.image.supplemental,
         )
-        if self.columnar is not None:
-            from ..cosim.columnar import ColumnarImage
-
-            full_types, row_patches = self._segments.columnar_patches(summary)
-            self.columnar = ColumnarImage(
-                self.image,
-                previous=self.columnar,
-                touched_types=frozenset(full_types),
-                row_patches=row_patches,
-            )
+        previous, self.positions = self.positions, self._segments.positions()
+        stale = set(summary.touched_types)
+        stale.update(
+            type_id
+            for type_id, position in self.positions.items()
+            if previous.get(type_id) != position
+        )
+        for key in [key for key in self.cycle_memo if key[1][0] in stale]:
+            del self.cycle_memo[key]  # key[1][0]: the request's type word
         return True
-
-    def columnar_image(self) -> "ColumnarImage":
-        """Columnar (NumPy) decode of the current image, built on first use."""
-        if self.columnar is None:
-            from ..cosim.columnar import ColumnarImage
-
-            self.columnar = ColumnarImage(self.image)
-        return self.columnar
 
 
 def build_memories(

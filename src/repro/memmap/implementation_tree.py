@@ -469,42 +469,9 @@ class SegmentedTreeEncoder:
             attribute_entry_count=attribute_entry_count,
         )
 
-    def columnar_patches(self, summary):
-        """Split a delta window into full-decode types and per-row patches.
-
-        Returns ``(full_decode_type_ids, row_patches)`` for
-        :class:`~repro.cosim.columnar.ColumnarImage`: implementation events
-        whose encoded attribute lists are cached here become row patches
-        (``impl_id -> encoded (ID, value) pairs``, ``None`` for removals);
-        reset types -- and any event the cache cannot serve -- fall back to
-        the full per-type decode.
-        """
-        full = set(summary.reset_types)
-        patches: Dict[int, Dict[int, Optional[Tuple[Tuple[int, int], ...]]]] = {}
-        for type_id, events in summary.impl_events.items():
-            attribute_words = self._attribute_words.get(type_id)
-            if attribute_words is None:
-                full.add(type_id)
-                continue
-            per_type: Dict[int, Optional[Tuple[Tuple[int, int], ...]]] = {}
-            servable = True
-            for event in events.values():
-                if event.implementation is None:
-                    per_type[event.implementation_id] = None
-                    continue
-                words = attribute_words.get(event.implementation_id)
-                if words is None:
-                    servable = False
-                    break
-                per_type[event.implementation_id] = tuple(
-                    (words[index], words[index + 1])
-                    for index in range(0, len(words) - 1, 2)
-                )
-            if servable:
-                patches[type_id] = per_type
-            else:
-                full.add(type_id)
-        return full, patches
+    def positions(self) -> Dict[int, int]:
+        """Each encoded type's 0-based position in the level-0 list."""
+        return {type_id: position for position, type_id in enumerate(self._order)}
 
     def _assemble(self, case_base: CaseBase) -> EncodedImplementationTree:
         types = case_base.sorted_types()

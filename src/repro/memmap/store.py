@@ -2,20 +2,22 @@
 
 Million-implementation case bases pay their encode cost twice on every
 process start: once for the CB-MEM word image (when it fits the 16-bit
-address space at all) and once for the vectorized backend's per-type
-attribute matrices -- both O(implementations x attributes) Python loops.
+address space at all) and once for the case base's columnar image (the
+per-type :class:`~repro.core.columnar.TypeTable` every vectorized path
+reads) -- both O(implementations x attributes) Python loops.
 :class:`ImageStore` persists the finished artefacts instead:
 
-* each type's ``impl_ids`` / ``values`` / ``present`` matrices land as raw
-  little-endian array files and reopen as zero-copy ``numpy.memmap`` views
-  feeding :meth:`~repro.core.backends._TypeMatrices.from_arrays`;
+* each type table's arrays (implementation IDs, attribute IDs, presence,
+  values, holder and prefix counts; layout 2) land as raw little-endian
+  array files and reopen as zero-copy ``numpy.memmap`` views that
+  :meth:`ReopenedImage.install` seeds into the case base's shared image;
 * the encoded CB-MEM words (implementation tree + supplemental list) land
   as ``uint16`` files and reopen into a
   :class:`~repro.memmap.image.CaseBaseImage` whose address map is walked
   lazily on first access.  Case bases whose tree overflows the hardware's
   16-bit word addressing (roughly 3 000 ten-attribute implementations)
   skip this part automatically -- out-of-core scale is exactly where only
-  the vectorized matrices matter.
+  the columnar tables matter.
 
 The on-disk layout is versioned and keyed: a ``manifest.json`` -- written
 last via the journal's temp-file + fsync + atomic-rename idiom, so a crash
@@ -28,8 +30,8 @@ Array files are prefixed with their revision so a crash between array
 writes and the manifest rename can never corrupt the previous generation.
 
 Reopen cost is O(types + attribute columns), not O(implementations): the
-matrices are mapped, not read, and the per-column absence summaries are
-NumPy reductions over lazily paged memory.  Views are mapped copy-on-write
+tables are mapped, not read, and even their per-column counts are stored.
+Views are mapped copy-on-write
 (``mode="c"``), so later delta patches touch private pages and the store
 stays byte-stable until the next explicit :meth:`ImageStore.save`.
 """
@@ -45,8 +47,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.backends import VectorizedBackend, _TypeMatrices
+from ..core.backends import VectorizedBackend
 from ..core.case_base import CaseBase
+from ..core.columnar import TypeTable
 from ..core.exceptions import EncodingError, ReproError
 from ..fixedpoint.qformat import QFormat
 from .image import CaseBaseImage
@@ -61,15 +64,20 @@ from .words import END_OF_LIST
 
 #: Bump on any incompatible change to the file formats or manifest schema;
 #: stores written by other versions reopen as ``stale``.
-LAYOUT_VERSION = 1
+LAYOUT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 
-#: ``(file suffix, attribute name, dtype)`` of the per-type matrix files.
-_MATRIX_PARTS: Tuple[Tuple[str, str, np.dtype], ...] = (
-    ("ids.i64", "impl_ids", np.dtype("<i8")),
-    ("values.f64", "values", np.dtype("<f8")),
-    ("present.u8", "present", np.dtype("|b1")),
+#: ``(file suffix, attribute name, dtype, 2-D)`` of the per-type table files;
+#: 1-D parts run over implementations (``impl_ids``) or columns, 2-D parts
+#: are ``(columns, implementations)``.
+_TABLE_PARTS: Tuple[Tuple[str, str, np.dtype, bool], ...] = (
+    ("ids.i64", "impl_ids", np.dtype("<i8"), False),
+    ("attributes.i64", "attribute_ids", np.dtype("<i8"), False),
+    ("present.u8", "present", np.dtype("|b1"), True),
+    ("values.f64", "values", np.dtype("<f8"), True),
+    ("holders.i64", "holders", np.dtype("<i8"), False),
+    ("below.i64", "below", np.dtype("<i8"), False),
 )
 
 _WORD_DTYPE = np.dtype("<u2")
@@ -122,26 +130,26 @@ def _tree_address_map(words) -> TreeAddressMap:
 
 @dataclasses.dataclass
 class ReopenedImage:
-    """One successful O(1) reopen: memmap-backed matrices plus CB-MEM image."""
+    """One successful O(1) reopen: memmap-backed type tables plus CB-MEM image."""
 
     revision: int
-    #: ``type_id -> matrices`` views ready for :meth:`VectorizedBackend.
-    #: adopt_matrices` (copy-on-write over the store files).
-    matrices: Dict[int, _TypeMatrices]
+    #: ``type_id -> table`` over copy-on-write views of the store files.
+    tables: Dict[int, TypeTable]
     #: The reopened CB-MEM image, or ``None`` when the store skipped the
     #: word image (tree overflowed 16-bit addressing, or empty case base).
     image: Optional[CaseBaseImage]
 
     def install(self, engine) -> bool:
-        """Seed ``engine``'s vectorized backend with the reopened matrices.
+        """Seed the shared columnar image of ``engine``'s case base.
 
-        Returns ``False`` (and changes nothing) when the engine runs a
-        different backend kind.
+        Every consumer of that case base (this engine's vectorized backend,
+        the retrieval units' cycle engines) then reads the reopened tables
+        instead of encoding its types.  Returns ``False`` (and changes
+        nothing) when the engine runs a backend that reads no tables.
         """
-        backend = engine.backend
-        if not isinstance(backend, VectorizedBackend):
+        if not isinstance(engine.backend, VectorizedBackend):
             return False
-        backend.adopt_matrices(self.matrices)
+        engine.case_base.type_tables.seed(self.tables)
         return True
 
 
@@ -168,14 +176,13 @@ class ImageStore:
         self,
         case_base: CaseBase,
         *,
-        matrices: Optional[Dict[int, _TypeMatrices]] = None,
         include_words: str = "auto",
     ) -> dict:
         """Persist the case base's images; returns the written manifest.
 
-        ``matrices`` may hand over an already-encoded per-type cache (e.g. a
-        live backend's) to skip the re-encode; otherwise each type is encoded
-        fresh.  ``include_words`` selects the CB-MEM word image: ``"auto"``
+        The type tables come from the case base's shared columnar image
+        (types it has not built yet are built there).  ``include_words``
+        selects the CB-MEM word image: ``"auto"``
         drops it silently when the tree cannot encode (address overflow /
         empty case base), ``"always"`` propagates those errors, ``"never"``
         skips it outright.
@@ -228,20 +235,19 @@ class ImageStore:
         keep = {MANIFEST_NAME}
         if image is not None:
             keep.update((f"{prefix}tree.u16", f"{prefix}supplemental.u16"))
+        tables = case_base.type_tables
         for function_type in case_base.sorted_types():
             type_id = function_type.type_id
-            encoded = matrices.get(type_id) if matrices else None
-            if encoded is None:
-                encoded = _TypeMatrices(function_type.sorted_implementations())
+            table = tables.table(type_id)
             entry: Dict[str, object] = {
                 "type_id": type_id,
-                "rows": int(encoded.values.shape[0]),
-                "columns": {str(k): v for k, v in encoded.columns.items()},
+                "rows": table.implementation_count,
+                "columns": int(table.attribute_ids.shape[0]),
                 "files": {},
             }
-            for suffix, attribute, dtype in _MATRIX_PARTS:
+            for suffix, attribute, dtype, _ in _TABLE_PARTS:
                 name = f"{prefix}type{type_id}-{suffix}"
-                array = np.ascontiguousarray(getattr(encoded, attribute), dtype=dtype)
+                array = np.ascontiguousarray(getattr(table, attribute), dtype=dtype)
                 entry["files"][attribute] = {
                     "file": name,
                     **self._write_array(name, array),
@@ -339,12 +345,12 @@ class ImageStore:
         ):
             return "stale", None
         try:
-            matrices = self._reopen_matrices(manifest, case_base)
+            tables = self._reopen_tables(manifest, case_base)
             image = self._reopen_image(manifest, case_base)
         except _StaleStore:
             return "stale", None
         return "hit", ReopenedImage(
-            revision=case_base.revision, matrices=matrices, image=image
+            revision=case_base.revision, tables=tables, image=image
         )
 
     def _mapped(self, record: Dict[str, object], dtype: np.dtype, shape) -> np.ndarray:
@@ -359,10 +365,10 @@ class ImageStore:
             return np.empty(shape, dtype=dtype)
         return np.memmap(path, dtype=dtype, mode="c", shape=tuple(shape))
 
-    def _reopen_matrices(
+    def _reopen_tables(
         self, manifest: Dict[str, object], case_base: CaseBase
-    ) -> Dict[int, _TypeMatrices]:
-        matrices: Dict[int, _TypeMatrices] = {}
+    ) -> Dict[int, TypeTable]:
+        tables: Dict[int, TypeTable] = {}
         seen = set()
         for entry in manifest["types"]:
             type_id = int(entry["type_id"])
@@ -373,25 +379,20 @@ class ImageStore:
             rows = int(entry["rows"])
             if len(implementations) != rows:
                 raise _StaleStore(f"type {type_id} rows")
-            columns = {int(k): int(v) for k, v in entry["columns"].items()}
-            width = len(columns)
+            columns = int(entry["columns"])
             views = {}
-            for suffix, attribute, dtype in _MATRIX_PARTS:
-                shape = (rows,) if attribute == "impl_ids" else (rows, width)
+            for _, attribute, dtype, dense in _TABLE_PARTS:
+                shape = (
+                    (columns, rows) if dense else (rows if attribute == "impl_ids" else columns,)
+                )
                 views[attribute] = self._mapped(entry["files"][attribute], dtype, shape)
-            matrices[type_id] = _TypeMatrices.from_arrays(
-                implementations,
-                columns,
-                views["impl_ids"],
-                views["values"],
-                views["present"],
-            )
+            tables[type_id] = TypeTable(type_id, implementations, **views)
         if any(
             function_type.type_id not in seen
             for function_type in case_base.sorted_types()
         ):
             raise _StaleStore("missing type")
-        return matrices
+        return tables
 
     def _reopen_image(
         self, manifest: Dict[str, object], case_base: CaseBase

@@ -36,7 +36,6 @@ from ..memmap.words import END_OF_LIST
 from .isa import CostModel, InstructionCounters, InstructionEmitter, microblaze_cost_model
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from ..cosim.columnar import ColumnarImage
     from ..cosim.engine import CycleEngine
 
 
@@ -120,6 +119,7 @@ class SoftwareRetrievalUnit:
             case_base, rebuild=self._rebuild_image, apply=self._apply_deltas
         )
         self._tracker.mark_current()
+        self._delta_image.tables.add_dependent(self._tracker)
 
     # -- image / request caching ---------------------------------------------------
 
@@ -133,8 +133,9 @@ class SoftwareRetrievalUnit:
         self._tracker.ensure_current()
 
     def invalidate(self) -> None:
-        """Force a full image rebuild on next use (pre-delta behaviour)."""
-        self._tracker.invalidate()
+        """Force a full rebuild on next use, here and in every other consumer
+        of the case base's shared columnar image (after in-place edits)."""
+        self._delta_image.tables.invalidate()
 
     def _rebuild_image(self) -> None:
         """Full rebuild: re-encode everything, drop derived and request caches."""
@@ -177,10 +178,12 @@ class SoftwareRetrievalUnit:
             self._request_cache[key] = words
         return words
 
-    def columnar_image(self) -> "ColumnarImage":
-        """Columnar (NumPy) decode of the current image, built once per revision."""
+    def pricing_image(self) -> DeltaTrackedImage:
+        """The current encoded image the vectorized cycle engine prices from
+        (the shared type tables hang off it as ``tables``)."""
         self._ensure_current()
-        return self._delta_image.columnar_image()
+        self._delta_image.tables.tracker.ensure_current()
+        return self._delta_image
 
     # -- memory helper ------------------------------------------------------------
 

@@ -26,6 +26,8 @@ from repro.core import (
     paper_case_base,
     paper_request,
 )
+from repro.hardware import HardwareConfig, HardwareRetrievalUnit
+from repro.software import SoftwareRetrievalUnit
 from repro.tools import CaseBaseGenerator, GeneratorSpec
 
 
@@ -310,17 +312,58 @@ class TestCacheInvalidation:
         )
 
     def test_explicit_invalidate_after_in_place_mutation(self, paper_req):
+        """Invalidating any one consumer refreshes every consumer of the
+        case base, and no unit pairs rebuilt tables with stale words."""
+        for invalidated in ("engine", "hardware", "software"):
+            case_base = paper_case_base()
+            engine = RetrievalEngine(case_base, backend="vectorized")
+            hardware = HardwareRetrievalUnit(case_base, config=HardwareConfig(n_best=3))
+            software = SoftwareRetrievalUnit(case_base)
+            engine.retrieve_best(paper_req)
+            before = hardware.run_batch([paper_req])[0].ranked
+            software.predict_cycles([paper_req])
+            # In-place attribute mutation bypasses the revision counter...
+            case_base.get_implementation(1, 2).attributes[4] = 9999
+            # ...so an explicit invalidation is required to see it.
+            {
+                "engine": engine.invalidate_cache,
+                "hardware": hardware.invalidate,
+                "software": software.invalidate,
+            }[invalidated]()
+            fresh = RetrievalEngine(case_base.copy(), backend="naive")
+            assert_results_identical(
+                fresh.retrieve_best(paper_req), engine.retrieve_best(paper_req)
+            )
+            for unit in (hardware, software):
+                stepwise = unit.run_batch([paper_req], engine="stepwise")[0]
+                vectorized = unit.run_batch([paper_req], engine="vectorized")[0]
+                assert vectorized.statistics == stepwise.statistics, invalidated
+                assert vectorized.best_similarity_raw == stepwise.best_similarity_raw
+                assert unit.predict_cycles([paper_req]) == [stepwise.cycles]
+            assert hardware.run_batch([paper_req])[0].ranked != before  # edit seen
+
+    def test_one_columnar_image_per_case_base(self, paper_req):
         case_base = paper_case_base()
         engine = RetrievalEngine(case_base, backend="vectorized")
+        hardware = HardwareRetrievalUnit(case_base)
+        software = SoftwareRetrievalUnit(case_base)
         engine.retrieve_best(paper_req)
-        # In-place attribute mutation bypasses the revision counter...
-        case_base.get_implementation(1, 2).attributes[4] = 9999
-        # ...so an explicit invalidation is required to see it.
-        engine.invalidate_cache()
-        fresh = RetrievalEngine(case_base.copy(), backend="naive")
-        assert_results_identical(
-            fresh.retrieve_best(paper_req), engine.retrieve_best(paper_req)
+        hardware.predict_cycles([paper_req])
+        software.predict_cycles([paper_req])
+        tables = case_base.type_tables
+        assert hardware.pricing_image().tables is tables
+        assert software.pricing_image().tables is tables
+        assert list(tables.types) == [paper_req.type_id]  # built once, for all
+        table = tables.types[paper_req.type_id]
+        case_base.add_implementation(
+            1, Implementation(9, ExecutionTarget.DSP, {1: 16, 2: 0, 3: 1, 4: 40})
         )
+        engine.retrieve_best(paper_req)
+        hardware.predict_cycles([paper_req])
+        software.predict_cycles([paper_req])
+        assert tables.types[paper_req.type_id] is table  # patched once, in place
+        assert tables.tracker.incremental_count == 1
+        assert case_base.copy().type_tables is not tables
 
     def test_mixed_type_batch_after_mutation(self):
         generator = CaseBaseGenerator(RANDOM_SPECS[0], seed=8)

@@ -20,7 +20,6 @@ from repro.core.exceptions import (
     UnknownFunctionTypeError,
 )
 from repro.cosim import (
-    ColumnarImage,
     StepwiseCycleEngine,
     VectorizedCycleEngine,
     resolve_cycle_engine,
@@ -244,14 +243,14 @@ class TestCaching:
 
     def test_columnar_cache_follows_revision(self, paper_cb, paper_req):
         unit = HardwareRetrievalUnit(paper_cb)
-        columnar = unit.columnar_image()
-        assert unit.columnar_image() is columnar
+        tables = unit.pricing_image().tables
+        assert tables is paper_cb.type_tables
+        table = tables.table(1)
         paper_cb.add_implementation(
             1, Implementation(8, ExecutionTarget.DSP, {1: 16, 2: 0, 3: 1, 4: 40})
         )
-        refreshed = unit.columnar_image()
-        assert refreshed is not columnar
-        assert refreshed.types[1].implementation_count == 4
+        assert unit.pricing_image().tables.table(1) is table  # patched in place
+        assert table.implementation_count == 4
         stepwise = unit.run_batch([paper_req], engine="stepwise")[0]
         vectorized = unit.run_batch([paper_req], engine="vectorized")[0]
         assert_hardware_identical(stepwise, vectorized)
@@ -312,14 +311,18 @@ class TestEngineResolution:
         with pytest.raises(ReproError, match="unknown cycle engine"):
             resolve_cycle_engine("warp")
 
-    def test_columnar_image_matches_word_image(self, paper_cb):
+    def test_columnar_image_matches_word_image(self, paper_cb, tables_match_words):
         unit = HardwareRetrievalUnit(paper_cb)
-        columnar = ColumnarImage(unit.image)
+        tables_match_words(unit)
+        image = unit.pricing_image()
         tree = unit.image.tree
-        assert set(columnar.types) == set(tree.address_map.implementation_lists)
-        total = sum(columns.implementation_count for columns in columnar.types.values())
+        total = sum(image.tables.table(t).implementation_count for t in image.positions)
         assert total == tree.implementation_count
-        assert columnar.supplemental_ids.shape[0] == len(unit.image.supplemental.reciprocals)
+        assert image.supplemental_ids.shape[0] == len(unit.image.supplemental.reciprocals)
+        assert image.supplemental_index == {
+            attribute_id: position
+            for position, attribute_id in enumerate(sorted(unit.image.supplemental.reciprocals))
+        }
 
 
 class TestConfigurationSweep:

@@ -3,14 +3,14 @@
 * FINALIZE: the n-best insertion cascade against an O(I^2) brute-force
   oracle written from the register file's definition (and against the
   hardware model's :class:`NBestRegisterFile` itself).
-* Structural counts: the per-type attribute table against the attribute
-  lists, and the vectorized counts against the stepwise walk on
-  delta-patched columns -- extra ``PAD_ID`` columns left by
-  ``TypeColumns.with_rows`` and a full-width last row -- for both
-  attribute-search modes and the divider variant.
-* The cycle memo: value-exact keys, the delta carry-forward rule, the bound,
-  and that neither a memo flood nor a delta to another type rebuilds a
-  type's table.
+* Structural counts: the shared per-type attribute table against the
+  attribute lists, and the vectorized counts against the stepwise walk on
+  delta-patched tables -- a shrunk row and a removed row whose attribute
+  no other implementation holds -- for both attribute-search modes and the
+  divider variant.
+* The cycle memo: value-exact keys, the per-type drop rule of delta windows
+  (touched types and types moved in the level-0 list), the bound, and that
+  neither a memo flood nor a delta to another type rebuilds a type's table.
 """
 
 import numpy as np
@@ -19,11 +19,11 @@ import pytest
 from repro.core import BoundsTable, CaseBase, FunctionRequest
 from repro.core.case_base import ExecutionTarget, Implementation
 from repro.core.exceptions import UnknownFunctionTypeError
-from repro.cosim.columnar import CYCLE_MEMO_CAPACITY, PAD_ID, ColumnarImage
+from repro.core.columnar import PAD_ID
 from repro.cosim.vectorized import _nbest_finalize_cycles
 from repro.hardware import HardwareConfig, HardwareRetrievalUnit
 from repro.hardware.datapath import NBestRegisterFile
-from repro.memmap.image import CaseBaseImage
+from repro.memmap.image import CYCLE_MEMO_CAPACITY
 from repro.software import SoftwareRetrievalUnit
 
 
@@ -88,7 +88,7 @@ class TestFinalizeCascade:
             )
 
 
-# -- structural counts on delta-patched columns ------------------------------
+# -- structural counts on delta-patched tables -------------------------------
 
 
 def _explicit_bounds():
@@ -128,22 +128,19 @@ def _stepwise_statistics(case_base, config, requests):
 
 @pytest.mark.parametrize("restart", [False, True])
 @pytest.mark.parametrize("divider", [False, True])
-def test_structural_counts_on_patched_columns(restart, divider):
+def test_structural_counts_on_patched_columns(restart, divider, tables_match_words):
     case_base = _patched_case_base()
     config = HardwareConfig(restart_attribute_search=restart, use_divider=divider, n_best=3)
     unit = HardwareRetrievalUnit(case_base, config=config)
-    unit.run_batch(PATCHED_REQUESTS, engine="vectorized")  # decode the columns
-    # Shrink implementation 1 (pads its row) and drop nothing else: the row
-    # patch keeps the width, so every row now ends in PAD_ID columns except
-    # the full-width last row; ID 7 is above every ID of the type.
+    unit.run_batch(PATCHED_REQUESTS, engine="vectorized")  # build the tables
+    table = case_base.type_tables.table(1)
+    # Shrink implementation 1: the table is patched in place, not rebuilt;
+    # ID 7 is above every ID of the type.
     case_base.replace_implementation(
         1, Implementation(1, ExecutionTarget.GPP, {2: 45, 5: 25})
     )
-    columns = unit.columnar_image().types[1]
-    entry_counts = (columns.entry_ids != PAD_ID).sum(axis=1)
-    assert int(entry_counts.max()) == columns.entry_ids.shape[1]
-    assert columns.entry_ids[-1, -1] != PAD_ID  # full-width last row
-    assert (columns.entry_ids[0, 2:] == PAD_ID).all()
+    tables_match_words(unit)
+    assert case_base.type_tables.table(1) is table
     assert [r.statistics for r in unit.run_batch(PATCHED_REQUESTS, engine="vectorized")] == [
         r.statistics for r in unit.run_batch(PATCHED_REQUESTS, engine="stepwise")
     ]
@@ -151,10 +148,11 @@ def test_structural_counts_on_patched_columns(restart, divider):
         statistics["cycles"]
         for statistics in _stepwise_statistics(case_base, config, PATCHED_REQUESTS)
     ]
-    # Removing the widest row leaves an extra PAD_ID column in every row.
+    # Removing implementation 4 takes attribute 4's last holder: its column
+    # goes, exactly as in a fresh build.
     case_base.remove_implementation(1, 4)
-    columns = unit.columnar_image().types[1]
-    assert int((columns.entry_ids != PAD_ID).sum(axis=1).max()) < columns.entry_ids.shape[1]
+    tables_match_words(unit)
+    assert 4 not in table.attribute_ids.tolist()
     assert [vars(r.statistics) for r in unit.run_batch(PATCHED_REQUESTS, engine="vectorized")] == (
         _stepwise_statistics(case_base, config, PATCHED_REQUESTS)
     )
@@ -162,11 +160,9 @@ def test_structural_counts_on_patched_columns(restart, divider):
 
 def test_structural_lookups_match_the_attribute_lists():
     case_base = _patched_case_base()
-    unit = HardwareRetrievalUnit(case_base)
-    columns = unit.columnar_image().types[1]
-    table = columns.table
+    table = case_base.type_tables.table(1)
     lists = [
-        case_base.get_type(1).implementations[int(i)].attributes for i in columns.impl_ids
+        case_base.get_type(1).implementations[int(i)].attributes for i in table.impl_ids
     ]
     stored = sorted({a for attributes in lists for a in attributes})
     assert table.attribute_ids.tolist() == stored + [PAD_ID]  # sentinel last
@@ -188,7 +184,7 @@ def test_structural_lookups_match_the_attribute_lists():
 
 
 def _memo_types(unit):
-    return {words[0] for _, words in unit.columnar_image().cycle_memo}
+    return {words[0] for _, words in unit.pricing_image().cycle_memo}
 
 
 def test_memo_keys_on_values_not_just_the_signature():
@@ -206,7 +202,7 @@ def test_memo_keys_on_values_not_just_the_signature():
     assert unit.predict_cycles([second, first, second]) == [
         second_cycles, first_cycles, second_cycles
     ]
-    assert len(unit.columnar_image().cycle_memo) == 2
+    assert len(unit.pricing_image().cycle_memo) == 2
 
 
 def test_memo_follows_row_patches_per_type():
@@ -214,17 +210,16 @@ def test_memo_follows_row_patches_per_type():
     unit = HardwareRetrievalUnit(case_base, config=HardwareConfig(n_best=2))
     patched, untouched = PATCHED_REQUESTS[0], PATCHED_REQUESTS[4]
     unit.predict_cycles([patched, untouched])
-    before = unit.columnar_image()
-    carried = {key: cycles for key, cycles in before.cycle_memo.items() if key[1][0] == 2}
+    image = unit.pricing_image()
+    carried = {key: cycles for key, cycles in image.cycle_memo.items() if key[1][0] == 2}
+    untouched_table = case_base.type_tables.table(2)
     assert _memo_types(unit) == {1, 2}
     case_base.replace_implementation(
         1, Implementation(2, ExecutionTarget.FPGA, {1: 61, 3: 41})
     )
-    after = unit.columnar_image()
-    assert after is not before
-    assert after.types[2] is before.types[2]  # reused as it was
-    assert after.types[2].table is before.types[2].table  # with its table
-    assert dict(after.cycle_memo) == carried  # type 1 dropped, type 2 kept
+    assert unit.pricing_image() is image
+    assert case_base.type_tables.table(2) is untouched_table  # kept as it was
+    assert dict(image.cycle_memo) == carried  # type 1 dropped, type 2 kept
     fresh = HardwareRetrievalUnit(case_base, config=HardwareConfig(n_best=2))
     assert unit.predict_cycles([patched, untouched]) == [
         result.cycles for result in fresh.run_batch([patched, untouched], engine="stepwise")
@@ -245,7 +240,7 @@ def test_bounds_change_drops_every_entry():
     case_base.replace_implementation(
         1, Implementation(2, ExecutionTarget.GPP, {1: 900, 2: 5})
     )
-    assert len(unit.columnar_image().cycle_memo) == 0
+    assert len(unit.pricing_image().cycle_memo) == 0
     fresh = HardwareRetrievalUnit(case_base)
     assert unit.predict_cycles(requests) == [
         result.cycles for result in fresh.run_batch(requests, engine="stepwise")
@@ -256,15 +251,42 @@ def test_carry_forward_requires_the_same_supplemental_words():
     case_base = _patched_case_base()
     unit = HardwareRetrievalUnit(case_base)
     unit.predict_cycles(PATCHED_REQUESTS)
-    columnar = unit.columnar_image()
-    assert len(columnar.cycle_memo) == len(PATCHED_REQUESTS)
-    same = ColumnarImage(columnar.image, previous=columnar)
-    assert dict(same.cycle_memo) == dict(columnar.cycle_memo)
+    image = unit.pricing_image()
+    assert len(image.cycle_memo) == len(PATCHED_REQUESTS)
+    case_base.add_type(3)
+    case_base.add_implementation(3, Implementation(1, ExecutionTarget.GPP, {1: 5}))
+    assert len(unit.pricing_image().cycle_memo) == len(PATCHED_REQUESTS)  # nothing moved
     wider = BoundsTable()
     for attribute_id in range(1, 8):
         wider.define(attribute_id, 0, 400)
-    rebounded = ColumnarImage(CaseBaseImage(case_base, bounds=wider), previous=columnar)
-    assert len(rebounded.cycle_memo) == 0
+    case_base.bounds = wider
+    assert len(unit.pricing_image().cycle_memo) == 0
+    fresh = HardwareRetrievalUnit(case_base)
+    assert unit.predict_cycles(PATCHED_REQUESTS) == [
+        result.cycles for result in fresh.run_batch(PATCHED_REQUESTS, engine="stepwise")
+    ]
+
+
+@pytest.mark.parametrize("software", [False, True])
+def test_position_shift_drops_the_moved_types(software):
+    """A type inserted before warm types moves them in the level-0 list."""
+    case_base = CaseBase(bounds=_explicit_bounds())
+    for type_id in (5, 6):
+        function_type = case_base.add_type(type_id)
+        function_type.add(Implementation(1, ExecutionTarget.GPP, {1: 10, 3: 30}))
+        function_type.add(Implementation(2, ExecutionTarget.FPGA, {2: 20, 3: 90}))
+    requests = [FunctionRequest(5, [(1, 12), (3, 40)]), FunctionRequest(6, [(2, 25)])]
+    make = SoftwareRetrievalUnit if software else HardwareRetrievalUnit
+    unit = make(case_base)
+    before = unit.predict_cycles(requests)
+    assert _memo_types(unit) == {5, 6}
+    case_base.add_type(1)
+    case_base.add_implementation(1, Implementation(1, ExecutionTarget.GPP, {1: 50}))
+    assert unit.pricing_image().positions == {1: 0, 5: 1, 6: 2}
+    assert _memo_types(unit) == set()
+    after = unit.predict_cycles(requests)
+    assert after != before
+    assert after == [r.cycles for r in make(case_base).run_batch(requests, engine="stepwise")]
 
 
 def test_memo_flood_stays_bounded_and_spares_the_type_tables():
@@ -272,18 +294,18 @@ def test_memo_flood_stays_bounded_and_spares_the_type_tables():
     unit = HardwareRetrievalUnit(case_base, config=HardwareConfig(n_best=3))
     hot = FunctionRequest(1, [(1, 60), (3, 40)])
     hot_cycles = unit.predict_cycles([hot])
-    columnar = unit.columnar_image()
-    tables = {type_id: columns.table for type_id, columns in columnar.types.items()}
+    image = unit.pricing_image()
+    tables = dict(case_base.type_tables.types)
     flood = [
         FunctionRequest(1, [(1, value % 200), (3, value // 200)])
         for value in range(CYCLE_MEMO_CAPACITY + 200)
     ]
     for start in range(0, len(flood), 64):
         unit.predict_cycles(flood[start:start + 64])
-    assert unit.columnar_image() is columnar
-    assert len(columnar.cycle_memo) == CYCLE_MEMO_CAPACITY
+    assert unit.pricing_image() is image
+    assert len(image.cycle_memo) == CYCLE_MEMO_CAPACITY
     for type_id, table in tables.items():
-        assert columnar.types[type_id].table is table
+        assert case_base.type_tables.types[type_id] is table
     assert unit.predict_cycles([hot]) == hot_cycles
 
 
@@ -293,7 +315,7 @@ def test_software_memo_matches_stepwise():
     golden = [result.cycles for result in unit.run_batch(PATCHED_REQUESTS, engine="stepwise")]
     assert unit.predict_cycles(PATCHED_REQUESTS) == golden
     assert unit.predict_cycles(PATCHED_REQUESTS[::-1]) == golden[::-1]  # all hits
-    assert len(unit.columnar_image().cycle_memo) == len(PATCHED_REQUESTS)
+    assert len(unit.pricing_image().cycle_memo) == len(PATCHED_REQUESTS)
 
 
 def test_stepwise_and_full_results_bypass_the_memo():
@@ -301,7 +323,7 @@ def test_stepwise_and_full_results_bypass_the_memo():
     unit = HardwareRetrievalUnit(case_base)
     unit.predict_cycles(PATCHED_REQUESTS, engine="stepwise")
     unit.run_batch(PATCHED_REQUESTS, engine="vectorized")
-    assert len(unit.columnar_image().cycle_memo) == 0
+    assert len(unit.pricing_image().cycle_memo) == 0
 
 
 @pytest.mark.parametrize("engine", ["stepwise", "vectorized"])

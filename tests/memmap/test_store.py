@@ -182,7 +182,7 @@ class TestWordImagePolicy:
         reopened = store.open(small_case_base)
         assert reopened is not None
         assert reopened.image is None
-        assert set(reopened.matrices) == {
+        assert set(reopened.tables) == {
             function_type.type_id
             for function_type in small_case_base.sorted_types()
         }
@@ -196,7 +196,7 @@ class TestWordImagePolicy:
         assert manifest["tree"] is None
         reopened = store.open(huge)
         assert reopened is not None and reopened.image is None
-        assert len(reopened.matrices) == OVERFLOW_SPEC.type_count
+        assert len(reopened.tables) == OVERFLOW_SPEC.type_count
 
     def test_always_propagates_the_overflow(self, tmp_path):
         huge = CaseBaseGenerator(OVERFLOW_SPEC, seed=4).case_base()

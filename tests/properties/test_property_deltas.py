@@ -3,7 +3,8 @@
 Persistent consumers (a vectorized engine, a serving engine, the
 hardware/software cycle units) absorb random interleavings of case-base
 mutations -- add / remove / replace / retain-style appends, plus occasional
-type-level churn -- through the delta log, while fresh consumers are rebuilt
+type-level churn, types inserted before the others and types removed for
+good (both move the warm types in the level-0 list) -- through the delta log, while fresh consumers are rebuilt
 from scratch at every checkpoint.  Rankings, similarity doubles, retrieval
 statistics, raw fixed-point similarities and exact cycle counts must agree
 exactly across every backend x engine axis.  Outcomes are compared, not only
@@ -52,7 +53,8 @@ def _build_case_base(rng: random.Random, explicit_bounds: bool) -> CaseBase:
     for attribute_id in ATTRIBUTE_POOL:
         bounds.define(attribute_id, *VALUE_RANGE)
     case_base = CaseBase(bounds=bounds if explicit_bounds else None)
-    for type_id in (1, 2, 3):
+    # Type IDs start above 1, so a type can be inserted before them.
+    for type_id in (5, 6, 7):
         function_type = case_base.add_type(type_id, name=f"type-{type_id}")
         for implementation_id in range(1, rng.randint(3, 5)):
             function_type.add(
@@ -67,7 +69,7 @@ def _build_case_base(rng: random.Random, explicit_bounds: bool) -> CaseBase:
             )
     # A deliberately tiny type: growth windows outrun its old encoded
     # segment, exercising the splice fast path's shifting-follower cases.
-    tiny = case_base.add_type(4, name="tiny")
+    tiny = case_base.add_type(8, name="tiny")
     tiny.add(Implementation(1, ExecutionTarget.GPP, {1: rng.randint(*VALUE_RANGE)}))
     return case_base
 
@@ -115,13 +117,13 @@ def _mutate(case_base: CaseBase, rng: random.Random, step: int) -> None:
             case_base.remove_implementation(
                 type_id, rng.choice(implementations).implementation_id
             )
-    elif choice < 0.93:  # type-level churn: remove and re-add a whole type
+    elif choice < 0.8:  # type-level churn: remove and re-add a whole type
         if len(type_ids) > 1:
             removed = case_base.remove_type(type_id)
             case_base.add_type(removed)
-    else:  # grow a fresh type
-        new_type_id = 10 + step
-        if new_type_id not in case_base:
+    elif choice < 0.9:  # a fresh type: after every other, or before them all
+        new_type_id = 20 + step if rng.random() < 0.5 else min(type_ids) - 1
+        if new_type_id >= 1 and new_type_id not in case_base:
             grown = case_base.add_type(new_type_id, name=f"grown-{step}")
             grown.add(
                 Implementation(
@@ -129,11 +131,19 @@ def _mutate(case_base: CaseBase, rng: random.Random, step: int) -> None:
                     {a: rng.randint(*VALUE_RANGE) for a in rng.sample(ATTRIBUTE_POOL, 3)},
                 )
             )
+    elif len(type_ids) > 1:  # remove a type for good: later types move up
+        case_base.remove_type(type_id)
 
 
 def _probes(case_base: CaseBase, rng: random.Random):
+    """Fresh random probes, plus one fixed probe per type: the fixed ones
+    repeat across checkpoints, so the live units answer them from their
+    cycle memos after types moved in the level-0 list."""
     requests = []
     for type_id in case_base.type_ids():
+        requests.append(
+            FunctionRequest(type_id, [(2, 100, 1.0), (5, 40, 2.0)], requester="warm")
+        )
         attribute_ids = sorted(rng.sample(ATTRIBUTE_POOL, 3))
         requests.append(
             FunctionRequest(
@@ -251,7 +261,7 @@ def check_incremental_equals_rebuild(seed: int, explicit_bounds: bool) -> None:
         incremental = (
             live_hardware._tracker.incremental_count
             + live_software._tracker.incremental_count
-            + live_engine.backend.tracker.incremental_count
+            + live_engine.case_base.type_tables.tracker.incremental_count
         )
         assert incremental > 0
 

@@ -8,7 +8,7 @@ including empty local-similarity tuples) and the naive golden loop (ids,
 similarities and statistics; the naive path additionally carries
 per-attribute breakdowns the vectorized kernel never materialises).
 
-The suite shrinks ``_TypeMatrices.BLOCK_ROWS`` / ``PREFILTER_MIN_ROWS`` so
+The suite shrinks ``TypeTable.BLOCK_ROWS`` / ``PREFILTER_MIN_ROWS`` so
 the screen engages on test-sized case bases, checks every retrieval mode
 and the batch path across the backend x prefilter axes, and proves
 non-vacuity on a
@@ -26,7 +26,8 @@ import pytest
 
 from repro.core import RetrievalEngine
 from repro.core.attributes import AttributeSchema, BoundsTable
-from repro.core.backends import VectorizedBackend, _TypeMatrices
+from repro.core.backends import VectorizedBackend
+from repro.core.columnar import TypeTable
 from repro.core.case_base import CaseBase, ExecutionTarget, Implementation
 from repro.core.request import FunctionRequest
 from repro.tools import CaseBaseGenerator, GeneratorSpec
@@ -53,13 +54,13 @@ SPEC = GeneratorSpec(
 @contextlib.contextmanager
 def small_blocks():
     """Shrink the engagement thresholds so test-sized case bases screen."""
-    saved = (_TypeMatrices.BLOCK_ROWS, VectorizedBackend.PREFILTER_MIN_ROWS)
-    _TypeMatrices.BLOCK_ROWS = 8
+    saved = (TypeTable.BLOCK_ROWS, VectorizedBackend.PREFILTER_MIN_ROWS)
+    TypeTable.BLOCK_ROWS = 8
     VectorizedBackend.PREFILTER_MIN_ROWS = 16
     try:
         yield
     finally:
-        _TypeMatrices.BLOCK_ROWS, VectorizedBackend.PREFILTER_MIN_ROWS = saved
+        TypeTable.BLOCK_ROWS, VectorizedBackend.PREFILTER_MIN_ROWS = saved
 
 
 def _full_view(result):

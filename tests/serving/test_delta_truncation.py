@@ -62,7 +62,7 @@ class TestConsumerFallback:
         hardware.run_batch(probes)
         software.run_batch(probes)
         trackers = {
-            "backend": engine.backend.tracker,
+            "backend": engine.case_base.type_tables.tracker,
             "hardware": hardware._tracker,
             "software": software._tracker,
         }

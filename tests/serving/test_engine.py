@@ -16,7 +16,8 @@ from repro.core import (
     RetrievalEngine,
     paper_case_base,
 )
-from repro.core.backends import VectorizedBackend, _TypeMatrices
+from repro.core.backends import VectorizedBackend
+from repro.core.columnar import TypeTable
 from repro.serving import (
     ServingConfig,
     ServingEngine,
@@ -160,7 +161,7 @@ class TestRetrieval:
 
     def test_prefilter_metrics_track_the_backend_counters(self, monkeypatch):
         # Shrink the screen's thresholds so a 256-row type prunes blocks.
-        monkeypatch.setattr(_TypeMatrices, "BLOCK_ROWS", 8)
+        monkeypatch.setattr(TypeTable, "BLOCK_ROWS", 8)
         monkeypatch.setattr(VectorizedBackend, "PREFILTER_MIN_ROWS", 16)
         bounds = BoundsTable()
         bounds.define(1, 0, 1024)
