@@ -195,6 +195,11 @@ def test_memmap_reopen_is_constant_time(benchmark, workload_setup, tmp_path):
         implementations=quarter_rows, types=WORKLOAD_TYPES, seed=7
     )
     quarter = build_case_base([quarter_workload])
+    # The reference side reads tables encoded from the live implementations
+    # before any store exists, so it cannot see the reopened files.
+    case_base.type_tables.invalidate()
+    reference = RetrievalEngine(case_base, backend="vectorized")
+    expected = [reference.retrieve_n_best(request, 5) for request in requests[:4]]
 
     def encode():
         tables = case_base.type_tables
@@ -217,12 +222,15 @@ def test_memmap_reopen_is_constant_time(benchmark, workload_setup, tmp_path):
     assert reopened is not None
 
     # The reopened tables serve bit-identically to a fresh encode.
-    fresh = RetrievalEngine(case_base, backend="vectorized")
     adopted = RetrievalEngine(case_base, backend="vectorized")
     assert reopened.install(adopted)
-    expected = [fresh.retrieve_n_best(request, 5) for request in requests[:4]]
     observed = [adopted.retrieve_n_best(request, 5) for request in requests[:4]]
+    for request in requests[:4]:
+        assert case_base.type_tables.types[request.type_id] is reopened.tables[request.type_id]
     assert _slim_view(observed) == _slim_view(expected)
+    assert [result.statistics for result in observed] == [
+        result.statistics for result in expected
+    ]
 
     scaling = reopen_seconds / max(quarter_seconds, 1e-9)
     _record_baseline(

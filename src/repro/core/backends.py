@@ -255,6 +255,9 @@ class VectorizedBackend(RetrievalBackend):
 
     def __init__(self) -> None:
         super().__init__()
+        #: ``1 / (1 + dmax)`` per attribute ID.  Bounds entries are never
+        #: replaced (:meth:`~repro.core.attributes.BoundsTable.add` refuses duplicates), so in-place
+        #: case-base edits cannot make these stale.
         self._reciprocals: Dict[int, float] = {}
         #: Pre-filter effectiveness counters (plain ints; the serving layer
         #: folds them into its metrics registry).
@@ -274,10 +277,6 @@ class VectorizedBackend(RetrievalBackend):
         )
 
     # -- cache management --------------------------------------------------------
-
-    def invalidate(self) -> None:
-        self._reciprocals.clear()
-        super().invalidate()
 
     def _reciprocal(self, attribute_id: int) -> float:
         """The cached ``1 / (1 + dmax)`` constant of one attribute type."""
@@ -317,7 +316,7 @@ class VectorizedBackend(RetrievalBackend):
         kernel = table.kernels.get((attribute_ids, bounds))
         if kernel is not None:
             return kernel
-        columns = table.columns_for(attribute_ids)
+        _, columns = table.locate(attribute_ids)
         held = table.holders[columns]
         reciprocals = np.array(
             [
@@ -426,7 +425,7 @@ class VectorizedBackend(RetrievalBackend):
         local = self.engine.local_similarity
         starts, block_min, block_max, any_present, any_absent = table.block_summaries()
         upper = np.zeros(len(starts), dtype=np.float64)
-        columns = table.columns_for(attribute_ids).tolist()
+        columns = table.locate(attribute_ids)[1].tolist()
         for column_index, (attribute_id, column) in enumerate(zip(attribute_ids, columns)):
             weight = weights[column_index]
             if not table.holders[column]:

@@ -146,13 +146,19 @@ class TypeTable:
         """Number of implementation variants of this type."""
         return len(self.implementations)
 
-    def columns_for(self, attribute_ids) -> np.ndarray:
-        """Table column per attribute ID: its own, or the sentinel."""
+    def locate(self, attribute_ids) -> Tuple[np.ndarray, np.ndarray]:
+        """``(insertion, column)`` per attribute ID.
+
+        ``insertion`` is the ID's insertion index into :attr:`attribute_ids`
+        (it indexes :attr:`below`); ``column`` is the ID's own column, or the
+        sentinel when no implementation holds it.
+        """
         ids = np.asarray(attribute_ids, dtype=np.int64)
         insertion = self.attribute_ids.searchsorted(ids)
-        return np.where(
+        column = np.where(
             self.attribute_ids[insertion] == ids, insertion, len(self.attribute_ids) - 1
         )
+        return insertion, column
 
     def block_summaries(self) -> Tuple:
         """Per-block per-column summaries backing the bounds pre-filter.

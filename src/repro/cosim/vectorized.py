@@ -280,9 +280,7 @@ def _type_pass(
         dtype=np.int64,
     ).reshape(len(lengths), width, REQUEST_BLOCK_WORDS)
     ids = block[:, :, 0]
-    insertion = table.attribute_ids.searchsorted(ids)
-    sentinel = table.attribute_ids.shape[0] - 1
-    column = np.where(table.attribute_ids[insertion] == ids, insertion, sentinel)
+    insertion, column = table.locate(ids)
     held = table.holders[column]
     matched = held.sum(axis=1).tolist()
     # (implementation, request attribute) pairs per request

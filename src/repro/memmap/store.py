@@ -145,9 +145,12 @@ class ReopenedImage:
         Every consumer of that case base (this engine's vectorized backend,
         the retrieval units' cycle engines) then reads the reopened tables
         instead of encoding its types.  Returns ``False`` (and changes
-        nothing) when the engine runs a backend that reads no tables.
+        nothing) when the engine runs a backend that reads no tables, or
+        when the case base moved past :attr:`revision` since the reopen.
         """
         if not isinstance(engine.backend, VectorizedBackend):
+            return False
+        if engine.case_base.revision != self.revision:
             return False
         engine.case_base.type_tables.seed(self.tables)
         return True

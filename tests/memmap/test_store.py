@@ -17,9 +17,11 @@ import pytest
 from repro.core import RetrievalEngine
 from repro.core.case_base import ExecutionTarget, Implementation
 from repro.core.exceptions import EncodingError
+from repro.hardware import HardwareRetrievalUnit
 from repro.memmap import CaseBaseImage, ImageStore, structure_fingerprint
 from repro.memmap.store import LAYOUT_VERSION, MANIFEST_NAME
 from repro.observability import MetricsRegistry, catalog
+from repro.software import SoftwareRetrievalUnit
 from repro.tools import CaseBaseGenerator, GeneratorSpec
 
 SMALL_SPEC = GeneratorSpec(
@@ -67,20 +69,39 @@ class TestRoundTrip:
         assert reopened.image.tree.address_map == fresh.tree.address_map
         assert reopened.image.supplemental.reciprocals == fresh.supplemental.reciprocals
 
-    def test_adopted_matrices_serve_bit_identically(self, small_case_base, tmp_path):
+    def test_adopted_matrices_serve_bit_identically(
+        self, small_case_base, tmp_path, tables_match_words
+    ):
+        """Reopened tables retrieve and price exactly like an independent
+        encode: the expected side runs on a copy of the case base, whose
+        columnar image the install cannot reach."""
         generator = CaseBaseGenerator(SMALL_SPEC, seed=9)
         store = ImageStore(tmp_path)
         store.save(small_case_base)
         reopened = store.open(small_case_base)
-        fresh = RetrievalEngine(small_case_base, backend="vectorized")
+        independent = small_case_base.copy()
+        naive = RetrievalEngine(independent, backend="naive")
+        fresh = RetrievalEngine(independent, backend="vectorized")
         adopted = RetrievalEngine(small_case_base, backend="vectorized")
         assert reopened.install(adopted) is True
-        for salt in range(6):
-            request = generator.request(salt=salt, attribute_count=4)
+        assert small_case_base.type_tables.types == reopened.tables
+        requests = [generator.request(salt=salt, attribute_count=4) for salt in range(6)]
+        for request in requests:
             expected = fresh.retrieve_n_best(request, 5)
             observed = adopted.retrieve_n_best(request, 5)
             assert _slim_view(observed) == _slim_view(expected)
+            assert _slim_view(observed) == _slim_view(naive.retrieve_n_best(request, 5))
             assert observed.statistics == expected.statistics
+        # The stored holders and prefix counts feed both units' pricing.
+        for unit_class in (HardwareRetrievalUnit, SoftwareRetrievalUnit):
+            unit = unit_class(small_case_base)
+            tables_match_words(unit)
+            assert unit.predict_cycles(requests, engine="vectorized") == (
+                unit.predict_cycles(requests, engine="stepwise")
+            )
+            assert unit.predict_cycles(requests, engine="vectorized") == (
+                unit_class(independent).predict_cycles(requests, engine="vectorized")
+            )
 
     def test_install_declines_naive_backends(self, small_case_base, tmp_path):
         store = ImageStore(tmp_path)
@@ -88,6 +109,25 @@ class TestRoundTrip:
         reopened = store.open(small_case_base)
         naive = RetrievalEngine(small_case_base, backend="naive")
         assert reopened.install(naive) is False
+
+    def test_install_declines_a_case_base_mutated_since_the_reopen(
+        self, small_case_base, tmp_path
+    ):
+        store = ImageStore(tmp_path)
+        store.save(small_case_base)
+        reopened = store.open(small_case_base)
+        implementation = small_case_base.get_type(1).sorted_implementations()[0]
+        small_case_base.remove_implementation(1, implementation.implementation_id)
+        engine = RetrievalEngine(small_case_base, backend="vectorized")
+        assert reopened.install(engine) is False
+        tables = small_case_base.type_tables
+        for type_id, stale in reopened.tables.items():
+            assert tables.table(type_id) is not stale  # nothing seeded
+        request = CaseBaseGenerator(SMALL_SPEC, seed=9).request(salt=0, attribute_count=4)
+        naive = RetrievalEngine(small_case_base.copy(), backend="naive")
+        assert _slim_view(engine.retrieve_n_best(request, 5)) == _slim_view(
+            naive.retrieve_n_best(request, 5)
+        )
 
     def test_save_is_idempotent_and_cleans_stale_generations(
         self, small_case_base, tmp_path
