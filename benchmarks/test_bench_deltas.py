@@ -97,7 +97,7 @@ def _run_pass(generator, retained, probes, *, full_rebuild):
         rankings = engine.retrieve_batch(probes, n=N_BEST)
         cycles = hardware.predict_cycles(probes)
         if full_rebuild:
-            hardware.image.compact_tree  # eager in the pre-delta constructor
+            hardware.pricing_image().image.compact_tree  # eager in the pre-delta constructor
         outputs.append((
             [[(e.implementation_id, e.similarity) for e in r.ranked] for r in rankings],
             cycles,
@@ -150,9 +150,10 @@ def test_incremental_retain_speedup_gate(benchmark, table3_generator):
     # The fast path must actually have engaged: every mutation absorbed
     # incrementally, never through a silent full rebuild.
     assert engine.case_base.type_tables.tracker.incremental_count >= RETAIN_COUNT
-    assert hardware._tracker.incremental_count >= RETAIN_COUNT
+    image_tracker = hardware.pricing_image().tracker
+    assert image_tracker.incremental_count >= RETAIN_COUNT
     assert engine.case_base.type_tables.tracker.rebuild_count <= 1  # the initial build only
-    assert hardware._tracker.rebuild_count == 0  # built eagerly in __init__
+    assert image_tracker.rebuild_count == 0  # built eagerly with the unit
 
     speedup = full_seconds / incremental_seconds
     per_retain_us = incremental_seconds / RETAIN_COUNT * 1e6

@@ -33,7 +33,7 @@ the touched type tables once per delta window, for every consumer at once.
 Mutating an :class:`Implementation`'s attribute dict in place bypasses the
 revision counter -- the same caveat that applies to the hardware unit's
 memory images -- and requires an explicit :meth:`RetrievalBackend.invalidate`,
-which rebuilds the shared image and every unit's encoded words.
+which rebuilds the shared image and the case base's encoded CB-MEM words.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ class RetrievalBackend:
     def invalidate(self) -> None:
         """Drop state derived from the case base after in-place edits.
 
-        Rebuilds the case base's shared columnar image and, with it, every
-        retrieval unit's encoded words (see
+        Rebuilds the case base's shared columnar image and, with it, its
+        encoded CB-MEM words (see
         :meth:`~repro.core.columnar.TypeTables.invalidate`).
         """
         if self.engine is not None:

@@ -2,8 +2,8 @@
 
 Every state derived from a case base -- its one columnar image
 (:class:`~repro.core.columnar.TypeTables`, read by the vectorized retrieval
-backend and the vectorized cycle engines), the encoded CB-MEM images of the
-hardware/software units, the serving engine's screens -- once hand-rolled
+backend and the vectorized cycle engines), its encoded CB-MEM image read by
+the hardware/software units, the serving engine's screens -- once hand-rolled
 the same pattern::
 
     self._revision = -1
@@ -84,7 +84,7 @@ class RevisionTrackedCache:
         """Adopt the live revision without rebuilding.
 
         For consumers that build their initial state eagerly in their own
-        constructor (the retrieval units) rather than on first use.
+        constructor (the encoded CB-MEM image) rather than on first use.
         """
         self._revision = self.case_base.revision
 

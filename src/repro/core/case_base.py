@@ -28,6 +28,7 @@ from .deltas import CaseBaseDelta, DeltaKind, DeltaLog
 from .exceptions import CaseBaseError, DuplicateEntryError, UnknownFunctionTypeError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
+    from ..memmap.image import DeltaTrackedImage
     from .columnar import TypeTables
 
 
@@ -233,6 +234,7 @@ class CaseBase:
         #: their derived state incrementally instead of rebuilding.
         self.delta_log = DeltaLog()
         self._type_tables: Optional["TypeTables"] = None
+        self._encoded_image: Optional["DeltaTrackedImage"] = None
 
     @property
     def type_tables(self) -> "TypeTables":
@@ -243,6 +245,26 @@ class CaseBase:
 
             self._type_tables = TypeTables(self)
         return self._type_tables
+
+    @property
+    def encoded_image(self) -> "DeltaTrackedImage":
+        """The case base's one encoded CB-MEM image
+        (:class:`~repro.memmap.image.DeltaTrackedImage`), shared by the
+        hardware and software retrieval units; returned current, together
+        with :attr:`type_tables`.
+
+        Raises :class:`~repro.core.exceptions.EncodingError` when the case
+        base cannot be encoded (empty, or past 16-bit word addressing).
+        """
+        image = self._encoded_image
+        if image is None:
+            from ..memmap.image import DeltaTrackedImage
+
+            image = self._encoded_image = DeltaTrackedImage(self)
+        else:
+            image.tracker.ensure_current()
+        image.tables.tracker.ensure_current()
+        return image
 
     # -- structure manipulation -------------------------------------------------
 

@@ -12,9 +12,9 @@ through :attr:`CaseBase.type_tables
 * one :class:`~repro.core.caching.RevisionTrackedCache` subscription that
   patches the built tables once per delta window (untouched types keep
   their tables, and with them their per-signature kernel caches);
-* an :meth:`TypeTables.invalidate` that also invalidates every dependent
-  unit's encoded memory image, so no consumer ever pairs a rebuilt table
-  with stale CB-MEM words.
+* an :meth:`TypeTables.invalidate` that also invalidates the case base's
+  encoded CB-MEM image, so no consumer ever pairs a rebuilt table with
+  stale CB-MEM words.
 
 Values are held as ``float64``.  The CB-MEM encoding accepts only integral
 16-bit values (:func:`~repro.memmap.words.encode_value`), so wherever the
@@ -24,7 +24,6 @@ exactly.
 
 from __future__ import annotations
 
-import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -273,9 +272,6 @@ class TypeTables:
         self.types: Dict[int, TypeTable] = {}
         self.tracker = RevisionTrackedCache(case_base, rebuild=self._rebuild, apply=self._apply)
         self.tracker.mark_current()
-        #: Subscriptions that must rebuild whenever this image is invalidated:
-        #: the retrieval units' encoded CB-MEM images.
-        self._dependents: "weakref.WeakSet[RevisionTrackedCache]" = weakref.WeakSet()
 
     def table(self, type_id: int, *, current: bool = False) -> TypeTable:
         """One type's current table; ``current=True`` when the caller already
@@ -289,20 +285,17 @@ class TypeTables:
             self.types[type_id] = table
         return table
 
-    def add_dependent(self, tracker: RevisionTrackedCache) -> None:
-        """Invalidate ``tracker`` together with this image (held weakly)."""
-        self._dependents.add(tracker)
-
     def invalidate(self) -> None:
-        """Rebuild this image and every dependent from the live case base.
+        """Rebuild this image and the encoded CB-MEM image from the live case base.
 
         Needed only after implementation objects were edited in place (which
         bypasses the revision counter); any consumer's ``invalidate`` lands
         here, so all consumers of the case base stay consistent.
         """
         self.tracker.invalidate()
-        for tracker in list(self._dependents):
-            tracker.invalidate()
+        encoded = self.case_base._encoded_image
+        if encoded is not None:
+            encoded.tracker.invalidate()
 
     def seed(self, tables: Dict[int, TypeTable]) -> None:
         """Install pre-built tables of the live revision (the image-store path)."""

@@ -8,7 +8,8 @@ consumer kept a private cache keyed to
 *any* change -- O(case base) per retained case.  Today the consumers are the
 case base's one columnar image (:mod:`repro.core.columnar`, patched once per
 window for the vectorized backend and both vectorized cycle engines) and
-each retrieval unit's encoded CB-MEM image.
+its one encoded CB-MEM image (:class:`~repro.memmap.image.DeltaTrackedImage`,
+read by both retrieval units).
 
 This module gives mutations structure so consumers can react proportionally:
 

@@ -179,7 +179,7 @@ class RetrievalEngine:
         """Drop state derived from the case base, for every consumer of it.
 
         The backend's caches go, and so does the case base's shared columnar
-        image with every retrieval unit's encoded words.  Structural case-base changes (everything going through
+        image with its encoded CB-MEM words.  Structural case-base changes (everything going through
         :class:`CaseBase`'s mutators, including the learning cycle's revise and
         retain steps) are detected automatically via the revision counter; this
         hook is only needed after mutating implementation objects in place.

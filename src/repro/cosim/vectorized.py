@@ -49,9 +49,11 @@ Three kernels keep the per-request cost low:
   ``n`` vectorized passes, O(``n * I``) instead of an ``I x I`` comparison.
 * **A per-request exact-cycle memo.**  ``hardware_cycles``/``software_cycles``
   map ``(model configuration, encoded request words)`` to cycles in a bounded
-  LRU map on the unit's :class:`~repro.memmap.image.DeltaTrackedImage`,
-  consulted before any grouping, so a batch of repeated requests does no
-  NumPy work.  A delta window drops the entries of every type it touches
+  LRU map on the case base's one encoded image
+  (:class:`~repro.memmap.image.DeltaTrackedImage`, shared by the hardware
+  and software units; the model configuration in the key keeps their
+  entries apart), consulted before any grouping, so a batch of repeated
+  requests does no NumPy work.  A delta window drops the entries of every type it touches
   or moves in the level-0 list; a full rebuild (also any supplemental
   change) drops them all.  The full-result paths
   (``hardware_batch``/``software_batch``) and the stepwise golden path are
@@ -195,7 +197,7 @@ def _memoized_cycles(
     missing_bounds_error: Callable[[str], Exception],
     price_group: Callable[[_TypeGroup], List[int]],
 ) -> List[int]:
-    """Exact cycles per request through the unit image's cycle memo.
+    """Exact cycles per request through the case-base image's cycle memo.
 
     A cycle count is a pure function of the encoded request words, the
     model configuration (``model_key``) and the image, so the memo maps

@@ -23,20 +23,15 @@ its insertion compare cycles (experiment E8).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.attributes import BoundsTable
-from ..core.caching import RevisionTrackedCache
 from ..core.case_base import CaseBase
-from ..core.deltas import DeltaSummary
 from ..core.exceptions import HardwareModelError, UnknownFunctionTypeError
 from ..core.request import FunctionRequest
 from ..fixedpoint.qformat import QFormat, UQ0_16
 from ..memmap.image import DeltaTrackedImage
 from ..memmap.ram import RamBlock
-from ..memmap.request_list import EncodedRequest
 from ..memmap.words import END_OF_LIST
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -164,41 +159,38 @@ class HardwareRetrievalResult:
 
 
 class HardwareRetrievalUnit:
-    """The retrieval unit: owns its memories and executes retrieval runs.
+    """The retrieval unit: executes retrieval runs over the case base's CB-MEM.
+
+    The encoded memory image is the case base's one
+    :attr:`~repro.core.case_base.CaseBase.encoded_image`, shared with every
+    other unit reading the same case base; the unit keeps its configuration,
+    its datapath components and the CB-MEM :class:`RamBlock` of the stepwise
+    walk.
 
     Parameters
     ----------
     case_base:
         The case base to load into CB-MEM.
-    bounds:
-        Optional explicit bounds table (defaults to the case base's).
     config:
         Hardware configuration options.
-    """
 
-    #: Encoded-request cache entries kept per unit (FIFO eviction).
-    REQUEST_CACHE_CAPACITY = 1024
+    Raises :class:`~repro.core.exceptions.EncodingError` when the case base
+    cannot be encoded (past 16-bit word addressing).
+    """
 
     def __init__(
         self,
         case_base: CaseBase,
         *,
-        bounds: Optional[BoundsTable] = None,
         config: Optional[HardwareConfig] = None,
     ) -> None:
         self.config = config if config is not None else HardwareConfig()
         self.case_base = case_base
-        self._bounds = bounds
-        self._delta_image = DeltaTrackedImage(case_base, bounds=bounds)
-        self.image = self._delta_image.image
-        self.case_base_ram, self.supplemental_base = self.image.build_case_base_ram()
-        self.fraction_format = self.image.fraction_format
-        self._request_cache: "OrderedDict[Tuple, EncodedRequest]" = OrderedDict()
-        self._tracker = RevisionTrackedCache(
-            case_base, rebuild=self._rebuild_image, apply=self._apply_deltas
-        )
-        self._tracker.mark_current()
-        self._delta_image.tables.add_dependent(self._tracker)
+        self.fraction_format = case_base.encoded_image.fraction_format
+        self._ram: Optional[RamBlock] = None
+        #: The shared word list :attr:`case_base_ram` was built from.
+        self._ram_words: Optional[List[int]] = None
+        self._supplemental_base = 0
         self._components = standard_datapath_components()
         if self.config.use_divider:
             # The divider replaces the reciprocal multiplier (section 4.1's
@@ -209,91 +201,33 @@ class HardwareRetrievalUnit:
             NBestRegisterFile(self.config.n_best) if self.config.n_best > 1 else None
         )
 
-    # -- image / request caching ---------------------------------------------------
-
-    def _ensure_current(self) -> None:
-        """Refresh the memory image when the case base has mutated.
-
-        Shares the :class:`~repro.core.caching.RevisionTrackedCache` protocol
-        with the case base's shared columnar image: when the case base's
-        delta log still covers the window, only the touched types are
-        re-encoded (and the encoded-request cache survives -- request
-        encoding is case-base independent); a truncated log or an unstable
-        effective bounds table falls back to the full rebuild.  (In-place
-        edits of an :class:`Implementation`'s attribute dict bypass the
-        revision counter, as everywhere else; see :meth:`invalidate`.)
-        """
-        self._tracker.ensure_current()
+    # -- the shared image --------------------------------------------------------------
 
     def invalidate(self) -> None:
-        """Force a full rebuild on next use, here and in every other consumer
-        of the case base's shared columnar image (after in-place edits)."""
-        self._delta_image.tables.invalidate()
-
-    def _rebuild_image(self) -> None:
-        """Full rebuild: re-encode everything, drop derived and request caches."""
-        self._delta_image.rebuild()
-        self.image = self._delta_image.image
-        self.case_base_ram, self.supplemental_base = self.image.build_case_base_ram()
-        self.fraction_format = self.image.fraction_format
-        self._request_cache.clear()
-
-    def _apply_deltas(self, summary: DeltaSummary) -> bool:
-        """Patch the encoded image for one delta window (touched types only).
-
-        The shared :class:`~repro.memmap.image.DeltaTrackedImage` carries the
-        delta rules; only the CB-MEM RAM is refreshed here.  The request
-        cache survives: encoded requests depend only on the fraction format,
-        never on case-base contents.
-        """
-        if not self._delta_image.apply(summary):
-            return False
-        self.image = self._delta_image.image
-        self.case_base_ram = RamBlock.from_words(
-            self._delta_image.words(), name="CB-MEM", validate=False
-        )
-        self.supplemental_base = self._delta_image.supplemental_base
-        return True
-
-    def _encoded_request(self, request: FunctionRequest) -> EncodedRequest:
-        """Encode a request once per signature.
-
-        The cache deliberately survives incremental delta windows (request
-        encoding depends only on the fraction format, never on case-base
-        contents) and is dropped only by a full image rebuild.  It holds the
-        encoding only: the cycle engines read the words, and the stepwise
-        walk builds its Req-MEM from them per run.
-        """
-        self._ensure_current()
-        key = request.signature()
-        encoded = self._request_cache.get(key)
-        if encoded is None:
-            encoded = self.image.encode_request(request)
-            if len(self._request_cache) >= self.REQUEST_CACHE_CAPACITY:
-                self._request_cache.popitem(last=False)
-            self._request_cache[key] = encoded
-        return encoded
-
-    def encoded_request_words(self, request: FunctionRequest) -> Tuple[int, ...]:
-        """The request's encoded word image (cached; used by the cycle engines)."""
-        return self._encoded_request(request).words
+        """Force a full rebuild on next use of every image of the case base
+        (after in-place edits of implementation objects)."""
+        self.case_base.type_tables.invalidate()
 
     def pricing_image(self) -> DeltaTrackedImage:
-        """The current encoded image the vectorized cycle engine prices from
-        (the shared type tables hang off it as ``tables``)."""
-        self._ensure_current()
-        self._delta_image.tables.tracker.ensure_current()
-        return self._delta_image
+        """The case base's current encoded image (the vectorized cycle engine
+        prices from it; the shared type tables hang off it as ``tables``)."""
+        return self.case_base.encoded_image
 
-    def image_word_count(self) -> int:
-        """Word count of the current CB-MEM image (refreshed if stale).
+    def encoded_request_words(self, request: FunctionRequest) -> Tuple[int, ...]:
+        """The request's encoded word image (cached per signature on the shared image)."""
+        return self.case_base.encoded_image.encode_request(request).words
 
-        Sizes the device-side image streams the platform fleet models: a
-        full reconfiguration transfers this many words through the device's
-        configuration port.
-        """
-        self._ensure_current()
-        return len(self.case_base_ram)
+    @property
+    def case_base_ram(self) -> RamBlock:
+        """CB-MEM as the stepwise walk reads it: a RAM over the shared words,
+        built on the first read after each change of the image."""
+        image = self.case_base.encoded_image
+        words = image.words
+        if words is not self._ram_words:
+            self._ram = RamBlock.from_words(list(words), name="CB-MEM", validate=False)
+            self._ram_words = words
+            self._supplemental_base = image.supplemental_base
+        return self._ram  # type: ignore[return-value]
 
     # -- helpers ------------------------------------------------------------------
 
@@ -327,11 +261,11 @@ class HardwareRetrievalUnit:
 
     def _read_cb(self, address: int, stats: HardwareStatistics) -> int:
         stats.case_base_reads += 1
-        return self.case_base_ram.read(address)
+        return self._ram.read(address)  # type: ignore[union-attr]
 
     def _read_cb_pair(self, address: int, stats: HardwareStatistics) -> Tuple[int, int]:
         stats.case_base_reads += 1
-        return self.case_base_ram.read_pair(address)
+        return self._ram.read_pair(address)  # type: ignore[union-attr]
 
     def _read_req(self, ram: RamBlock, address: int, stats: HardwareStatistics) -> int:
         stats.request_reads += 1
@@ -345,7 +279,9 @@ class HardwareRetrievalUnit:
 
     def run(self, request: FunctionRequest) -> HardwareRetrievalResult:
         """Execute one retrieval run for the given request (stepwise model)."""
-        return self.run_on_ram(self._encoded_request(request).build_ram())
+        return self.run_on_ram(
+            self.case_base.encoded_image.encode_request(request).build_ram()
+        )
 
     def run_batch(
         self,
@@ -403,7 +339,7 @@ class HardwareRetrievalUnit:
         if self._nbest is not None:
             self._nbest.reset()
             self._nbest.clear()
-        self.case_base_ram.reset_counters()
+        self.case_base_ram.reset_counters()  # also brings the RAM current
         request_ram.reset_counters()
 
         # --- fetch the requested function type -----------------------------------
@@ -572,7 +508,7 @@ class HardwareRetrievalUnit:
         self.accumulator.clear()
         request_cursor = 1  # word 0 holds the type ID
         attribute_cursor = attribute_list_address
-        supplemental_cursor = self.supplemental_base
+        supplemental_cursor = self._supplemental_base
         compute_cycles = 1 if config.pipelined_datapath else 3
         accumulate_cycles = 1 if config.pipelined_datapath else 2
 

@@ -6,10 +6,13 @@ list, and the request memory (``Req-MEM``) holding the encoded request.
 :class:`CaseBaseImage` builds both images from high-level objects and reports
 their footprints (Table 3); :func:`build_memories` instantiates the
 :class:`~repro.memmap.ram.RamBlock` objects the cycle-accurate model reads.
-:class:`DeltaTrackedImage` keeps one retrieval unit's image current across
-case-base delta windows, together with what the vectorized cycle engines
-need besides the case base's shared type tables: level-0 positions, the
-supplemental list's arrays and the per-request cycle memo.
+:class:`DeltaTrackedImage` is a case base's one encoded CB-MEM image
+(:attr:`CaseBase.encoded_image <repro.core.case_base.CaseBase.encoded_image>`),
+read by both the hardware and the software retrieval unit and kept current
+across delta windows.  Besides the words it holds what the vectorized cycle
+engines need beyond the case base's shared type tables -- level-0
+positions, the supplemental list's arrays and the per-request cycle memo --
+and the encoded-request cache.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.attributes import BoundsTable
+from ..core.caching import RevisionTrackedCache
 from ..core.case_base import CaseBase
 from ..core.deltas import DeltaSummary, deltas_preserve_derived_bounds
-from ..core.exceptions import EncodingError
 from ..core.request import FunctionRequest
 from ..fixedpoint.qformat import QFormat, UQ0_16
 from .compact import EncodedCompactTree, encode_compact_tree
@@ -39,11 +42,14 @@ from .supplemental_list import (
     EncodedSupplementalList,
     encode_supplemental,
 )
-from .words import END_OF_LIST, WORD_BYTES
+from .words import END_OF_LIST
 
-#: Exact-cycle memo entries kept per unit image (least recently used
+#: Exact-cycle memo entries kept per case-base image (least recently used
 #: evicted first).
 CYCLE_MEMO_CAPACITY = 1024
+
+#: Encoded requests kept per case-base image (oldest evicted first).
+ENCODED_REQUEST_CAPACITY = 1024
 
 
 @dataclass(frozen=True)
@@ -103,10 +109,10 @@ class CaseBaseImage:
         self.case_base = case_base
         self.bounds = bounds if bounds is not None else case_base.bounds
         self.fraction_format = fraction_format
-        #: ``tree``/``supplemental`` may be supplied pre-encoded -- the
-        #: delta-aware retrieval units patch only touched types via
+        #: ``tree``/``supplemental`` may be supplied pre-encoded --
+        #: :class:`DeltaTrackedImage` patches only touched types via
         #: :class:`~repro.memmap.implementation_tree.SegmentedTreeEncoder`
-        #: and re-wrap the result here instead of re-encoding everything.
+        #: and re-wraps the result here instead of re-encoding everything.
         self.tree: EncodedImplementationTree = (
             tree if tree is not None else encode_tree(case_base)
         )
@@ -176,33 +182,30 @@ class CaseBaseImage:
 
 
 class DeltaTrackedImage:
-    """Delta-aware maintenance of one retrieval unit's encoded memory state.
+    """The case base's one encoded CB-MEM image, kept current across delta windows.
 
-    Owns what the hardware and software units share and what depends on
-    their bounds or on the encoding: the segmented tree encoder and the
-    current :class:`CaseBaseImage` (the CB-MEM words of the stepwise walk),
-    each type's level-0 ``position``, the supplemental list's IDs,
-    reciprocals, ``1 + dmax`` divisors and index, and the vectorized
-    engines' per-request cycle memo.  The per-type attribute tables come
-    from the case base's shared columnar image (:attr:`tables`).  The owning
-    unit keeps its substrate-specific memory form (CB-MEM
-    :class:`~repro.memmap.ram.RamBlock` vs a flat word list) and its
-    encoded-request cache.
+    Reached through :attr:`CaseBase.encoded_image
+    <repro.core.case_base.CaseBase.encoded_image>`; the hardware and
+    software retrieval units of a case base both read it.  It owns the
+    segmented tree encoder and the current :class:`CaseBaseImage`, the
+    combined CB-MEM word list of the stepwise walks (built on first read
+    after each change), each type's level-0 ``position``, the supplemental
+    list's IDs, reciprocals, ``1 + dmax`` divisors and index, the
+    vectorized engines' per-request cycle memo (keyed by the model
+    configuration, so both units share it) and the signature-keyed
+    encoded-request cache.  The per-type attribute tables come from the
+    case base's shared columnar image (:attr:`tables`).
 
-    Cycle memo rule: a delta window drops the entries of every type it
-    touches or whose level-0 position it shifts (a type added or removed
-    before it); a full rebuild -- including any supplemental change --
-    drops them all.
+    One :class:`~repro.core.caching.RevisionTrackedCache` subscription
+    (:attr:`tracker`) keeps it current.  Cycle memo rule: a delta window
+    drops the entries of every type it touches or whose level-0 position it
+    shifts (a type added or removed before it); a full rebuild -- including
+    any supplemental change -- drops them all.  Encoded requests depend only
+    on the fraction format, so no window drops them.
     """
 
-    def __init__(
-        self,
-        case_base: CaseBase,
-        bounds: Optional[BoundsTable] = None,
-        fraction_format: QFormat = UQ0_16,
-    ) -> None:
+    def __init__(self, case_base: CaseBase) -> None:
         self.case_base = case_base
-        self._bounds = bounds
         self._segments = SegmentedTreeEncoder()
         #: The case base's shared per-type attribute tables.
         self.tables = case_base.type_tables
@@ -210,16 +213,19 @@ class DeltaTrackedImage:
         #: ``(model key, encoded request words) -> cycles``, bounded to
         #: :data:`CYCLE_MEMO_CAPACITY` (least recently used evicted first).
         self.cycle_memo: "OrderedDict[Tuple, int]" = OrderedDict()
-        self._encode(fraction_format)
+        #: ``request signature -> encoded request``, bounded to
+        #: :data:`ENCODED_REQUEST_CAPACITY` (oldest evicted first).
+        self.encoded_requests: "OrderedDict[Tuple, EncodedRequest]" = OrderedDict()
+        self._rebuild()
+        self.tracker = RevisionTrackedCache(case_base, rebuild=self._rebuild, apply=self._apply)
+        self.tracker.mark_current()
 
-    def _encode(self, fraction_format: QFormat) -> None:
+    def _rebuild(self) -> None:
         """Full encode of the words, positions and supplemental arrays."""
         self.image = CaseBaseImage(
-            self.case_base,
-            bounds=self._bounds,
-            fraction_format=fraction_format,
-            tree=self._segments.encode_full(self.case_base),
+            self.case_base, tree=self._segments.encode_full(self.case_base)
         )
+        self._words: Optional[List[int]] = None
         self.positions = self._segments.positions()
         ids: List[int] = []
         reciprocals: List[int] = []
@@ -243,36 +249,52 @@ class DeltaTrackedImage:
         }
         self.cycle_memo.clear()
 
-    def words(self) -> List[int]:
-        """A fresh combined CB-MEM word list (tree then supplemental list).
+    @property
+    def fraction_format(self) -> QFormat:
+        """Fixed-point format of the weights, reciprocals and similarities."""
+        return self.image.fraction_format
 
-        The caller owns the returned list (the units adopt it as RAM/memory
-        contents without copying).
+    @property
+    def words(self) -> List[int]:
+        """The combined CB-MEM word list (tree then supplemental list).
+
+        Built on the first read after each change and shared by every
+        reader; treat it as read-only.
         """
-        combined = list(self.image.tree.words)
-        combined.extend(self.image.supplemental.words)
-        return combined
+        if self._words is None:
+            self._words = list(self.image.tree.words) + list(self.image.supplemental.words)
+        return self._words
+
+    @property
+    def word_count(self) -> int:
+        """Word count of the CB-MEM image (tree plus supplemental list)."""
+        return len(self.image.tree.words) + len(self.image.supplemental.words)
 
     @property
     def supplemental_base(self) -> int:
         """Word address at which the supplemental list starts."""
         return self.image.tree.size_words
 
-    def rebuild(self) -> None:
-        """Full rebuild: re-encode every type, drop the whole cycle memo."""
-        self._encode(self.image.fraction_format)
+    def encode_request(self, request: FunctionRequest) -> EncodedRequest:
+        """Encode a request once per signature (encoding errors are not cached)."""
+        key = request.signature()
+        encoded = self.encoded_requests.get(key)
+        if encoded is None:
+            encoded = self.image.encode_request(request)
+            if len(self.encoded_requests) >= ENCODED_REQUEST_CAPACITY:
+                self.encoded_requests.popitem(last=False)
+            self.encoded_requests[key] = encoded
+        return encoded
 
     def _bounds_stable(self, summary: DeltaSummary) -> bool:
         """Whether the image's supplemental list provably stays unchanged."""
-        if self._bounds is not None:
-            return True  # bounds pinned at construction; deltas cannot move them
         if summary.bounds_changed:
             return False
         if self.case_base.has_explicit_bounds:
             return True
         return deltas_preserve_derived_bounds(summary.deltas, self.image.bounds)
 
-    def apply(self, summary: DeltaSummary) -> bool:
+    def _apply(self, summary: DeltaSummary) -> bool:
         """Patch the image (and the cycle memo) for one delta window.
 
         ``False`` requests the full rebuild instead (empty case base --
@@ -291,6 +313,7 @@ class DeltaTrackedImage:
             tree=tree,
             supplemental=self.image.supplemental,
         )
+        self._words = None
         previous, self.positions = self.positions, self._segments.positions()
         stale = set(summary.touched_types)
         stale.update(

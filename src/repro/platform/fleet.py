@@ -199,9 +199,9 @@ class DeviceFleet:
         configuration-port bandwidth model.
     image_words:
         Optional zero-argument callable returning the current CB-MEM image
-        word count (used to size modelled image streams).  The admission
-        controller serving the fleet installs its hardware unit's counter;
-        a standalone fleet builds one on first use.
+        word count (used to size modelled image streams).  By default the
+        fleet counts the case base's shared encoded image; the admission
+        controller installs a zero count when that image cannot exist.
     """
 
     def __init__(
@@ -371,15 +371,13 @@ class DeviceFleet:
 
     def image_word_count(self) -> int:
         """Word count of one full on-device CB-MEM image."""
-        if self.image_words is None:
-            # Software-only fleets never stream images; a zero-sized image
-            # keeps sync a no-op without demanding a hardware unit.
-            if not self.hardware_workers:
-                return 0
-            from ..hardware.retrieval_unit import HardwareRetrievalUnit
-
-            self.image_words = HardwareRetrievalUnit(self.case_base).image_word_count
-        return int(self.image_words())
+        if self.image_words is not None:
+            return int(self.image_words())
+        # Software-only fleets never stream images; a zero-sized image
+        # keeps sync a no-op without encoding the case base.
+        if not self.hardware_workers:
+            return 0
+        return self.case_base.encoded_image.word_count
 
     def _stream_words(self, worker: RetrievalWorker) -> Tuple[int, bool]:
         """``(words to stream, incremental?)`` to bring one image current.

@@ -291,9 +291,9 @@ class AdmissionController:
                 hardware_clock_mhz=self.clock_mhz,
                 software_clock_mhz=self._software_cost_model.clock_mhz,
             )
-        if fleet.image_words is None:
-            unit = self.hardware_unit
-            fleet.image_words = unit.image_word_count if unit is not None else lambda: 0
+        if fleet.image_words is None and self.hardware_unit is None:
+            # No CB-MEM image exists to stream (see hardware_unavailable_reason).
+            fleet.image_words = lambda: 0
         self.fleet = fleet
         self.fault_injector = fault_injector
         if retry_policy is None and fault_injector is not None:

@@ -36,7 +36,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..allocation.feasibility import FeasibilityChecker
 from ..core.caching import RevisionTrackedCache
 from ..core.case_base import CaseBase
-from ..core.deltas import DeltaKind, DeltaSummary, deltas_preserve_derived_bounds
+from ..core.deltas import DeltaSummary, deltas_preserve_derived_bounds
 from ..core.exceptions import ReproError
 from ..core.learning import CaseRetainer, CaseReviser, CBRCycle, CycleReport, OutcomeRecord
 from ..core.request import FunctionRequest
@@ -610,8 +610,12 @@ class ServingEngine:
         #: window that may move that table rebuilds it; the engine's backend
         #: absorbs every other window.
         self._retriever_tracker = RevisionTrackedCache(
-            case_base, rebuild=self._rebuild_retriever, apply=self._retriever_bounds_hold
+            case_base, rebuild=self._rebuild_retriever, apply=self._absorb_window
         )
+        #: Per-signature screen verdicts (a verdict depends only on the
+        #: signature, the requested type and the retriever's bounds table,
+        #: so hot-template traffic screens with one dict lookup per request).
+        self._screen_verdicts: Dict[Tuple, Optional[str]] = {}
         self._rebuild_retriever()
         self._retriever_tracker.mark_current()
         # The modelled unit must be the one that would deliver the configured
@@ -636,17 +640,6 @@ class ServingEngine:
         )
         self.admission.observability = self.observability
         self.fleet = self.admission.fleet
-        #: Revision-tracked screening caches (hot path: one check per request);
-        #: delta windows patch only the touched types instead of rescanning.
-        self._servable_types: Dict[int, Optional[str]] = {}
-        self._bounded_attribute_ids: frozenset = frozenset()
-        #: Per-signature screen verdicts (a verdict depends only on the
-        #: signature and the revision-tracked tables, so hot-template
-        #: traffic screens with one dict lookup per request).
-        self._screen_verdicts: Dict[Tuple, Optional[str]] = {}
-        self._screen_tracker = RevisionTrackedCache(
-            case_base, rebuild=self._rebuild_screen, apply=self._apply_screen_deltas
-        )
         #: Optional online-learning adapter (revise + retain between batches).
         self.learner = OnlineLearner(case_base, self.config) if self.config.learn else None
 
@@ -658,8 +651,20 @@ class ServingEngine:
         )
         #: Backend pre-filter counts already in the registry (new ones start at 0).
         self._prefilter_emitted = (0, 0, 0)
+        self._screen_verdicts.clear()  # they read the old bounds table
 
-    def _retriever_bounds_hold(self, summary: DeltaSummary) -> bool:
+    def _absorb_window(self, summary: DeltaSummary) -> bool:
+        """Keep the retriever across a window that cannot move its bounds.
+
+        Screen verdicts key on the request signature, which leads with the
+        type ID: the window drops those of the types it touches (under
+        ``learn=True`` every micro-batch mutates the case base, and
+        untouched types keep theirs); a rebuilt retriever drops them all.
+        """
+        touched = summary.touched_types
+        if touched:
+            for key in [key for key in self._screen_verdicts if key[0] in touched]:
+                del self._screen_verdicts[key]
         return not summary.bounds_changed and (
             self.case_base.has_explicit_bounds
             or deltas_preserve_derived_bounds(summary.deltas, self.retriever.bounds)
@@ -685,130 +690,45 @@ class ServingEngine:
 
     # -- request screening ---------------------------------------------------------
 
-    @staticmethod
-    def _type_failure(function_type) -> Optional[str]:
-        if len(function_type) > 0:
-            return None
-        return (
-            f"function type {function_type.type_id} has no implementation variants"
-        )
-
     #: Screen-verdict cache entries kept (cleared wholesale beyond).
     SCREEN_VERDICT_CAPACITY = 4096
-
-    def _rebuild_screen(self) -> None:
-        """Full rescan of the screening lookup tables."""
-        self._servable_types = {
-            function_type.type_id: self._type_failure(function_type)
-            for function_type in self.case_base.sorted_types()
-        }
-        self._bounded_attribute_ids = frozenset(
-            bound.attribute_id for bound in self.case_base.bounds
-        )
-        self._screen_verdicts.clear()
-
-    def _apply_screen_deltas(self, summary: DeltaSummary) -> bool:
-        """Patch the screening tables for one delta window.
-
-        Type servability only needs the touched types re-checked.  The
-        bounded-attribute set is exact, too: with explicit bounds it moves
-        only on ``BOUNDS_CHANGED``; with derived bounds it is the set of all
-        attribute IDs in the case base, which grows with additions
-        (union-in) and needs a rescan only when a removal might have dropped
-        an attribute's last occurrence.
-        """
-        case_base = self.case_base
-        touched = summary.touched_types
-        # Verdicts key on the request signature (leading with the type ID),
-        # so a window invalidates only the touched types' entries -- the
-        # whole point under learn=True, where every micro-batch mutates the
-        # case base; bounded-set changes below clear the memo wholesale.
-        if touched:
-            stale = [key for key in self._screen_verdicts if key[0] in touched]
-            for key in stale:
-                del self._screen_verdicts[key]
-        for type_id in touched:
-            if type_id in case_base:
-                self._servable_types[type_id] = self._type_failure(
-                    case_base.get_type(type_id)
-                )
-            else:
-                self._servable_types.pop(type_id, None)
-        if case_base.has_explicit_bounds:
-            if summary.bounds_changed:
-                self._bounded_attribute_ids = frozenset(
-                    bound.attribute_id for bound in case_base.bounds
-                )
-                self._screen_verdicts.clear()
-            return True
-        added_ids: set = set()
-        for delta in summary.deltas:
-            if delta.kind is DeltaKind.ADD_IMPLEMENTATION:
-                added_ids.update(delta.implementation.attributes)
-            elif delta.kind is DeltaKind.ADD_TYPE:
-                for implementation in delta.function_type.implementations.values():
-                    added_ids.update(implementation.attributes)
-            elif delta.kind is DeltaKind.REPLACE_IMPLEMENTATION:
-                added_ids.update(delta.implementation.attributes)
-                vanished = set(delta.previous.attributes) - set(
-                    delta.implementation.attributes
-                )
-                if vanished:
-                    self._bounded_attribute_ids = frozenset(case_base.attribute_ids())
-                    self._screen_verdicts.clear()
-                    return True
-            else:  # REMOVE_IMPLEMENTATION / REMOVE_TYPE / BOUNDS_CHANGED
-                self._bounded_attribute_ids = frozenset(case_base.attribute_ids())
-                self._screen_verdicts.clear()
-                return True
-        if added_ids - self._bounded_attribute_ids:
-            self._bounded_attribute_ids = self._bounded_attribute_ids | frozenset(
-                added_ids
-            )
-            self._screen_verdicts.clear()
-        return True
-
-    def _screen_caches(self) -> Tuple[Dict[int, Optional[str]], frozenset]:
-        """Revision-tracked lookup tables behind :meth:`_screen`."""
-        self._screen_tracker.ensure_current()
-        return self._servable_types, self._bounded_attribute_ids
 
     def _screen(self, request: FunctionRequest) -> Optional[str]:
         """Why a request cannot be dispatched at all, or ``None`` if it can.
 
-        Verdicts are memoized per request signature: they depend only on the
-        signature and the revision-tracked tables (any table change clears
-        the memo), so repeated hot-template traffic screens with one dict
-        lookup.
+        Reads the case base for the requested type and the retriever's
+        bounds table (brought current first) for the attributes.  Verdicts
+        are memoized per request signature, so repeated hot-template
+        traffic screens with one dict lookup.
         """
-        servable_types, bounded = self._screen_caches()
+        self._retriever_tracker.ensure_current()
         key = request.signature()
         try:
             cached = self._screen_verdicts.get(key)
         except TypeError:  # unhashable value in a malformed request
-            return self._screen_uncached(request, servable_types, bounded)
+            return self._screen_uncached(request)
         if cached is not None or key in self._screen_verdicts:
             return cached
-        verdict = self._screen_uncached(request, servable_types, bounded)
+        verdict = self._screen_uncached(request)
         if len(self._screen_verdicts) >= self.SCREEN_VERDICT_CAPACITY:
             self._screen_verdicts.clear()
         self._screen_verdicts[key] = verdict
         return verdict
 
-    def _screen_uncached(
-        self, request: FunctionRequest, servable_types, bounded
-    ) -> Optional[str]:
-        if request.type_id not in servable_types:
+    def _screen_uncached(self, request: FunctionRequest) -> Optional[str]:
+        case_base = self.case_base
+        if request.type_id not in case_base:
             return f"function type {request.type_id} is not in the case base"
-        type_failure = servable_types[request.type_id]
-        if type_failure is not None:
-            return type_failure
+        function_type = case_base.get_type(request.type_id)
+        if len(function_type) == 0:
+            return f"function type {function_type.type_id} has no implementation variants"
         if len(request) == 0:
             return "request has no constraining attributes"
         if request.total_weight() <= 0:
             return "request weights sum to zero"
+        bounds = self.retriever.bounds
         for attribute_id in request.attribute_ids():
-            if attribute_id not in bounded:
+            if attribute_id not in bounds:
                 return f"attribute {attribute_id} is not in the bounds table"
         try:
             # The memory-map encoder is the authoritative validator for value

@@ -20,14 +20,10 @@ The model distinguishes two code-generation styles:
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
-from ..core.attributes import BoundsTable
-from ..core.caching import RevisionTrackedCache
 from ..core.case_base import CaseBase
-from ..core.deltas import DeltaSummary
 from ..core.exceptions import SoftwareModelError, UnknownFunctionTypeError
 from ..core.request import FunctionRequest
 from ..fixedpoint.qformat import QFormat, UQ0_16
@@ -82,108 +78,54 @@ class SoftwareRetrievalResult:
 class SoftwareRetrievalUnit:
     """Most-similar retrieval compiled onto the soft-core cost model.
 
+    The program walks the case base's one
+    :attr:`~repro.core.case_base.CaseBase.encoded_image` -- the same CB-MEM
+    words the hardware unit reads -- as a flat word array; the unit keeps
+    only its cost model and code-generation style.
+
     Parameters
     ----------
     case_base:
         The case base; it is encoded into the same word image the hardware uses.
-    bounds:
-        Optional explicit bounds table.
     cost_model:
         Per-instruction-class cycle costs (defaults to the MicroBlaze model).
     inline_helpers:
         Model an inlined build instead of the default helper-function build.
-    """
 
-    #: Encoded-request cache entries kept per unit (FIFO eviction).
-    REQUEST_CACHE_CAPACITY = 1024
+    Raises :class:`~repro.core.exceptions.EncodingError` when the case base
+    cannot be encoded (past 16-bit word addressing).
+    """
 
     def __init__(
         self,
         case_base: CaseBase,
         *,
-        bounds: Optional[BoundsTable] = None,
         cost_model: Optional[CostModel] = None,
         inline_helpers: bool = False,
     ) -> None:
         self.cost_model = cost_model if cost_model is not None else microblaze_cost_model()
         self.inline_helpers = inline_helpers
         self.case_base = case_base
-        self._bounds = bounds
-        self._delta_image = DeltaTrackedImage(case_base, bounds=bounds)
-        self.image = self._delta_image.image
-        self._memory: List[int] = self._delta_image.words()
-        self._supplemental_base = self._delta_image.supplemental_base
-        self.fraction_format = self.image.fraction_format
-        self._request_cache: "OrderedDict[Tuple, Tuple[int, ...]]" = OrderedDict()
-        self._tracker = RevisionTrackedCache(
-            case_base, rebuild=self._rebuild_image, apply=self._apply_deltas
-        )
-        self._tracker.mark_current()
-        self._delta_image.tables.add_dependent(self._tracker)
+        self.fraction_format = case_base.encoded_image.fraction_format
+        #: The shared CB-MEM words and supplemental base of the current run.
+        self._memory: List[int] = []
+        self._supplemental_base = 0
 
-    # -- image / request caching ---------------------------------------------------
-
-    def _ensure_current(self) -> None:
-        """Refresh the memory image when the case base has mutated.
-
-        Shares the :class:`~repro.core.caching.RevisionTrackedCache` delta
-        protocol; see :meth:`HardwareRetrievalUnit._ensure_current
-        <repro.hardware.retrieval_unit.HardwareRetrievalUnit._ensure_current>`.
-        """
-        self._tracker.ensure_current()
+    # -- the shared image --------------------------------------------------------------
 
     def invalidate(self) -> None:
-        """Force a full rebuild on next use, here and in every other consumer
-        of the case base's shared columnar image (after in-place edits)."""
-        self._delta_image.tables.invalidate()
-
-    def _rebuild_image(self) -> None:
-        """Full rebuild: re-encode everything, drop derived and request caches."""
-        self._delta_image.rebuild()
-        self.image = self._delta_image.image
-        self._memory = self._delta_image.words()
-        self._supplemental_base = self._delta_image.supplemental_base
-        self.fraction_format = self.image.fraction_format
-        self._request_cache.clear()
-
-    def _apply_deltas(self, summary: DeltaSummary) -> bool:
-        """Patch the encoded memory for one delta window (touched types only).
-
-        The shared :class:`~repro.memmap.image.DeltaTrackedImage` carries the
-        delta rules; only the flat memory list is refreshed here.  The
-        request cache survives: encoded requests depend only on the fraction
-        format, never on case-base contents.
-        """
-        if not self._delta_image.apply(summary):
-            return False
-        self.image = self._delta_image.image
-        self._memory = self._delta_image.words()
-        self._supplemental_base = self._delta_image.supplemental_base
-        return True
-
-    def encoded_request_words(self, request: FunctionRequest) -> Tuple[int, ...]:
-        """Encode a request once per signature.
-
-        The cache deliberately survives incremental delta windows (request
-        encoding depends only on the fraction format, never on case-base
-        contents) and is dropped only by a full image rebuild.
-        """
-        self._ensure_current()
-        key = request.signature()
-        words = self._request_cache.get(key)
-        if words is None:
-            words = self.image.encode_request(request).words
-            if len(self._request_cache) >= self.REQUEST_CACHE_CAPACITY:
-                self._request_cache.popitem(last=False)
-            self._request_cache[key] = words
-        return words
+        """Force a full rebuild on next use of every image of the case base
+        (after in-place edits of implementation objects)."""
+        self.case_base.type_tables.invalidate()
 
     def pricing_image(self) -> DeltaTrackedImage:
-        """The current encoded image the vectorized cycle engine prices from
-        (the shared type tables hang off it as ``tables``)."""
-        self._ensure_current()
-        self._delta_image.tables.tracker.ensure_current()
-        return self._delta_image
+        """The case base's current encoded image (the vectorized cycle engine
+        prices from it; the shared type tables hang off it as ``tables``)."""
+        return self.case_base.encoded_image
+
+    def encoded_request_words(self, request: FunctionRequest) -> Tuple[int, ...]:
+        """The request's encoded word image (cached per signature on the shared image)."""
+        return self.case_base.encoded_image.encode_request(request).words
 
     # -- memory helper ------------------------------------------------------------
 
@@ -253,7 +195,9 @@ class SoftwareRetrievalUnit:
         counters = InstructionCounters()
         emit = InstructionEmitter(counters)
         stats = SoftwareStatistics()
-        memory = self._memory
+        image = self.case_base.encoded_image
+        self._memory = memory = image.words
+        self._supplemental_base = image.supplemental_base
 
         # main() entry: argument setup, pointer initialisation.
         emit.immediate(4)

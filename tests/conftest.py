@@ -57,15 +57,17 @@ def small_case_base(small_generator: CaseBaseGenerator) -> CaseBase:
 
 
 def assert_tables_match_words(unit) -> None:
-    """The shared type tables equal tables decoded from ``unit``'s CB-MEM words.
+    """The shared type tables equal tables decoded from the CB-MEM words
+    ``unit`` reads (the case base's one encoded image).
 
-    Walks the unit's encoded tree through its address map: the level-0 order
-    gives each type's position, each level-1 list the implementation IDs,
-    each level-2 list the ``(attribute ID, value)`` words.
+    Walks the shared word list through the tree's address map: the level-0
+    order gives each type's position, each level-1 list the implementation
+    IDs, each level-2 list the ``(attribute ID, value)`` words.
     """
     image = unit.pricing_image()
     tree = image.image.tree
-    words = tree.words
+    words = image.words
+    assert words[: image.supplemental_base] == list(tree.words)
     address_map = tree.address_map
     level0 = []
     index = address_map.type_list

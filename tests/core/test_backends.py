@@ -322,6 +322,9 @@ class TestCacheInvalidation:
             engine.retrieve_best(paper_req)
             before = hardware.run_batch([paper_req])[0].ranked
             software.predict_cycles([paper_req])
+            image = hardware.pricing_image()
+            words_before = list(image.words)
+            rebuilds = image.tracker.rebuild_count
             # In-place attribute mutation bypasses the revision counter...
             case_base.get_implementation(1, 2).attributes[4] = 9999
             # ...so an explicit invalidation is required to see it.
@@ -330,6 +333,12 @@ class TestCacheInvalidation:
                 "hardware": hardware.invalidate,
                 "software": software.invalidate,
             }[invalidated]()
+            # The shared CB-MEM words are re-encoded, equal to a copy's own.
+            expected_words = case_base.copy().encoded_image.words
+            assert software.pricing_image() is image
+            assert image.tracker.rebuild_count == rebuilds + 1, invalidated
+            assert image.words == expected_words != words_before
+            assert hardware.case_base_ram.dump() == expected_words
             fresh = RetrievalEngine(case_base.copy(), backend="naive")
             assert_results_identical(
                 fresh.retrieve_best(paper_req), engine.retrieve_best(paper_req)

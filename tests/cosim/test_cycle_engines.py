@@ -230,16 +230,21 @@ class TestCaching:
     def test_request_cache_reused_and_invalidated(self, paper_cb, paper_req):
         unit = HardwareRetrievalUnit(paper_cb)
         first = unit.run(paper_req)
-        assert len(unit._request_cache) == 1
+        cache = unit.pricing_image().encoded_requests
+        assert len(cache) == 1
+        encoded = cache[paper_req.signature()]
         second = unit.run(paper_req)
-        assert len(unit._request_cache) == 1
+        assert len(cache) == 1
         assert first.cycles == second.cycles
         paper_cb.add_implementation(
             1, Implementation(8, ExecutionTarget.DSP, {1: 16, 2: 0, 3: 1, 4: 40})
         )
         third = unit.run(paper_req)
         assert third.best_id == 8  # the refreshed image sees the new variant
-        assert len(unit._request_cache) == 1  # re-encoded after invalidation
+        # Encodings depend on the fraction format only: the window keeps them.
+        assert unit.pricing_image().encoded_requests is cache
+        assert len(cache) == 1
+        assert cache[paper_req.signature()] is encoded
 
     def test_columnar_cache_follows_revision(self, paper_cb, paper_req):
         unit = HardwareRetrievalUnit(paper_cb)
@@ -279,21 +284,27 @@ class TestCaching:
             raise AssertionError("the vectorized engine must not build a Req-MEM")
 
         monkeypatch.setattr(EncodedRequest, "build_ram", no_ram)
-        fresh = HardwareRetrievalUnit(paper_cb, config=HardwareConfig(n_best=2))
+        # A copy has its own image, so its request cache starts empty.
+        fresh = HardwareRetrievalUnit(paper_cb.copy(), config=HardwareConfig(n_best=2))
+        assert len(fresh.pricing_image().encoded_requests) == 0
         assert fresh.predict_cycles([paper_req]) == [golden.cycles]
         assert fresh.run_batch([paper_req])[0].statistics == golden.statistics
-        assert len(fresh._request_cache) == 1
+        assert len(fresh.pricing_image().encoded_requests) == 1
         with pytest.raises(AssertionError, match="Req-MEM"):
             fresh.run(paper_req)
 
-    def test_request_cache_capacity_is_bounded(self, small_generator):
+    def test_request_cache_capacity_is_bounded(self, small_generator, monkeypatch):
+        from repro.memmap import image as image_module
+
         case_base = small_generator.case_base()
         unit = HardwareRetrievalUnit(case_base)
-        unit.REQUEST_CACHE_CAPACITY = 4
+        monkeypatch.setattr(image_module, "ENCODED_REQUEST_CAPACITY", 4)
         requests = [small_generator.request(salt=salt, attribute_count=3) for salt in range(9)]
         for request in requests:
             unit.run(request)
-        assert len(unit._request_cache) <= 4
+        cache = unit.pricing_image().encoded_requests
+        assert len(cache) <= 4
+        assert requests[-1].signature() in cache
 
 
 class TestEngineResolution:
@@ -315,13 +326,14 @@ class TestEngineResolution:
         unit = HardwareRetrievalUnit(paper_cb)
         tables_match_words(unit)
         image = unit.pricing_image()
-        tree = unit.image.tree
+        tree = image.image.tree
         total = sum(image.tables.table(t).implementation_count for t in image.positions)
         assert total == tree.implementation_count
-        assert image.supplemental_ids.shape[0] == len(unit.image.supplemental.reciprocals)
+        supplemental = image.image.supplemental
+        assert image.supplemental_ids.shape[0] == len(supplemental.reciprocals)
         assert image.supplemental_index == {
             attribute_id: position
-            for position, attribute_id in enumerate(sorted(unit.image.supplemental.reciprocals))
+            for position, attribute_id in enumerate(sorted(supplemental.reciprocals))
         }
 
 

@@ -122,7 +122,9 @@ PATCHED_REQUESTS = [
 
 
 def _stepwise_statistics(case_base, config, requests):
-    fresh = HardwareRetrievalUnit(case_base, config=config)
+    # A copy encodes its own image: the reference shares no state with the
+    # live unit's patched one.
+    fresh = HardwareRetrievalUnit(case_base.copy(), config=config)
     return [vars(result.statistics) for result in fresh.run_batch(requests, engine="stepwise")]
 
 
@@ -220,7 +222,7 @@ def test_memo_follows_row_patches_per_type():
     assert unit.pricing_image() is image
     assert case_base.type_tables.table(2) is untouched_table  # kept as it was
     assert dict(image.cycle_memo) == carried  # type 1 dropped, type 2 kept
-    fresh = HardwareRetrievalUnit(case_base, config=HardwareConfig(n_best=2))
+    fresh = HardwareRetrievalUnit(case_base.copy(), config=HardwareConfig(n_best=2))
     assert unit.predict_cycles([patched, untouched]) == [
         result.cycles for result in fresh.run_batch([patched, untouched], engine="stepwise")
     ]
@@ -241,7 +243,7 @@ def test_bounds_change_drops_every_entry():
         1, Implementation(2, ExecutionTarget.GPP, {1: 900, 2: 5})
     )
     assert len(unit.pricing_image().cycle_memo) == 0
-    fresh = HardwareRetrievalUnit(case_base)
+    fresh = HardwareRetrievalUnit(case_base.copy())
     assert unit.predict_cycles(requests) == [
         result.cycles for result in fresh.run_batch(requests, engine="stepwise")
     ]
@@ -261,7 +263,7 @@ def test_carry_forward_requires_the_same_supplemental_words():
         wider.define(attribute_id, 0, 400)
     case_base.bounds = wider
     assert len(unit.pricing_image().cycle_memo) == 0
-    fresh = HardwareRetrievalUnit(case_base)
+    fresh = HardwareRetrievalUnit(case_base.copy())
     assert unit.predict_cycles(PATCHED_REQUESTS) == [
         result.cycles for result in fresh.run_batch(PATCHED_REQUESTS, engine="stepwise")
     ]
@@ -286,7 +288,8 @@ def test_position_shift_drops_the_moved_types(software):
     assert _memo_types(unit) == set()
     after = unit.predict_cycles(requests)
     assert after != before
-    assert after == [r.cycles for r in make(case_base).run_batch(requests, engine="stepwise")]
+    fresh = make(case_base.copy())
+    assert after == [r.cycles for r in fresh.run_batch(requests, engine="stepwise")]
 
 
 def test_memo_flood_stays_bounded_and_spares_the_type_tables():

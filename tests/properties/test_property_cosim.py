@@ -227,7 +227,7 @@ def check_structural_after_deltas(
                 {a: rng.randint(0, 100) for a in rng.sample(POOL + list(FRESH_IDS), rng.randint(1, 3))},
             ))
         tables_match_words(unit)
-        fresh = HardwareRetrievalUnit(case_base, config=config)
+        fresh = HardwareRetrievalUnit(case_base.copy(), config=config)  # its own image
         golden = fresh.run_batch(requests, engine="stepwise")
         assert [r.statistics for r in unit.run_batch(requests, engine="vectorized")] == [
             r.statistics for r in golden

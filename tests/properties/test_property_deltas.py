@@ -211,7 +211,7 @@ def check_incremental_equals_rebuild(seed: int, explicit_bounds: bool) -> None:
         # The serving engine and the units, by contrast, re-derive bounds on
         # full rebuild; their incremental paths fall back exactly when a
         # window could move derived bounds, so they are compared against
-        # genuinely fresh consumers.
+        # genuinely fresh consumers: on a copy, which encodes its own image.
         fresh_engine = RetrievalEngine(
             case_base, bounds=live_engine.bounds, backend="vectorized"
         )
@@ -222,13 +222,14 @@ def check_incremental_equals_rebuild(seed: int, explicit_bounds: bool) -> None:
         ) == expected
         assert _outcome(_engine_view, lambda: golden.retrieve_batch(probes, n=4)) == expected
         trace = trace_from_requests(probes)
+        snapshot = case_base.copy()
         fresh_serving = ServingEngine(
-            case_base, config=ServingConfig(n_best=4, backend="naive")
+            snapshot, config=ServingConfig(n_best=4, backend="naive")
         )
         assert _outcome(_served_view, lambda: live_serving.serve(trace)) == _outcome(
             _served_view, lambda: fresh_serving.serve(trace)
         )
-        fresh_hardware = HardwareRetrievalUnit(case_base)
+        fresh_hardware = HardwareRetrievalUnit(snapshot)
         for engine_name in ("vectorized", "stepwise"):
             assert _outcome(
                 _hardware_view, lambda: live_hardware.run_batch(probes, engine="vectorized")
@@ -238,7 +239,7 @@ def check_incremental_equals_rebuild(seed: int, explicit_bounds: bool) -> None:
         assert _outcome(list, lambda: live_hardware.predict_cycles(probes)) == _outcome(
             list, lambda: fresh_hardware.predict_cycles(probes, engine="stepwise")
         )
-        fresh_software = SoftwareRetrievalUnit(case_base)
+        fresh_software = SoftwareRetrievalUnit(snapshot)
         assert _outcome(
             _software_view, lambda: live_software.run_batch(probes, engine="vectorized")
         ) == _outcome(
@@ -258,9 +259,9 @@ def check_incremental_equals_rebuild(seed: int, explicit_bounds: bool) -> None:
     # The fast path must actually have engaged somewhere (no vacuous pass):
     # with explicit bounds every consumer can absorb at least some windows.
     if explicit_bounds:
+        assert live_hardware.pricing_image() is live_software.pricing_image()
         incremental = (
-            live_hardware._tracker.incremental_count
-            + live_software._tracker.incremental_count
+            live_hardware.pricing_image().tracker.incremental_count
             + live_engine.case_base.type_tables.tracker.incremental_count
         )
         assert incremental > 0

@@ -61,10 +61,11 @@ class TestConsumerFallback:
         engine.retrieve_batch(probes, n=3)
         hardware.run_batch(probes)
         software.run_batch(probes)
+        # Both units read the case base's one encoded image.
+        assert hardware.pricing_image() is software.pricing_image()
         trackers = {
             "backend": engine.case_base.type_tables.tracker,
-            "hardware": hardware._tracker,
-            "software": software._tracker,
+            "image": hardware.pricing_image().tracker,
         }
         rebuilds_before = {name: t.rebuild_count for name, t in trackers.items()}
         incremental_before = {name: t.incremental_count for name, t in trackers.items()}
@@ -93,7 +94,8 @@ class TestConsumerFallback:
             [(e.implementation_id, e.similarity) for e in result.ranked]
             for result in expected
         ]
-        fresh_hardware = HardwareRetrievalUnit(case_base)
+        snapshot = case_base.copy()  # encodes its own image
+        fresh_hardware = HardwareRetrievalUnit(snapshot)
         assert [
             (r.best_id, r.best_similarity_raw, r.ranked, r.cycles)
             for r in live_hardware
@@ -101,7 +103,7 @@ class TestConsumerFallback:
             (r.best_id, r.best_similarity_raw, r.ranked, r.cycles)
             for r in fresh_hardware.run_batch(probes)
         ]
-        fresh_software = SoftwareRetrievalUnit(case_base)
+        fresh_software = SoftwareRetrievalUnit(snapshot)
         assert [
             (r.best_id, r.best_similarity_raw, r.cycles) for r in live_software
         ] == [
@@ -161,10 +163,11 @@ class TestTruncationMidTrace:
         engine = ServingEngine(case_base, config=ServingConfig(max_batch=4))
         trace = synthetic_trace(case_base, 6, mean_interarrival_us=100.0, seed=1)
         engine.serve(trace)
-        rebuilds = engine._screen_tracker.rebuild_count
+        # The screen reads the retriever's tables behind one subscription.
+        rebuilds = engine._retriever_tracker.rebuild_count
         _overflow(case_base, mutations=4)
         report = engine.serve(trace)
-        assert engine._screen_tracker.rebuild_count == rebuilds + 1
+        assert engine._retriever_tracker.rebuild_count == rebuilds + 1
         assert report.metrics["served"] == len(trace)
 
 

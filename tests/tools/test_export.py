@@ -95,7 +95,7 @@ class TestExportMemoryImages:
         exported_req = words_from_memh((outputs["request_memh"]).read_text())
         unit = HardwareRetrievalUnit(paper_cb)
         assert exported_cb == unit.case_base_ram.dump()
-        assert tuple(exported_req) == unit.image.encode_request(paper_req).words
+        assert tuple(exported_req) == unit.encoded_request_words(paper_req)
 
     def test_exports_all_requested_formats(self, tmp_path, paper_cb, paper_req):
         outputs = export_memory_images(paper_cb, paper_req, tmp_path / "out", prefix="fir")
