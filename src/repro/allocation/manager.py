@@ -241,7 +241,7 @@ class AllocationManager:
             return self._prefetch_hardware(requests)
         #: signature -> indices sharing it; duplicates (the repeated-request
         #: pattern the bypass cache targets) are scored only once.  Retrieval
-        #: depends solely on the signature (type, attributes, weights) -- the
+        #: depends solely on the exact signature (type, values, weights) -- the
         #: requester only matters to the bypass cache, checked separately.
         by_signature: Dict[Tuple, List[int]] = {}
         for index, request in enumerate(requests):

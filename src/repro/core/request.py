@@ -8,6 +8,7 @@ paper's example uses equal weights ``w_i = 1/3`` for its three constraints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -30,6 +31,8 @@ class RequestAttribute:
             )
         if self.weight < 0:
             raise RequestError(f"attribute weight must be non-negative, got {self.weight}")
+        if not math.isfinite(self.weight):
+            raise RequestError(f"attribute weight must be finite, got {self.weight}")
 
 
 class FunctionRequest:
@@ -156,17 +159,20 @@ class FunctionRequest:
         return sum(a.weight for a in self._attributes.values())
 
     def signature(self) -> Tuple:
-        """Hashable signature of the request (used as bypass-token cache key).
+        """Hashable signature of the request: its exact type, attribute IDs,
+        values and weights.
 
-        Memoized: the signature is a hot cache key (bypass tokens, encoded
-        request images, batch grouping) and requests are only mutated through
-        :meth:`add` / :meth:`normalize_weights`, which invalidate the memo.
+        Two requests share a signature only when every one of those is
+        equal, so anything derived from the content alone -- bypass tokens,
+        request plans, batch grouping -- may key on it.  Memoized: requests
+        are only mutated through :meth:`add` / :meth:`normalize_weights`,
+        which invalidate the memo.
         """
         if self._signature is None:
             self._signature = (
                 self.type_id,
                 tuple(
-                    (a.attribute_id, a.value, round(a.weight, 12))
+                    (a.attribute_id, a.value, a.weight)
                     for a in self.sorted_attributes()
                 ),
             )

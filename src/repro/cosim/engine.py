@@ -12,9 +12,9 @@ image one access at a time) stay the golden reference, and a
   path that reproduces results *and* cycle/instruction/memory counters
   exactly (see that module for the accounting derivation).
 
-Engines are stateless; all cached state lives on the retrieval units
-(encoded images, cycle memo, encoded requests) or on the case base (its
-shared columnar image), keyed to the case-base revision.
+Engines are stateless; all cached state lives on the case base -- its
+encoded image with the request plans, and its shared columnar image --
+kept current across revisions.
 """
 
 from __future__ import annotations

@@ -47,17 +47,16 @@ Three kernels keep the per-request cost low:
   are at least as similar; the cascade (each level keeps the running maximum
   of what reaches it and passes the smaller value down) yields them in
   ``n`` vectorized passes, O(``n * I``) instead of an ``I x I`` comparison.
-* **A per-request exact-cycle memo.**  ``hardware_cycles``/``software_cycles``
-  map ``(model configuration, encoded request words)`` to cycles in a bounded
-  LRU map on the case base's one encoded image
+* **Exact cycles in the request plans.**  ``hardware_cycles``/``software_cycles``
+  keep each request's count per model configuration in its plan on the
+  case base's one encoded image
   (:class:`~repro.memmap.image.DeltaTrackedImage`, shared by the hardware
-  and software units; the model configuration in the key keeps their
-  entries apart), consulted before any grouping, so a batch of repeated
-  requests does no NumPy work.  A delta window drops the entries of every type it touches
-  or moves in the level-0 list; a full rebuild (also any supplemental
-  change) drops them all.  The full-result paths
-  (``hardware_batch``/``software_batch``) and the stepwise golden path are
-  never memoised.
+  and software units), read before any grouping, so a batch of repeated
+  requests does no NumPy work.  The image's one rule keeps the counts
+  current: a delta window drops the plans of every type it touches or
+  moves in the level-0 list, a full rebuild drops them all.  The
+  full-result paths (``hardware_batch``/``software_batch``) and the
+  stepwise golden path are never memoised.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ from ..software.retrieval_sw import (
     SoftwareRetrievalUnit,
     SoftwareStatistics,
 )
-from ..memmap.image import CYCLE_MEMO_CAPACITY, DeltaTrackedImage
+from ..memmap.image import DeltaTrackedImage
 from .engine import CycleEngine
 
 
@@ -150,12 +149,12 @@ class _TypePass:
 
 def _prepare_groups(
     image: DeltaTrackedImage,
-    encoded_requests: Iterable[Tuple[int, ...]],
+    request_words: Iterable[Tuple[int, ...]],
     missing_bounds_error: Callable[[str], Exception],
 ) -> List[_TypeGroup]:
     """Validate the batch's encoded word images and group them by type.
 
-    ``encoded_requests`` may be a lazy ``map`` of the unit's encoder, so that
+    ``request_words`` may be lazy (encoding each request on demand), so that
     validation mirrors the stepwise walk per request, in request order:
     encoding errors first, then the unknown-type check of the level-0
     search, then (only when the type has implementations to score) the
@@ -165,7 +164,7 @@ def _prepare_groups(
     groups: Dict[int, _TypeGroup] = {}
     checked = set()
     supplemental_index = image.supplemental_index
-    for index, words in enumerate(encoded_requests):
+    for index, words in enumerate(request_words):
         type_id = words[0]
         group = groups.get(type_id)
         if group is None:
@@ -193,51 +192,41 @@ def _memoized_cycles(
     image: DeltaTrackedImage,
     model_key: Hashable,
     requests: Sequence[FunctionRequest],
-    encode: Callable[[FunctionRequest], Sequence[int]],
     missing_bounds_error: Callable[[str], Exception],
     price_group: Callable[[_TypeGroup], List[int]],
 ) -> List[int]:
-    """Exact cycles per request through the case-base image's cycle memo.
+    """Exact cycles per request through the requests' plans on the image.
 
     A cycle count is a pure function of the encoded request words, the
-    model configuration (``model_key``) and the image, so the memo maps
-    ``(model_key, words)`` to cycles.  It is consulted before any grouping:
-    an all-hit batch does no decoding and no NumPy work, and the misses are
-    grouped by type and priced by ``price_group`` one type pass each (which
-    returns one count per member, in member order).  Only successfully
-    priced requests enter the memo; it is a bounded LRU map
-    (:data:`~repro.memmap.image.CYCLE_MEMO_CAPACITY`) whose entries
-    :class:`~repro.memmap.image.DeltaTrackedImage` drops per type as delta
-    windows touch or move the type, and whole on a full rebuild.
+    model configuration (``model_key``) and the image, so each plan keeps
+    its counts in ``plan.cycles[model_key]``.  They are read before any
+    grouping: an all-hit batch does no decoding and no NumPy work, and the
+    misses are grouped by type and priced by ``price_group`` one type pass
+    each (which returns one count per member, in member order).  Only
+    successfully priced requests gain a count; the image drops plans as
+    delta windows touch or move their type, and all of them on a full
+    rebuild.
     """
     try:
-        keys = [(model_key, encode(request)) for request in requests]
+        plans = [image.plan(request) for request in requests]
     except ReproError:
         # Raise what the in-order walk raises first: an earlier request may
         # fail validation before this one fails to encode.
-        _prepare_groups(image, map(encode, requests), missing_bounds_error)
+        _prepare_groups(
+            image, (image.plan(request).encoded.words for request in requests),
+            missing_bounds_error,
+        )
         raise
-    memo = image.cycle_memo
-    cycles: List[Optional[int]] = [None] * len(keys)
-    misses: List[int] = []
-    for index, key in enumerate(keys):
-        count = memo.get(key)
-        if count is None:
-            misses.append(index)
-        else:
-            memo.move_to_end(key)
-            cycles[index] = count
+    cycles: List[Optional[int]] = [plan.cycles.get(model_key) for plan in plans]
+    misses = [index for index, count in enumerate(cycles) if count is None]
     if misses:
         groups = _prepare_groups(
-            image, [keys[index][1] for index in misses], missing_bounds_error
+            image, [plans[index].encoded.words for index in misses], missing_bounds_error
         )
         for group in groups:
             for member, count in zip(group.member_indices, price_group(group)):
                 index = misses[member]
-                cycles[index] = count
-                memo[keys[index]] = count
-        while len(memo) > CYCLE_MEMO_CAPACITY:
-            memo.popitem(last=False)
+                cycles[index] = plans[index].cycles[model_key] = count
     return cycles  # type: ignore[return-value]
 
 
@@ -518,12 +507,12 @@ class VectorizedCycleEngine(CycleEngine):
         Same derivation as :meth:`hardware_batch` -- the shared
         :meth:`_hardware_costs` terms plus the per-request FINALIZE cycles --
         but skipping ranking assembly and statistics objects, and answering
-        repeated requests from the per-request cycle memo
-        (:func:`_memoized_cycles`).  For the baseline ``n_best == 1`` unit
-        FINALIZE costs one cycle per implementation, so the similarity kernel
-        is skipped; only the n-best register file makes the count
-        value-dependent.  The cosim differential suite asserts equality with
-        the stepwise golden walk across all configuration axes.
+        repeated requests from their plans (:func:`_memoized_cycles`).  For
+        the baseline ``n_best == 1`` unit FINALIZE costs one cycle per
+        implementation, so the similarity kernel is skipped; only the n-best
+        register file makes the count value-dependent.  The cosim
+        differential suite asserts equality with the stepwise golden walk
+        across all configuration axes.
         """
         config = unit.config
         if config.trace:
@@ -544,10 +533,7 @@ class VectorizedCycleEngine(CycleEngine):
         # The configuration's field values: a plain tuple hashes in C, the
         # dataclass's generated ``__hash__`` in Python on every lookup.
         model_key = tuple(vars(config).values())
-        return _memoized_cycles(
-            image, model_key, requests, unit.encoded_request_words,
-            HardwareModelError, price,
-        )
+        return _memoized_cycles(image, model_key, requests, HardwareModelError, price)
 
     @staticmethod
     def _hardware_costs(
@@ -698,7 +684,7 @@ class VectorizedCycleEngine(CycleEngine):
         :meth:`_software_instruction_counters` accounting, then totals the
         counters against the unit's cost model directly -- no
         result/statistics construction -- and answers repeated requests from
-        the per-request cycle memo (:func:`_memoized_cycles`).
+        their plans (:func:`_memoized_cycles`).
         Differentially tested against the stepwise golden walk.
         """
         image = unit.pricing_image()
@@ -718,10 +704,7 @@ class VectorizedCycleEngine(CycleEngine):
         model_key = (unit.inline_helpers,) + tuple(
             (kind.value, cost) for kind, cost in cost_model.cycles.items()
         )
-        return _memoized_cycles(
-            image, model_key, requests, unit.encoded_request_words,
-            SoftwareModelError, price,
-        )
+        return _memoized_cycles(image, model_key, requests, SoftwareModelError, price)
 
     @staticmethod
     def _software_instruction_counters(

@@ -214,8 +214,8 @@ class HardwareRetrievalUnit:
         return self.case_base.encoded_image
 
     def encoded_request_words(self, request: FunctionRequest) -> Tuple[int, ...]:
-        """The request's encoded word image (cached per signature on the shared image)."""
-        return self.case_base.encoded_image.encode_request(request).words
+        """The request's encoded word image (from its plan on the shared image)."""
+        return self.case_base.encoded_image.plan(request).encoded.words
 
     @property
     def case_base_ram(self) -> RamBlock:
@@ -280,7 +280,7 @@ class HardwareRetrievalUnit:
     def run(self, request: FunctionRequest) -> HardwareRetrievalResult:
         """Execute one retrieval run for the given request (stepwise model)."""
         return self.run_on_ram(
-            self.case_base.encoded_image.encode_request(request).build_ram()
+            self.case_base.encoded_image.plan(request).encoded.build_ram()
         )
 
     def run_batch(

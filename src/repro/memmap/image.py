@@ -11,15 +11,16 @@ their footprints (Table 3); :func:`build_memories` instantiates the
 read by both the hardware and the software retrieval unit and kept current
 across delta windows.  Besides the words it holds what the vectorized cycle
 engines need beyond the case base's shared type tables -- level-0
-positions, the supplemental list's arrays and the per-request cycle memo --
-and the encoded-request cache.
+positions and the supplemental list's arrays -- and one
+:class:`RequestPlan` per exact request: the encoded Req-MEM words, the
+serving screen's verdict and the exact cycles per model configuration.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,12 +45,11 @@ from .supplemental_list import (
 )
 from .words import END_OF_LIST
 
-#: Exact-cycle memo entries kept per case-base image (least recently used
-#: evicted first).
-CYCLE_MEMO_CAPACITY = 1024
+#: Request plans kept per case-base image (least recently used evicted first).
+PLAN_CAPACITY = 1024
 
-#: Encoded requests kept per case-base image (oldest evicted first).
-ENCODED_REQUEST_CAPACITY = 1024
+#: :attr:`RequestPlan.verdict` before the serving screen has judged the request.
+UNSCREENED = object()
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,20 @@ class MemoryFootprint:
             BramBank(self.case_base_bytes).block_count
             + BramBank(self.request_bytes).block_count
         )
+
+
+@dataclass
+class RequestPlan:
+    """Everything derived from one exact request against the current image."""
+
+    #: The request's Req-MEM image.
+    encoded: EncodedRequest
+    #: The serving screen's verdict: ``None`` when the request can be
+    #: dispatched, else the reason it cannot; :data:`UNSCREENED` until the
+    #: screen has run.
+    verdict: object = UNSCREENED
+    #: Exact retrieval cycles per model configuration key.
+    cycles: Dict[Hashable, int] = field(default_factory=dict)
 
 
 class CaseBaseImage:
@@ -190,18 +204,16 @@ class DeltaTrackedImage:
     segmented tree encoder and the current :class:`CaseBaseImage`, the
     combined CB-MEM word list of the stepwise walks (built on first read
     after each change), each type's level-0 ``position``, the supplemental
-    list's IDs, reciprocals, ``1 + dmax`` divisors and index, the
-    vectorized engines' per-request cycle memo (keyed by the model
-    configuration, so both units share it) and the signature-keyed
-    encoded-request cache.  The per-type attribute tables come from the
-    case base's shared columnar image (:attr:`tables`).
+    list's IDs, reciprocals, ``1 + dmax`` divisors and index, and the
+    request plans (:attr:`plans`).  The per-type attribute tables come from
+    the case base's shared columnar image (:attr:`tables`).
 
     One :class:`~repro.core.caching.RevisionTrackedCache` subscription
-    (:attr:`tracker`) keeps it current.  Cycle memo rule: a delta window
-    drops the entries of every type it touches or whose level-0 position it
-    shifts (a type added or removed before it); a full rebuild -- including
-    any supplemental change -- drops them all.  Encoded requests depend only
-    on the fraction format, so no window drops them.
+    (:attr:`tracker`) keeps it current, and one rule keeps the plans
+    current with it: a delta window drops the plans of every type it
+    touches or whose level-0 position it shifts (a type added or removed
+    before it); a full rebuild -- which any bounds change forces -- drops
+    them all.
     """
 
     def __init__(self, case_base: CaseBase) -> None:
@@ -209,13 +221,9 @@ class DeltaTrackedImage:
         self._segments = SegmentedTreeEncoder()
         #: The case base's shared per-type attribute tables.
         self.tables = case_base.type_tables
-        #: The vectorized engines' per-request exact-cycle memo,
-        #: ``(model key, encoded request words) -> cycles``, bounded to
-        #: :data:`CYCLE_MEMO_CAPACITY` (least recently used evicted first).
-        self.cycle_memo: "OrderedDict[Tuple, int]" = OrderedDict()
-        #: ``request signature -> encoded request``, bounded to
-        #: :data:`ENCODED_REQUEST_CAPACITY` (oldest evicted first).
-        self.encoded_requests: "OrderedDict[Tuple, EncodedRequest]" = OrderedDict()
+        #: ``exact request signature -> plan``, bounded to
+        #: :data:`PLAN_CAPACITY` (least recently used evicted first).
+        self.plans: "OrderedDict[Tuple, RequestPlan]" = OrderedDict()
         self._rebuild()
         self.tracker = RevisionTrackedCache(case_base, rebuild=self._rebuild, apply=self._apply)
         self.tracker.mark_current()
@@ -247,7 +255,7 @@ class DeltaTrackedImage:
         self.supplemental_index: Dict[int, int] = {
             attribute_id: position for position, attribute_id in enumerate(ids)
         }
-        self.cycle_memo.clear()
+        self.plans.clear()
 
     @property
     def fraction_format(self) -> QFormat:
@@ -275,16 +283,22 @@ class DeltaTrackedImage:
         """Word address at which the supplemental list starts."""
         return self.image.tree.size_words
 
-    def encode_request(self, request: FunctionRequest) -> EncodedRequest:
-        """Encode a request once per signature (encoding errors are not cached)."""
+    def plan(self, request: FunctionRequest) -> RequestPlan:
+        """The request's plan, encoded on first sight.
+
+        Encoding errors propagate and leave no plan behind; an unhashable
+        value in a malformed request raises :class:`TypeError`.
+        """
         key = request.signature()
-        encoded = self.encoded_requests.get(key)
-        if encoded is None:
-            encoded = self.image.encode_request(request)
-            if len(self.encoded_requests) >= ENCODED_REQUEST_CAPACITY:
-                self.encoded_requests.popitem(last=False)
-            self.encoded_requests[key] = encoded
-        return encoded
+        plans = self.plans
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = RequestPlan(self.image.encode_request(request))
+            if len(plans) > PLAN_CAPACITY:
+                plans.popitem(last=False)
+        else:
+            plans.move_to_end(key)
+        return plan
 
     def _bounds_stable(self, summary: DeltaSummary) -> bool:
         """Whether the image's supplemental list provably stays unchanged."""
@@ -295,7 +309,7 @@ class DeltaTrackedImage:
         return deltas_preserve_derived_bounds(summary.deltas, self.image.bounds)
 
     def _apply(self, summary: DeltaSummary) -> bool:
-        """Patch the image (and the cycle memo) for one delta window.
+        """Patch the image (and drop the stale plans) for one delta window.
 
         ``False`` requests the full rebuild instead (empty case base --
         preserving the usual empty-encode error -- or unstable effective
@@ -321,8 +335,8 @@ class DeltaTrackedImage:
             for type_id, position in self.positions.items()
             if previous.get(type_id) != position
         )
-        for key in [key for key in self.cycle_memo if key[1][0] in stale]:
-            del self.cycle_memo[key]  # key[1][0]: the request's type word
+        for key in [key for key in self.plans if key[0] in stale]:
+            del self.plans[key]  # key[0]: the request's type ID
         return True
 
 

@@ -1,23 +1,16 @@
 """Persistent on-disk case-base images reopened through :func:`numpy.memmap`.
 
-Million-implementation case bases pay their encode cost twice on every
-process start: once for the CB-MEM word image (when it fits the 16-bit
-address space at all) and once for the case base's columnar image (the
-per-type :class:`~repro.core.columnar.TypeTable` every vectorized path
-reads) -- both O(implementations x attributes) Python loops.
-:class:`ImageStore` persists the finished artefacts instead:
-
-* each type table's arrays (implementation IDs, attribute IDs, presence,
-  values, holder and prefix counts; layout 2) land as raw little-endian
-  array files and reopen as zero-copy ``numpy.memmap`` views that
-  :meth:`ReopenedImage.install` seeds into the case base's shared image;
-* the encoded CB-MEM words (implementation tree + supplemental list) land
-  as ``uint16`` files and reopen into a
-  :class:`~repro.memmap.image.CaseBaseImage` whose address map is walked
-  lazily on first access.  Case bases whose tree overflows the hardware's
-  16-bit word addressing (roughly 3 000 ten-attribute implementations)
-  skip this part automatically -- out-of-core scale is exactly where only
-  the columnar tables matter.
+Million-implementation case bases pay an O(implementations x attributes)
+Python encode on every process start for the case base's columnar image
+(the per-type :class:`~repro.core.columnar.TypeTable` every vectorized path
+reads).  :class:`ImageStore` persists the finished tables instead: each
+type table's arrays (implementation IDs, attribute IDs, presence, values,
+holder and prefix counts) land as raw little-endian array files and reopen
+as zero-copy ``numpy.memmap`` views that :meth:`ReopenedImage.install`
+seeds into the case base's shared image.  The encoded CB-MEM words are not
+stored (layout 3): a retrieval unit encodes them from the case base when
+one exists, and out-of-core case bases, whose tree overflows the hardware's
+16-bit word addressing, have none.
 
 The on-disk layout is versioned and keyed: a ``manifest.json`` -- written
 last via the journal's temp-file + fsync + atomic-rename idiom, so a crash
@@ -43,28 +36,18 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..core.backends import VectorizedBackend
 from ..core.case_base import CaseBase
 from ..core.columnar import TypeTable
-from ..core.exceptions import EncodingError, ReproError
-from ..fixedpoint.qformat import QFormat
-from .image import CaseBaseImage
-from .implementation_tree import (
-    IMPLEMENTATION_BLOCK_WORDS,
-    TYPE_BLOCK_WORDS,
-    EncodedImplementationTree,
-    TreeAddressMap,
-)
-from .supplemental_list import SUPPLEMENTAL_BLOCK_WORDS, EncodedSupplementalList
-from .words import END_OF_LIST
+from ..core.exceptions import ReproError
 
 #: Bump on any incompatible change to the file formats or manifest schema;
 #: stores written by other versions reopen as ``stale``.
-LAYOUT_VERSION = 2
+LAYOUT_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 
@@ -79,8 +62,6 @@ _TABLE_PARTS: Tuple[Tuple[str, str, np.dtype, bool], ...] = (
     ("holders.i64", "holders", np.dtype("<i8"), False),
     ("below.i64", "below", np.dtype("<i8"), False),
 )
-
-_WORD_DTYPE = np.dtype("<u2")
 
 
 def structure_fingerprint(case_base: CaseBase) -> str:
@@ -107,37 +88,13 @@ def structure_fingerprint(case_base: CaseBase) -> str:
     return digest.hexdigest()
 
 
-def _tree_address_map(words) -> TreeAddressMap:
-    """Walk a reopened word image into its address map (lazy, tests/tooling)."""
-    implementation_lists: Dict[int, int] = {}
-    attribute_lists: Dict[Tuple[int, int], int] = {}
-    index = 0
-    while words[index] != END_OF_LIST:
-        type_id = int(words[index])
-        pointer = int(words[index + 1])
-        implementation_lists[type_id] = pointer
-        cursor = pointer
-        while words[cursor] != END_OF_LIST:
-            attribute_lists[(type_id, int(words[cursor]))] = int(words[cursor + 1])
-            cursor += IMPLEMENTATION_BLOCK_WORDS
-        index += TYPE_BLOCK_WORDS
-    return TreeAddressMap(
-        type_list=0,
-        implementation_lists=implementation_lists,
-        attribute_lists=attribute_lists,
-    )
-
-
 @dataclasses.dataclass
 class ReopenedImage:
-    """One successful O(1) reopen: memmap-backed type tables plus CB-MEM image."""
+    """One successful O(1) reopen: memmap-backed type tables."""
 
     revision: int
     #: ``type_id -> table`` over copy-on-write views of the store files.
     tables: Dict[int, TypeTable]
-    #: The reopened CB-MEM image, or ``None`` when the store skipped the
-    #: word image (tree overflowed 16-bit addressing, or empty case base).
-    image: Optional[CaseBaseImage]
 
     def install(self, engine) -> bool:
         """Seed the shared columnar image of ``engine``'s case base.
@@ -175,25 +132,12 @@ class ImageStore:
 
     # -- saving ------------------------------------------------------------------------
 
-    def save(
-        self,
-        case_base: CaseBase,
-        *,
-        include_words: str = "auto",
-    ) -> dict:
-        """Persist the case base's images; returns the written manifest.
+    def save(self, case_base: CaseBase) -> dict:
+        """Persist the case base's type tables; returns the written manifest.
 
-        The type tables come from the case base's shared columnar image
-        (types it has not built yet are built there).  ``include_words``
-        selects the CB-MEM word image: ``"auto"``
-        drops it silently when the tree cannot encode (address overflow /
-        empty case base), ``"always"`` propagates those errors, ``"never"``
-        skips it outright.
+        The tables come from the case base's shared columnar image (types
+        it has not built yet are built there).
         """
-        if include_words not in ("auto", "always", "never"):
-            raise ReproError(
-                f"include_words must be 'auto', 'always' or 'never', got {include_words!r}"
-            )
         self.directory.mkdir(parents=True, exist_ok=True)
         revision = case_base.revision
         prefix = f"r{revision}-"
@@ -201,43 +145,9 @@ class ImageStore:
             "layout": LAYOUT_VERSION,
             "revision": revision,
             "fingerprint": structure_fingerprint(case_base),
-            "tree": None,
-            "supplemental": None,
             "types": [],
         }
-
-        image: Optional[CaseBaseImage] = None
-        if include_words != "never":
-            try:
-                image = CaseBaseImage(case_base)
-            except EncodingError:
-                if include_words == "always":
-                    raise
-        if image is not None:
-            tree_array = np.asarray(image.tree.words, dtype=_WORD_DTYPE)
-            manifest["tree"] = {
-                "file": f"{prefix}tree.u16",
-                "words": int(tree_array.size),
-                "type_count": image.tree.type_count,
-                "implementation_count": image.tree.implementation_count,
-                "attribute_entry_count": image.tree.attribute_entry_count,
-                **self._write_array(f"{prefix}tree.u16", tree_array),
-            }
-            supplemental_array = np.asarray(image.supplemental.words, dtype=_WORD_DTYPE)
-            manifest["supplemental"] = {
-                "file": f"{prefix}supplemental.u16",
-                "words": int(supplemental_array.size),
-                "qformat": [
-                    image.supplemental.fraction_format.integer_bits,
-                    image.supplemental.fraction_format.fraction_bits,
-                    image.supplemental.fraction_format.signed,
-                ],
-                **self._write_array(f"{prefix}supplemental.u16", supplemental_array),
-            }
-
         keep = {MANIFEST_NAME}
-        if image is not None:
-            keep.update((f"{prefix}tree.u16", f"{prefix}supplemental.u16"))
         tables = case_base.type_tables
         for function_type in case_base.sorted_types():
             type_id = function_type.type_id
@@ -349,12 +259,9 @@ class ImageStore:
             return "stale", None
         try:
             tables = self._reopen_tables(manifest, case_base)
-            image = self._reopen_image(manifest, case_base)
         except _StaleStore:
             return "stale", None
-        return "hit", ReopenedImage(
-            revision=case_base.revision, tables=tables, image=image
-        )
+        return "hit", ReopenedImage(revision=case_base.revision, tables=tables)
 
     def _mapped(self, record: Dict[str, object], dtype: np.dtype, shape) -> np.ndarray:
         path = self.directory / record["file"]
@@ -396,39 +303,6 @@ class ImageStore:
         ):
             raise _StaleStore("missing type")
         return tables
-
-    def _reopen_image(
-        self, manifest: Dict[str, object], case_base: CaseBase
-    ) -> Optional[CaseBaseImage]:
-        tree_record = manifest.get("tree")
-        supplemental_record = manifest.get("supplemental")
-        if tree_record is None or supplemental_record is None:
-            return None
-        tree_words = self._mapped(tree_record, _WORD_DTYPE, (int(tree_record["words"]),))
-        tree = EncodedImplementationTree(
-            words=tree_words,
-            address_map_factory=lambda: _tree_address_map(tree_words),
-            type_count=int(tree_record["type_count"]),
-            implementation_count=int(tree_record["implementation_count"]),
-            attribute_entry_count=int(tree_record["attribute_entry_count"]),
-        )
-        supplemental_words = self._mapped(
-            supplemental_record, _WORD_DTYPE, (int(supplemental_record["words"]),)
-        )
-        reciprocals: Dict[int, int] = {}
-        index = 0
-        while supplemental_words[index] != END_OF_LIST:
-            reciprocals[int(supplemental_words[index])] = int(
-                supplemental_words[index + 3]
-            )
-            index += SUPPLEMENTAL_BLOCK_WORDS
-        integer_bits, fraction_bits, signed = supplemental_record["qformat"]
-        supplemental = EncodedSupplementalList(
-            words=supplemental_words,
-            reciprocals=reciprocals,
-            fraction_format=QFormat(int(integer_bits), int(fraction_bits), bool(signed)),
-        )
-        return CaseBaseImage(case_base, tree=tree, supplemental=supplemental)
 
 
 class _StaleStore(Exception):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.exceptions import ReproError
 
@@ -330,8 +330,3 @@ def _render_labels(pairs: Sequence[Tuple[str, str]]) -> str:
         return ""
     inner = ",".join(f'{name}="{_escape_label(value)}"' for name, value in pairs)
     return "{" + inner + "}"
-
-
-def registry_from(source: Optional[Mapping] = None) -> MetricsRegistry:
-    """Convenience for call sites that accept ``registry=None``."""
-    return source if isinstance(source, MetricsRegistry) else MetricsRegistry()

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.case_base import CaseBase
 from ..core.exceptions import PlatformError
@@ -197,11 +197,6 @@ class DeviceFleet:
         Optional fixed per-sync reconfiguration latency.  ``None`` derives
         the latency from the streamed byte count through each device's
         configuration-port bandwidth model.
-    image_words:
-        Optional zero-argument callable returning the current CB-MEM image
-        word count (used to size modelled image streams).  By default the
-        fleet counts the case base's shared encoded image; the admission
-        controller installs a zero count when that image cannot exist.
     """
 
     def __init__(
@@ -212,7 +207,6 @@ class DeviceFleet:
         repository: Optional[ConfigurationRepository] = None,
         power_budget_mw: Optional[float] = None,
         reconfig_us: Optional[float] = None,
-        image_words: Optional[Callable[[], int]] = None,
     ) -> None:
         workers = list(workers)
         if not workers:
@@ -226,7 +220,9 @@ class DeviceFleet:
         self.workers = workers
         self.repository = repository
         self.reconfig_us = reconfig_us
-        self.image_words = image_words
+        #: Whether a CB-MEM image exists to stream; the admission controller
+        #: clears it when the case base cannot be encoded.
+        self.image_encodable = True
         #: Case-base revision every worker image last reached (``None`` until
         #: the first sync); lets :meth:`sync` return after one compare.
         self._synced_revision: Optional[int] = None
@@ -371,11 +367,10 @@ class DeviceFleet:
 
     def image_word_count(self) -> int:
         """Word count of one full on-device CB-MEM image."""
-        if self.image_words is not None:
-            return int(self.image_words())
-        # Software-only fleets never stream images; a zero-sized image
-        # keeps sync a no-op without encoding the case base.
-        if not self.hardware_workers:
+        # Software-only fleets never stream images, and a case base that
+        # cannot encode has none; a zero-sized image keeps sync a no-op
+        # without encoding the case base.
+        if not self.hardware_workers or not self.image_encodable:
             return 0
         return self.case_base.encoded_image.word_count
 

@@ -291,9 +291,9 @@ class AdmissionController:
                 hardware_clock_mhz=self.clock_mhz,
                 software_clock_mhz=self._software_cost_model.clock_mhz,
             )
-        if fleet.image_words is None and self.hardware_unit is None:
+        if self.hardware_unit is None:
             # No CB-MEM image exists to stream (see hardware_unavailable_reason).
-            fleet.image_words = lambda: 0
+            fleet.image_encodable = False
         self.fleet = fleet
         self.fault_injector = fault_injector
         if retry_policy is None and fault_injector is not None:

@@ -42,11 +42,12 @@ from ..core.learning import CaseRetainer, CaseReviser, CBRCycle, CycleReport, Ou
 from ..core.request import FunctionRequest
 from ..core.retrieval import RetrievalEngine, RetrievalResult
 from ..hardware.retrieval_unit import HardwareConfig
+from ..memmap.image import UNSCREENED
 from ..observability import Observability, ObservabilityConfig, catalog
 from ..platform.fleet import DeviceFleet
 from ..resilience import FaultInjector
 from .admission import AdmissionController, AdmissionDecision, AdmissionVerdict
-from .loadgen import TimedRequest, trace_from_requests
+from .loadgen import TimedRequest
 from .metrics import MetricsCollector
 from .scheduler import MicroBatchScheduler
 
@@ -612,10 +613,6 @@ class ServingEngine:
         self._retriever_tracker = RevisionTrackedCache(
             case_base, rebuild=self._rebuild_retriever, apply=self._absorb_window
         )
-        #: Per-signature screen verdicts (a verdict depends only on the
-        #: signature, the requested type and the retriever's bounds table,
-        #: so hot-template traffic screens with one dict lookup per request).
-        self._screen_verdicts: Dict[Tuple, Optional[str]] = {}
         self._rebuild_retriever()
         self._retriever_tracker.mark_current()
         # The modelled unit must be the one that would deliver the configured
@@ -651,20 +648,9 @@ class ServingEngine:
         )
         #: Backend pre-filter counts already in the registry (new ones start at 0).
         self._prefilter_emitted = (0, 0, 0)
-        self._screen_verdicts.clear()  # they read the old bounds table
 
     def _absorb_window(self, summary: DeltaSummary) -> bool:
-        """Keep the retriever across a window that cannot move its bounds.
-
-        Screen verdicts key on the request signature, which leads with the
-        type ID: the window drops those of the types it touches (under
-        ``learn=True`` every micro-batch mutates the case base, and
-        untouched types keep theirs); a rebuilt retriever drops them all.
-        """
-        touched = summary.touched_types
-        if touched:
-            for key in [key for key in self._screen_verdicts if key[0] in touched]:
-                del self._screen_verdicts[key]
+        """Keep the retriever across a window that cannot move its bounds."""
         return not summary.bounds_changed and (
             self.case_base.has_explicit_bounds
             or deltas_preserve_derived_bounds(summary.deltas, self.retriever.bounds)
@@ -690,30 +676,29 @@ class ServingEngine:
 
     # -- request screening ---------------------------------------------------------
 
-    #: Screen-verdict cache entries kept (cleared wholesale beyond).
-    SCREEN_VERDICT_CAPACITY = 4096
-
     def _screen(self, request: FunctionRequest) -> Optional[str]:
         """Why a request cannot be dispatched at all, or ``None`` if it can.
 
         Reads the case base for the requested type and the retriever's
-        bounds table (brought current first) for the attributes.  Verdicts
-        are memoized per request signature, so repeated hot-template
-        traffic screens with one dict lookup.
+        bounds table (brought current first) for the attributes.  The
+        verdict is kept in the request's plan on the case base's encoded
+        image, whose invalidation rule covers everything it reads (a window
+        drops the plans of the types it touches, a bounds change rebuilds
+        the image), so repeated hot-template traffic screens with one
+        lookup.  Without an image -- the case base cannot encode, or a
+        malformed request holds an unhashable value -- it screens uncached.
         """
         self._retriever_tracker.ensure_current()
-        key = request.signature()
+        unit = self.admission.hardware_unit
         try:
-            cached = self._screen_verdicts.get(key)
-        except TypeError:  # unhashable value in a malformed request
+            plan = unit.pricing_image().plan(request) if unit is not None else None
+        except (ReproError, TypeError):
+            plan = None
+        if plan is None:
             return self._screen_uncached(request)
-        if cached is not None or key in self._screen_verdicts:
-            return cached
-        verdict = self._screen_uncached(request)
-        if len(self._screen_verdicts) >= self.SCREEN_VERDICT_CAPACITY:
-            self._screen_verdicts.clear()
-        self._screen_verdicts[key] = verdict
-        return verdict
+        if plan.verdict is UNSCREENED:
+            plan.verdict = self._screen_uncached(request)
+        return plan.verdict  # type: ignore[return-value]
 
     def _screen_uncached(self, request: FunctionRequest) -> Optional[str]:
         case_base = self.case_base
@@ -733,10 +718,10 @@ class ServingEngine:
         try:
             # The memory-map encoder is the authoritative validator for value
             # and weight encodability (non-integer values, 16-bit overflow);
-            # its request cache is keyed by signature, so admission reuses
-            # this encoding instead of paying twice.  On out-of-core case
-            # bases the hardware unit does not exist, but requests still
-            # honor the same word model -- encode them directly.
+            # the encoding lands in the request's plan, so admission reuses
+            # it instead of paying twice.  On out-of-core case bases the
+            # hardware unit does not exist, but requests still honor the
+            # same word model -- encode them directly.
             unit = self.admission.hardware_unit
             if unit is not None:
                 unit.encoded_request_words(request)
@@ -760,17 +745,3 @@ class ServingEngine:
         for batch in self.scheduler.batches(list(trace)):
             session.process_batch(batch)
         return session.finish()
-
-    def serve_requests(
-        self,
-        requests: Sequence[FunctionRequest],
-        *,
-        interarrival_us: float = 0.0,
-        deadline_us: Optional[float] = None,
-    ) -> ServingReport:
-        """Convenience wrapper: stamp a request list and replay it."""
-        return self.serve(
-            trace_from_requests(
-                requests, interarrival_us=interarrival_us, deadline_us=deadline_us
-            )
-        )

@@ -124,8 +124,8 @@ class SoftwareRetrievalUnit:
         return self.case_base.encoded_image
 
     def encoded_request_words(self, request: FunctionRequest) -> Tuple[int, ...]:
-        """The request's encoded word image (cached per signature on the shared image)."""
-        return self.case_base.encoded_image.encode_request(request).words
+        """The request's encoded word image (from its plan on the shared image)."""
+        return self.case_base.encoded_image.plan(request).encoded.words
 
     # -- memory helper ------------------------------------------------------------
 

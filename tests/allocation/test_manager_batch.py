@@ -1,5 +1,7 @@
 """Batch allocation and batch retrieval through the allocation manager."""
 
+import random
+
 import pytest
 
 from repro.allocation import AllocationManager, AllocationStatus
@@ -90,6 +92,30 @@ class TestAllocateBatch:
             assert one.status == many.status
             assert one.similarity == many.similarity
             assert one.device_name == many.device_name
+
+    def test_batch_matches_sequential_bit_for_bit_across_constraint_orders(self):
+        """The same constraints listed in another order normalise to weights
+        that differ in the last bits; each request keeps its own doubles."""
+        rng = random.Random(0)
+        weights = dict(zip((1, 3, 4), (0.1, 0.05, 0.3)))
+        for _ in range(20):
+            values = {1: rng.randint(4, 32), 3: rng.randint(0, 1), 4: rng.randint(8, 96)}
+            order = rng.sample(sorted(values), 3)
+            requests = [
+                FunctionRequest(
+                    1, [(a, values[a], weights[a]) for a in ids], requester=requester
+                )
+                for ids, requester in (((1, 3, 4), "first"), (order, "second"))
+            ]
+            manager = build_manager(retrieval_backend="vectorized")
+            sequential = [manager.allocate(request) for request in requests]
+            batched = build_manager(retrieval_backend="vectorized").allocate_batch(requests)
+            for one, many in zip(sequential, batched):
+                assert one.status == many.status
+                assert one.similarity == many.similarity
+                assert [(c.implementation_id, c.similarity) for c in one.candidates] == [
+                    (c.implementation_id, c.similarity) for c in many.candidates
+                ]
 
     def test_unknown_type_is_rejected_per_request_not_raised(self):
         manager = build_manager(retrieval_backend="vectorized")

@@ -1,5 +1,7 @@
 """Unit tests for function requests and the request builder."""
 
+import math
+
 import pytest
 
 from repro.core import (
@@ -20,6 +22,13 @@ class TestRequestAttribute:
     def test_negative_weight_rejected(self):
         with pytest.raises(RequestError):
             RequestAttribute(1, 5, -0.1)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(RequestError, match="weight"):
+            RequestAttribute(1, 5, weight)
+        with pytest.raises(RequestError, match="weight"):
+            FunctionRequest(1, [(1, 5, weight)], normalize_weights=False)
 
 
 class TestFunctionRequest:
@@ -81,6 +90,18 @@ class TestFunctionRequest:
         assert a.signature() == b.signature()
         assert a.signature() != c.signature()
         assert hash(a.signature()) == hash(b.signature())
+
+    def test_signature_is_exact(self):
+        """Weights that differ below 1e-12 are different requests."""
+        tiny = FunctionRequest(1, [(1, 16, 1e-13)], normalize_weights=False)
+        zero = FunctionRequest(1, [(1, 16, 0.0)], normalize_weights=False)
+        assert tiny.signature() != zero.signature()
+        above = math.nextafter(1.5 / 65536, 1.0)
+        below = math.nextafter(1.5 / 65536, 0.0)
+        assert (
+            FunctionRequest(1, [(1, 16, above)], normalize_weights=False).signature()
+            != FunctionRequest(1, [(1, 16, below)], normalize_weights=False).signature()
+        )
 
     def test_relaxed_scales_selected_attributes(self):
         request = paper_request()

@@ -7,6 +7,7 @@ cycle/instruction/memory-read accounting, bit for bit and cycle for cycle.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.cosim import (
     resolve_cycle_engine,
 )
 from repro.hardware import HardwareConfig, HardwareRetrievalUnit
+from repro.memmap.request_list import encode_request
 from repro.software import (
     SoftwareRetrievalUnit,
     microblaze_cost_model,
@@ -229,22 +231,56 @@ class TestSpeedupParity:
 class TestCaching:
     def test_request_cache_reused_and_invalidated(self, paper_cb, paper_req):
         unit = HardwareRetrievalUnit(paper_cb)
+        other = FunctionRequest(2, [(1, 16), (4, 40)])
         first = unit.run(paper_req)
-        cache = unit.pricing_image().encoded_requests
-        assert len(cache) == 1
-        encoded = cache[paper_req.signature()]
+        unit.run(other)
+        plans = unit.pricing_image().plans
+        assert len(plans) == 2
+        plan = plans[paper_req.signature()]
+        kept = plans[other.signature()]
         second = unit.run(paper_req)
-        assert len(cache) == 1
+        assert len(plans) == 2
+        assert plans[paper_req.signature()] is plan
         assert first.cycles == second.cycles
         paper_cb.add_implementation(
             1, Implementation(8, ExecutionTarget.DSP, {1: 16, 2: 0, 3: 1, 4: 40})
         )
         third = unit.run(paper_req)
         assert third.best_id == 8  # the refreshed image sees the new variant
-        # Encodings depend on the fraction format only: the window keeps them.
-        assert unit.pricing_image().encoded_requests is cache
-        assert len(cache) == 1
-        assert cache[paper_req.signature()] is encoded
+        # The window drops the plans of the type it touches, and only those.
+        assert unit.pricing_image().plans is plans
+        assert len(plans) == 2
+        assert plans[other.signature()] is kept
+        assert plans[paper_req.signature()] is not plan
+        assert plans[paper_req.signature()].encoded == plan.encoded
+
+    @pytest.mark.parametrize("n_best", [1, 3])
+    def test_weights_either_side_of_a_rounding_midpoint_get_their_own_plans(
+        self, n_best
+    ):
+        """Adjacent doubles either side of the UQ0.16 midpoint 1.5/65536
+        encode to weight words 1 and 2; a unit that saw one first must still
+        answer the other as a fresh unit does."""
+        midpoint = 1.5 / 65536
+        requests = [
+            FunctionRequest(
+                1, [(1, 16, weight), (3, 1, 0.5), (4, 40, 0.5)], normalize_weights=False
+            )
+            for weight in (math.nextafter(midpoint, 0.0), midpoint)
+        ]
+        assert [encode_request(r).words[3] for r in requests] == [1, 2]
+        config = HardwareConfig(n_best=n_best)
+        for first, second in (requests, requests[::-1]):
+            unit = HardwareRetrievalUnit(paper_case_base(), config=config)
+            unit.run(first)
+            unit.predict_cycles([first])
+            fresh = HardwareRetrievalUnit(paper_case_base(), config=config)
+            observed, expected = unit.run(second), fresh.run(second)
+            assert observed.best_similarity_raw == expected.best_similarity_raw
+            assert observed.ranked == expected.ranked
+            assert observed.statistics == expected.statistics
+            assert unit.predict_cycles([second]) == fresh.predict_cycles([second])
+            assert unit.encoded_request_words(second) == encode_request(second).words
 
     def test_columnar_cache_follows_revision(self, paper_cb, paper_req):
         unit = HardwareRetrievalUnit(paper_cb)
@@ -284,12 +320,12 @@ class TestCaching:
             raise AssertionError("the vectorized engine must not build a Req-MEM")
 
         monkeypatch.setattr(EncodedRequest, "build_ram", no_ram)
-        # A copy has its own image, so its request cache starts empty.
+        # A copy has its own image, so it starts without plans.
         fresh = HardwareRetrievalUnit(paper_cb.copy(), config=HardwareConfig(n_best=2))
-        assert len(fresh.pricing_image().encoded_requests) == 0
+        assert len(fresh.pricing_image().plans) == 0
         assert fresh.predict_cycles([paper_req]) == [golden.cycles]
         assert fresh.run_batch([paper_req])[0].statistics == golden.statistics
-        assert len(fresh.pricing_image().encoded_requests) == 1
+        assert len(fresh.pricing_image().plans) == 1
         with pytest.raises(AssertionError, match="Req-MEM"):
             fresh.run(paper_req)
 
@@ -298,13 +334,13 @@ class TestCaching:
 
         case_base = small_generator.case_base()
         unit = HardwareRetrievalUnit(case_base)
-        monkeypatch.setattr(image_module, "ENCODED_REQUEST_CAPACITY", 4)
+        monkeypatch.setattr(image_module, "PLAN_CAPACITY", 4)
         requests = [small_generator.request(salt=salt, attribute_count=3) for salt in range(9)]
         for request in requests:
             unit.run(request)
-        cache = unit.pricing_image().encoded_requests
-        assert len(cache) <= 4
-        assert requests[-1].signature() in cache
+        plans = unit.pricing_image().plans
+        assert len(plans) <= 4
+        assert requests[-1].signature() in plans
 
 
 class TestEngineResolution:

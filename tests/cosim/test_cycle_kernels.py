@@ -23,7 +23,7 @@ from repro.core.columnar import PAD_ID
 from repro.cosim.vectorized import _nbest_finalize_cycles
 from repro.hardware import HardwareConfig, HardwareRetrievalUnit
 from repro.hardware.datapath import NBestRegisterFile
-from repro.memmap.image import CYCLE_MEMO_CAPACITY
+from repro.memmap.image import PLAN_CAPACITY
 from repro.software import SoftwareRetrievalUnit
 
 
@@ -182,11 +182,20 @@ def test_structural_lookups_match_the_attribute_lists():
         assert table.below[insertion] == sum(1 for a in lists for b in a if b < attribute_id)
 
 
-# -- the per-request cycle memo --------------------------------------------------
+# -- exact cycles in the request plans ---------------------------------------------
+
+
+def _priced(unit):
+    """``signature -> cycles per model key`` of the image's priced plans."""
+    return {
+        key: dict(plan.cycles)
+        for key, plan in unit.pricing_image().plans.items()
+        if plan.cycles
+    }
 
 
 def _memo_types(unit):
-    return {words[0] for _, words in unit.pricing_image().cycle_memo}
+    return {key[0] for key in _priced(unit)}
 
 
 def test_memo_keys_on_values_not_just_the_signature():
@@ -204,7 +213,7 @@ def test_memo_keys_on_values_not_just_the_signature():
     assert unit.predict_cycles([second, first, second]) == [
         second_cycles, first_cycles, second_cycles
     ]
-    assert len(unit.pricing_image().cycle_memo) == 2
+    assert len(_priced(unit)) == 2
 
 
 def test_memo_follows_row_patches_per_type():
@@ -213,7 +222,7 @@ def test_memo_follows_row_patches_per_type():
     patched, untouched = PATCHED_REQUESTS[0], PATCHED_REQUESTS[4]
     unit.predict_cycles([patched, untouched])
     image = unit.pricing_image()
-    carried = {key: cycles for key, cycles in image.cycle_memo.items() if key[1][0] == 2}
+    carried = {key: plan for key, plan in image.plans.items() if key[0] == 2}
     untouched_table = case_base.type_tables.table(2)
     assert _memo_types(unit) == {1, 2}
     case_base.replace_implementation(
@@ -221,7 +230,7 @@ def test_memo_follows_row_patches_per_type():
     )
     assert unit.pricing_image() is image
     assert case_base.type_tables.table(2) is untouched_table  # kept as it was
-    assert dict(image.cycle_memo) == carried  # type 1 dropped, type 2 kept
+    assert dict(image.plans) == carried  # type 1 dropped, type 2 kept (same plans)
     fresh = HardwareRetrievalUnit(case_base.copy(), config=HardwareConfig(n_best=2))
     assert unit.predict_cycles([patched, untouched]) == [
         result.cycles for result in fresh.run_batch([patched, untouched], engine="stepwise")
@@ -242,7 +251,7 @@ def test_bounds_change_drops_every_entry():
     case_base.replace_implementation(
         1, Implementation(2, ExecutionTarget.GPP, {1: 900, 2: 5})
     )
-    assert len(unit.pricing_image().cycle_memo) == 0
+    assert len(unit.pricing_image().plans) == 0
     fresh = HardwareRetrievalUnit(case_base.copy())
     assert unit.predict_cycles(requests) == [
         result.cycles for result in fresh.run_batch(requests, engine="stepwise")
@@ -254,15 +263,15 @@ def test_carry_forward_requires_the_same_supplemental_words():
     unit = HardwareRetrievalUnit(case_base)
     unit.predict_cycles(PATCHED_REQUESTS)
     image = unit.pricing_image()
-    assert len(image.cycle_memo) == len(PATCHED_REQUESTS)
+    assert len(_priced(unit)) == len(PATCHED_REQUESTS)
     case_base.add_type(3)
     case_base.add_implementation(3, Implementation(1, ExecutionTarget.GPP, {1: 5}))
-    assert len(unit.pricing_image().cycle_memo) == len(PATCHED_REQUESTS)  # nothing moved
+    assert len(_priced(unit)) == len(PATCHED_REQUESTS)  # nothing moved
     wider = BoundsTable()
     for attribute_id in range(1, 8):
         wider.define(attribute_id, 0, 400)
     case_base.bounds = wider
-    assert len(unit.pricing_image().cycle_memo) == 0
+    assert len(unit.pricing_image().plans) == 0
     fresh = HardwareRetrievalUnit(case_base.copy())
     assert unit.predict_cycles(PATCHED_REQUESTS) == [
         result.cycles for result in fresh.run_batch(PATCHED_REQUESTS, engine="stepwise")
@@ -301,12 +310,12 @@ def test_memo_flood_stays_bounded_and_spares_the_type_tables():
     tables = dict(case_base.type_tables.types)
     flood = [
         FunctionRequest(1, [(1, value % 200), (3, value // 200)])
-        for value in range(CYCLE_MEMO_CAPACITY + 200)
+        for value in range(PLAN_CAPACITY + 200)
     ]
     for start in range(0, len(flood), 64):
         unit.predict_cycles(flood[start:start + 64])
     assert unit.pricing_image() is image
-    assert len(image.cycle_memo) == CYCLE_MEMO_CAPACITY
+    assert len(image.plans) == len(_priced(unit)) == PLAN_CAPACITY
     for type_id, table in tables.items():
         assert case_base.type_tables.types[type_id] is table
     assert unit.predict_cycles([hot]) == hot_cycles
@@ -318,7 +327,7 @@ def test_software_memo_matches_stepwise():
     golden = [result.cycles for result in unit.run_batch(PATCHED_REQUESTS, engine="stepwise")]
     assert unit.predict_cycles(PATCHED_REQUESTS) == golden
     assert unit.predict_cycles(PATCHED_REQUESTS[::-1]) == golden[::-1]  # all hits
-    assert len(unit.pricing_image().cycle_memo) == len(PATCHED_REQUESTS)
+    assert len(_priced(unit)) == len(PATCHED_REQUESTS)
 
 
 def test_stepwise_and_full_results_bypass_the_memo():
@@ -326,7 +335,7 @@ def test_stepwise_and_full_results_bypass_the_memo():
     unit = HardwareRetrievalUnit(case_base)
     unit.predict_cycles(PATCHED_REQUESTS, engine="stepwise")
     unit.run_batch(PATCHED_REQUESTS, engine="vectorized")
-    assert len(unit.pricing_image().cycle_memo) == 0
+    assert len(_priced(unit)) == 0
 
 
 @pytest.mark.parametrize("engine", ["stepwise", "vectorized"])

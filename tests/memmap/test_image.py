@@ -151,9 +151,9 @@ class TestSharedEncodedImage:
 
         check()
         image = hardware.pricing_image()
-        encodings = {hardware.encoded_request_words(r) for r in requests}
-        assert len({key[0] for key in image.cycle_memo}) == 2  # both models' keys
-        assert len(image.cycle_memo) == 2 * len(encodings)
+        assert set(image.plans) == {r.signature() for r in requests}
+        assert {len(plan.cycles) for plan in image.plans.values()} == {2}  # both models'
+        assert len({key for plan in image.plans.values() for key in plan.cycles}) == 2
         # Removing the lowest type moves every other type up the level-0 list.
         positions = dict(image.positions)
         incremental = image.tracker.incremental_count
@@ -165,5 +165,5 @@ class TestSharedEncodedImage:
             for type_id, position in positions.items()
             if type_id != lowest
         }
-        assert len(image.cycle_memo) == 0
+        assert len(image.plans) == 0
         check()

@@ -1,8 +1,8 @@
 """Persistent image store: round-trip fidelity, staleness, and counters.
 
-The contract under test (ISSUE 10 tentpole): a saved store reopens O(1) into
-*bit-identical* serving state -- word-for-word CB-MEM images and retrieval
-results indistinguishable from a fresh encode -- and anything that could
+The contract under test: a saved store reopens O(1) into *bit-identical*
+serving state -- type tables, retrieval results and cycle counts
+indistinguishable from a fresh encode -- and anything that could
 make the on-disk artefacts lie (mutations, tampered files, other case
 bases, layout bumps) must surface as ``stale``/``miss``, never as wrong
 results.
@@ -46,28 +46,28 @@ def small_case_base():
     return CaseBaseGenerator(SMALL_SPEC, seed=9).case_base()
 
 
+#: The stored arrays of one type table.
+TABLE_ARRAYS = ("impl_ids", "attribute_ids", "present", "values", "holders", "below")
+
+
 def _slim_view(result):
     return [(entry.implementation_id, entry.similarity) for entry in result.ranked]
 
 
 class TestRoundTrip:
-    def test_reopened_words_match_a_fresh_encode(self, small_case_base, tmp_path):
+    def test_reopened_tables_match_a_fresh_encode(self, small_case_base, tmp_path):
         store = ImageStore(tmp_path)
         store.save(small_case_base)
         reopened = store.open(small_case_base)
         assert reopened is not None
         assert reopened.revision == small_case_base.revision
-        fresh = CaseBaseImage(small_case_base)
-        assert np.array_equal(
-            np.asarray(reopened.image.tree.words),
-            np.asarray(fresh.tree.words),
-        )
-        assert np.array_equal(
-            np.asarray(reopened.image.supplemental.words),
-            np.asarray(fresh.supplemental.words),
-        )
-        assert reopened.image.tree.address_map == fresh.tree.address_map
-        assert reopened.image.supplemental.reciprocals == fresh.supplemental.reciprocals
+        # A copy builds its own columnar image: an independent encode.
+        fresh = small_case_base.copy().type_tables
+        assert set(reopened.tables) == set(small_case_base.type_ids())
+        for type_id, table in reopened.tables.items():
+            expected = fresh.table(type_id)
+            for attribute in TABLE_ARRAYS:
+                assert np.array_equal(getattr(table, attribute), getattr(expected, attribute))
 
     def test_adopted_matrices_serve_bit_identically(
         self, small_case_base, tmp_path, tables_match_words
@@ -202,6 +202,27 @@ class TestStaleness:
         assert counts[("miss",)] == 1.0
         assert counts[("hit",)] == 1.0
 
+    def test_layout_2_store_reopens_stale_and_rebuilds(self, small_case_base, tmp_path):
+        """A store written before the word files went (layout 2) is stale;
+        the rebuild writes layout 3 and deletes the old word files."""
+        registry = MetricsRegistry()
+        store = ImageStore(tmp_path, registry=registry)
+        store.save(small_case_base)
+        manifest_path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        prefix = f"r{small_case_base.revision}-"
+        for part in ("tree", "supplemental"):
+            (tmp_path / f"{prefix}{part}.u16").write_bytes(b"\x00\x00")
+            manifest[part] = {"file": f"{prefix}{part}.u16", "words": 1, "bytes": 2}
+        manifest["layout"] = 2
+        manifest_path.write_text(json.dumps(manifest))
+        assert store.open(small_case_base) is None
+        reopened, outcome = store.open_or_build(small_case_base)
+        assert outcome == "stale" and reopened is not None
+        assert json.loads(manifest_path.read_text())["layout"] == LAYOUT_VERSION == 3
+        assert not list(tmp_path.glob("*.u16"))
+        assert catalog.image_reopens(registry).values()[("stale",)] == 2.0
+
     def test_reopen_counter_labels_every_outcome(self, small_case_base, tmp_path):
         registry = MetricsRegistry()
         store = ImageStore(tmp_path, registry=registry)
@@ -215,30 +236,26 @@ class TestStaleness:
         assert counts == {("miss",): 1.0, ("hit",): 1.0, ("stale",): 1.0}
 
 
-class TestWordImagePolicy:
-    def test_never_skips_words_but_keeps_matrices(self, small_case_base, tmp_path):
+class TestNoWordImage:
+    def test_store_writes_no_word_files(self, small_case_base, tmp_path):
         store = ImageStore(tmp_path)
-        store.save(small_case_base, include_words="never")
+        manifest = store.save(small_case_base)
+        assert "tree" not in manifest and "supplemental" not in manifest
+        assert not list(tmp_path.glob("*.u16"))
         reopened = store.open(small_case_base)
         assert reopened is not None
-        assert reopened.image is None
+        assert not hasattr(reopened, "image")
         assert set(reopened.tables) == {
             function_type.type_id
             for function_type in small_case_base.sorted_types()
         }
 
-    def test_auto_drops_words_on_16_bit_overflow(self, tmp_path):
+    def test_overflowing_case_base_stores_its_tables(self, tmp_path):
         huge = CaseBaseGenerator(OVERFLOW_SPEC, seed=4).case_base()
         with pytest.raises(EncodingError):
             CaseBaseImage(huge)
         store = ImageStore(tmp_path)
-        manifest = store.save(huge)  # include_words="auto"
-        assert manifest["tree"] is None
+        store.save(huge)
         reopened = store.open(huge)
-        assert reopened is not None and reopened.image is None
+        assert reopened is not None
         assert len(reopened.tables) == OVERFLOW_SPEC.type_count
-
-    def test_always_propagates_the_overflow(self, tmp_path):
-        huge = CaseBaseGenerator(OVERFLOW_SPEC, seed=4).case_base()
-        with pytest.raises(EncodingError):
-            ImageStore(tmp_path).save(huge, include_words="always")

@@ -130,6 +130,21 @@ class TestErrorBodies:
         assert status == 400
         assert body["status"] == "failed"
 
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity"])
+    def test_non_finite_weight_is_a_400_and_serving_continues(self, daemon, weight):
+        _, client = daemon
+        raw = (
+            '{"type_id": 1, "attributes": '
+            f'[{{"attribute_id": 1, "value": 16, "weight": {weight}}}]}}'
+        )
+        status, body = client.call("POST", "/retrieve", raw=raw)
+        assert status == 400
+        assert body["error"] == "bad-request"
+        assert "finite" in body["reason"]
+        status, body = client.call("POST", "/retrieve", PAPER_WIRE)
+        assert status == 200
+        assert body["status"] in ("served_hardware", "served_software")
+
     def test_impossible_deadline_is_a_503_rejection(self, daemon):
         _, client = daemon
         # deadline_ms maps through the wall-clock-to-cycles path; 1 ns of

@@ -1,10 +1,12 @@
 """The serving screen under delta windows.
 
 The screen reads the case base for the requested type and the retriever's
-bounds table for the attributes, behind a per-signature verdict memo that
-each window trims to its untouched types.  After every random window a
-live engine's verdicts must equal those of an engine built fresh on a copy
-of the case base -- across the windows that move what the screen reads:
+bounds table for the attributes, and keeps its verdict in the request's
+plan on the case base's encoded image, which each window trims to its
+untouched types.  After every random window a live engine's verdicts must
+equal those of engines built fresh on copies of the case base, one per
+probe, so no expected verdict can come from another probe's plan --
+across the windows that move what the screen reads:
 an attribute losing its last holder under derived bounds, a brand-new
 attribute ID, an emptied type, a removed type, an explicit bounds swap and
 a delta log truncated under the live engine.
@@ -14,9 +16,16 @@ import random
 
 import pytest
 
-from repro.core import BoundsTable, CaseBase, ExecutionTarget, FunctionRequest, Implementation
+from repro.core import (
+    BoundsTable,
+    CaseBase,
+    ExecutionTarget,
+    FunctionRequest,
+    Implementation,
+    paper_case_base,
+)
 from repro.core.deltas import DeltaLog
-from repro.serving import ServingConfig, ServingEngine
+from repro.serving import ServingConfig, ServingEngine, trace_from_requests
 
 TYPES = (1, 2, 3, 4)
 ATTRIBUTES = (1, 2, 3, 4, 5)
@@ -57,7 +66,16 @@ def _probes():
         FunctionRequest(type_id, [(1, 10), (3, 20), (5, 30)]) for type_id in TYPES
     ]
     probes.append(FunctionRequest(1, [(1, 70000)]))  # past 16 bits
+    probes += _NEAR_ZERO_WEIGHTS
     return probes
+
+
+#: Wire requests (weights taken as sent) whose weights differ only below
+#: 1e-12: the first can be served, the second weighs nothing.
+_NEAR_ZERO_WEIGHTS = [
+    FunctionRequest(1, [(1, 10, 1e-13)], normalize_weights=False),
+    FunctionRequest(1, [(1, 10, 0.0)], normalize_weights=False),
+]
 
 
 def _holders(case_base):
@@ -129,8 +147,10 @@ def test_screen_verdicts_match_a_fresh_engine(seed, explicit):
     seen = set()
 
     def check():
-        fresh = ServingEngine(case_base.copy(), config=config)
-        expected = [fresh._screen(probe) for probe in probes]
+        expected = [
+            ServingEngine(case_base.copy(), config=config)._screen(probe)
+            for probe in probes
+        ]
         assert [live._screen(probe) for probe in probes] == expected
         assert [live._screen(probe) for probe in probes] == expected  # memo hits
         seen.update(verdict for verdict in expected)
@@ -151,3 +171,29 @@ def test_screen_verdicts_match_a_fresh_engine(seed, explicit):
     assert any(v and "not in the bounds table" in v for v in seen)
     assert any(v and "no implementation variants" in v for v in seen)
     assert any(v and "is not in the case base" in v for v in seen)
+    assert any(v and "weights sum to zero" in v for v in seen)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_near_zero_weights_are_served_as_if_alone(order):
+    """Two requests whose weights differ below 1e-12 each get the outcome a
+    fresh engine gives them alone, in either order."""
+    requests = [_NEAR_ZERO_WEIGHTS[index] for index in order]
+    config = ServingConfig(n_best=2)
+
+    def outcomes(engine, batch):
+        report = engine.serve(trace_from_requests(batch))
+        return [
+            (record.status, record.reason, ranking)
+            for record, ranking in zip(report.served, report.rankings())
+        ]
+
+    live = outcomes(ServingEngine(paper_case_base(), config=config), requests)
+    expected = [
+        outcomes(ServingEngine(paper_case_base(), config=config), [request])[0]
+        for request in requests
+    ]
+    assert live == expected
+    assert [status.served for status, _, _ in expected] == [
+        index == 0 for index in order
+    ]
