@@ -586,13 +586,13 @@ def cmd_serve_trace(args: argparse.Namespace) -> int:
               "requests file, or --random N > 0 produce one)", file=sys.stderr)
         return 2
 
+    # The compare mode's reference replays on its own copy, taken before the
+    # served run: learning mutates the served case base mid-stream, and the
+    # served run's plans (memoised rankings included) must not feed the
+    # reference.
+    reference_case_base = case_base.copy() if args.engine == "compare" else None
     try:
-        # Learning mutates the case base mid-stream; the compare mode must
-        # replay both engines against identical starting snapshots.
-        served_case_base = (
-            case_base.copy() if spec.learn and args.engine == "compare" else case_base
-        )
-        report = spec.build_engine(served_case_base).serve(trace)
+        report = spec.build_engine(case_base).serve(trace)
     except ReproError as error:
         print(f"serve-trace: {error}", file=sys.stderr)
         return 2
@@ -606,7 +606,7 @@ def cmd_serve_trace(args: argparse.Namespace) -> int:
     if args.engine == "compare":
         # The reference replay is the golden path (naive loop, stepwise cycles).
         golden = spec.replace(backend="naive", cycle_engine="stepwise").build_engine(
-            case_base.copy() if spec.learn else case_base
+            reference_case_base
         ).serve(trace)
         served, reference = (
             list(zip([r.status.value for r in replay.served], replay.rankings()))
@@ -638,21 +638,20 @@ def cmd_serve_cluster(args: argparse.Namespace) -> int:
               "requests file, or --random N > 0 produce one)", file=sys.stderr)
         return 2
 
+    # The single-device reference replays on its own copy, taken before the
+    # cluster run: learning mutates the served case base mid-stream, and the
+    # cluster run's plans (memoised rankings included) must not feed the
+    # reference.
+    reference_case_base = case_base.copy() if args.engine == "compare" else None
     try:
-        # Learning mutates the case base mid-stream; the compare mode must
-        # replay the cluster and the single-device reference against
-        # identical starting snapshots.
-        served_case_base = (
-            case_base.copy() if spec.learn and args.engine == "compare" else case_base
-        )
-        fleet = spec.build_fleet(served_case_base)
+        fleet = spec.build_fleet(case_base)
         if spec.uses_workload_trace and "fleet-failover" in spec.workloads:
             # The failover workload's burst phase brackets a staggered
             # outage of every hardware device (see repro.apps.fleet_failover).
             # Only meaningful when the trace is actually workload-derived:
             # --requests/--random traces ignore --workload entirely.
             apply_failover_outages(fleet, spec.duration_ms * 1000.0)
-        report = spec.build_engine(served_case_base, fleet=fleet).serve(trace)
+        report = spec.build_engine(case_base, fleet=fleet).serve(trace)
     except ReproError as error:
         print(f"serve-cluster: {error}", file=sys.stderr)
         return 2
@@ -686,9 +685,7 @@ def cmd_serve_cluster(args: argparse.Namespace) -> int:
     exit_code = 0
     if args.engine == "compare":
         # Single-device golden reference.
-        single = spec.replace(cluster=False).build_engine(
-            case_base.copy() if spec.learn else case_base
-        ).serve(trace)
+        single = spec.replace(cluster=False).build_engine(reference_case_base).serve(trace)
         cluster_rankings = report.rankings()
         single_rankings = single.rankings()
         #: Routing changes *capacity* (how many requests meet a deadline),

@@ -9,6 +9,7 @@ paper's example uses equal weights ``w_i = 1/3`` for its three constraints.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -28,6 +29,13 @@ class RequestAttribute:
         if not isinstance(self.attribute_id, int) or self.attribute_id <= 0:
             raise RequestError(
                 f"request attribute ID must be a positive integer, got {self.attribute_id!r}"
+            )
+        value = self.value
+        if not isinstance(value, numbers.Real) or not (
+            isinstance(value, numbers.Integral) or math.isfinite(value)
+        ):
+            raise RequestError(
+                f"attribute value must be a finite real number, got {value!r}"
             )
         if self.weight < 0:
             raise RequestError(f"attribute weight must be non-negative, got {self.weight}")

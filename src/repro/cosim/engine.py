@@ -19,13 +19,14 @@ kept current across revisions.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from ..core.exceptions import ReproError
 from ..core.request import FunctionRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from ..hardware.retrieval_unit import HardwareRetrievalResult, HardwareRetrievalUnit
+    from ..memmap.image import RequestPlan
     from ..software.retrieval_sw import SoftwareRetrievalResult, SoftwareRetrievalUnit
 
 
@@ -53,19 +54,26 @@ class CycleEngine:
         raise NotImplementedError
 
     def hardware_cycles(
-        self, unit: "HardwareRetrievalUnit", requests: Sequence[FunctionRequest]
+        self,
+        unit: "HardwareRetrievalUnit",
+        requests: Sequence[FunctionRequest],
+        plans: Optional[Sequence["RequestPlan"]] = None,
     ) -> List[int]:
         """Exact hardware cycle count per request, without result assembly.
 
         This is the prediction half of :meth:`hardware_batch`, used by QoS
         layers (the serving admission controller) that need service times but
         not rankings.  The default derives the counts from full runs -- the
-        golden semantics; engines may override with an equivalent fast path.
+        golden semantics, which never read the requests' ``plans``; engines
+        may override with an equivalent fast path.
         """
         return [result.cycles for result in self.hardware_batch(unit, requests)]
 
     def software_cycles(
-        self, unit: "SoftwareRetrievalUnit", requests: Sequence[FunctionRequest]
+        self,
+        unit: "SoftwareRetrievalUnit",
+        requests: Sequence[FunctionRequest],
+        plans: Optional[Sequence["RequestPlan"]] = None,
     ) -> List[int]:
         """Exact software cycle count per request, without result assembly.
 

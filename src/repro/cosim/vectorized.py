@@ -96,7 +96,7 @@ from ..software.retrieval_sw import (
     SoftwareRetrievalUnit,
     SoftwareStatistics,
 )
-from ..memmap.image import DeltaTrackedImage
+from ..memmap.image import DeltaTrackedImage, RequestPlan
 from .engine import CycleEngine
 
 
@@ -194,8 +194,10 @@ def _memoized_cycles(
     requests: Sequence[FunctionRequest],
     missing_bounds_error: Callable[[str], Exception],
     price_group: Callable[[_TypeGroup], List[int]],
+    plans: Optional[Sequence[RequestPlan]] = None,
 ) -> List[int]:
-    """Exact cycles per request through the requests' plans on the image.
+    """Exact cycles per request through the requests' plans on the image
+    (``plans``, when the caller already looked them up on it).
 
     A cycle count is a pure function of the encoded request words, the
     model configuration (``model_key``) and the image, so each plan keeps
@@ -207,16 +209,17 @@ def _memoized_cycles(
     delta windows touch or move their type, and all of them on a full
     rebuild.
     """
-    try:
-        plans = [image.plan(request) for request in requests]
-    except ReproError:
-        # Raise what the in-order walk raises first: an earlier request may
-        # fail validation before this one fails to encode.
-        _prepare_groups(
-            image, (image.plan(request).encoded.words for request in requests),
-            missing_bounds_error,
-        )
-        raise
+    if plans is None:
+        try:
+            plans = [image.plan(request) for request in requests]
+        except ReproError:
+            # Raise what the in-order walk raises first: an earlier request
+            # may fail validation before this one fails to encode.
+            _prepare_groups(
+                image, (image.plan(request).encoded.words for request in requests),
+                missing_bounds_error,
+            )
+            raise
     cycles: List[Optional[int]] = [plan.cycles.get(model_key) for plan in plans]
     misses = [index for index, count in enumerate(cycles) if count is None]
     if misses:
@@ -500,7 +503,10 @@ class VectorizedCycleEngine(CycleEngine):
         return results
 
     def hardware_cycles(
-        self, unit: HardwareRetrievalUnit, requests: Sequence[FunctionRequest]
+        self,
+        unit: HardwareRetrievalUnit,
+        requests: Sequence[FunctionRequest],
+        plans: Optional[Sequence[RequestPlan]] = None,
     ) -> List[int]:
         """Exact per-request cycle counts without assembling result objects.
 
@@ -533,7 +539,9 @@ class VectorizedCycleEngine(CycleEngine):
         # The configuration's field values: a plain tuple hashes in C, the
         # dataclass's generated ``__hash__`` in Python on every lookup.
         model_key = tuple(vars(config).values())
-        return _memoized_cycles(image, model_key, requests, HardwareModelError, price)
+        return _memoized_cycles(
+            image, model_key, requests, HardwareModelError, price, plans
+        )
 
     @staticmethod
     def _hardware_costs(
@@ -676,7 +684,10 @@ class VectorizedCycleEngine(CycleEngine):
         return results
 
     def software_cycles(
-        self, unit: SoftwareRetrievalUnit, requests: Sequence[FunctionRequest]
+        self,
+        unit: SoftwareRetrievalUnit,
+        requests: Sequence[FunctionRequest],
+        plans: Optional[Sequence[RequestPlan]] = None,
     ) -> List[int]:
         """Exact per-request cycle counts without assembling result objects.
 
@@ -704,7 +715,9 @@ class VectorizedCycleEngine(CycleEngine):
         model_key = (unit.inline_helpers,) + tuple(
             (kind.value, cost) for kind, cost in cost_model.cycles.items()
         )
-        return _memoized_cycles(image, model_key, requests, SoftwareModelError, price)
+        return _memoized_cycles(
+            image, model_key, requests, SoftwareModelError, price, plans
+        )
 
     @staticmethod
     def _software_instruction_counters(

@@ -30,7 +30,7 @@ from ..core.case_base import CaseBase
 from ..core.exceptions import HardwareModelError, UnknownFunctionTypeError
 from ..core.request import FunctionRequest
 from ..fixedpoint.qformat import QFormat, UQ0_16
-from ..memmap.image import DeltaTrackedImage
+from ..memmap.image import DeltaTrackedImage, RequestPlan
 from ..memmap.ram import RamBlock
 from ..memmap.words import END_OF_LIST
 
@@ -311,6 +311,7 @@ class HardwareRetrievalUnit:
         requests: Sequence[FunctionRequest],
         *,
         engine: Union[str, "CycleEngine", None] = "auto",
+        plans: Optional[Sequence[RequestPlan]] = None,
     ) -> List[int]:
         """Exact retrieval cycle count per request, without full results.
 
@@ -321,11 +322,13 @@ class HardwareRetrievalUnit:
         cycles) -- considerably cheaper than assembling result objects.
         The counts are guaranteed identical to ``[r.cycles for r in
         run_batch(requests)]`` on every engine (differentially tested).
+        ``plans`` are the requests' plans on the shared image, when the
+        caller already looked them up (the vectorized engine reads them).
         """
         from ..cosim.engine import resolve_cycle_engine
 
         selected = resolve_cycle_engine(engine, prefer_vectorized=not self.config.trace)
-        return selected.hardware_cycles(self, list(requests))
+        return selected.hardware_cycles(self, list(requests), plans)
 
     def run_on_ram(self, request_ram: RamBlock) -> HardwareRetrievalResult:
         """Execute one retrieval run on an already encoded request memory."""

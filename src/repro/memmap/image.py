@@ -13,14 +13,15 @@ across delta windows.  Besides the words it holds what the vectorized cycle
 engines need beyond the case base's shared type tables -- level-0
 positions and the supplemental list's arrays -- and one
 :class:`RequestPlan` per exact request: the encoded Req-MEM words, the
-serving screen's verdict and the exact cycles per model configuration.
+serving screen's verdict, the exact cycles per model configuration and
+the vectorized retrieval's rankings.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +45,9 @@ from .supplemental_list import (
     encode_supplemental,
 )
 from .words import END_OF_LIST
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.retrieval import RetrievalResult
 
 #: Request plans kept per case-base image (least recently used evicted first).
 PLAN_CAPACITY = 1024
@@ -96,6 +100,10 @@ class RequestPlan:
     verdict: object = UNSCREENED
     #: Exact retrieval cycles per model configuration key.
     cycles: Dict[Hashable, int] = field(default_factory=dict)
+    #: The vectorized retrieval's result per ``(n, threshold, bounds
+    #: table)``; the serving engine fills and reads it, and every request
+    #: with this plan's signature shares the stored object (read-only).
+    rankings: Dict[Tuple, "RetrievalResult"] = field(default_factory=dict)
 
 
 class CaseBaseImage:
@@ -286,8 +294,7 @@ class DeltaTrackedImage:
     def plan(self, request: FunctionRequest) -> RequestPlan:
         """The request's plan, encoded on first sight.
 
-        Encoding errors propagate and leave no plan behind; an unhashable
-        value in a malformed request raises :class:`TypeError`.
+        Encoding errors propagate and leave no plan behind.
         """
         key = request.signature()
         plans = self.plans

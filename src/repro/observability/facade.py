@@ -48,6 +48,9 @@ class Observability:
         self.trace_enabled = (
             bool(self.config.enabled) and self.config.trace_sample_rate > 0.0
         )
+        #: Every request is traced (the default): skips the per-request
+        #: sampling hash on the serving hot path.
+        self._trace_every = self.trace_enabled and self.config.trace_sample_rate >= 1.0
         self._batch_trace: Optional[Trace] = None
         self._batch_root: Optional[Span] = None
         self._batch_close_us = 0.0
@@ -115,22 +118,31 @@ class Observability:
     # Request traces
 
     def record_request(self, record) -> None:
-        """Ring in the span tree for one terminal :class:`ServedRequest`.
+        """Ring in the span tree for one terminal :class:`ServedRequest`."""
+        self.record_requests((record,))
 
-        The tree itself is built lazily on first read: the serving hot path
-        pays one dict insert, and because every timestamp is derived from
-        the record's (already-terminal) virtual-time fields, deferral never
-        changes what materialises -- replaying the same capture reproduces
-        the same tree.
+    def record_requests(self, records) -> None:
+        """Ring in the span trees for a micro-batch of terminal records.
+
+        Each tree is built lazily on first read: the serving hot path pays
+        one dict insert per sampled request, and because every timestamp is
+        derived from the record's (already-terminal) virtual-time fields,
+        deferral never changes what materialises -- replaying the same
+        capture reproduces the same tree.
         """
-        if not self.sampled(record.index):
+        if not self.trace_enabled:
             return
-        self.store.add_deferred(
-            trace_id_for(record.index),
-            lambda: self._build_request_trace(record),
-        )
-        if self._traces_sampled is not None:
-            self._traces_sampled.inc()
+        add = self.store.add_deferred
+        build = self._build_request_trace
+        every, rate = self._trace_every, self.config.trace_sample_rate
+        count = 0
+        for record in records:
+            index = record.index
+            if every or sampled(index, rate):
+                add(trace_id_for(index), lambda record=record: build(record))
+                count += 1
+        if count and self._traces_sampled is not None:
+            self._traces_sampled.inc(count)
 
     def _build_request_trace(self, record) -> Trace:
         status = getattr(record.status, "value", str(record.status))

@@ -142,6 +142,19 @@ class Histogram:
         if self.values is not None:
             self.values.append(number)
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """:meth:`observe` each value in order (one call per micro-batch)."""
+        buckets, counts, tracked = self.buckets, self.bucket_counts, self.values
+        total = self.sum
+        for value in values:
+            number = float(value)
+            total += number
+            counts[bisect.bisect_left(buckets, number)] += 1
+            if tracked is not None:
+                tracked.append(number)
+        self.sum = total
+        self.count += len(values)
+
     def cumulative(self) -> List[Tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs ending at ``+Inf``."""
         pairs = []

@@ -37,7 +37,8 @@ __all__ = [
 
 def trace_id_for(index: int) -> str:
     """The deterministic trace id of request ``index`` (absolute frame)."""
-    return f"req-{int(index):08d}"
+    # ``%d`` truncates like ``int()``, without the extra call per request.
+    return "req-%08d" % index
 
 
 def batch_trace_id(index: int) -> str:

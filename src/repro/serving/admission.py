@@ -29,6 +29,7 @@ screens the merged ranking with the allocation layer's
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -37,6 +38,7 @@ from ..core.case_base import CaseBase
 from ..core.exceptions import EncodingError, ReproError
 from ..core.retrieval import RetrievalResult
 from ..hardware.retrieval_unit import HardwareConfig, HardwareRetrievalUnit
+from ..memmap.image import RequestPlan
 from ..observability import catalog
 from ..platform.fleet import HARDWARE, DeviceFleet, RetrievalWorker, WorkerSyncEvent
 from ..resilience import FaultInjector, RetryPolicy
@@ -370,37 +372,49 @@ class AdmissionController:
                 raise ReproError(self.software_unavailable_reason) from error
         return self._software_unit
 
-    def _software_times_or_none(
-        self, requests: Sequence
-    ) -> Optional[List[tuple]]:
-        """Software timings, or ``None`` when the model cannot encode."""
+    def hardware_cycles(
+        self, requests: Sequence, plans: Optional[Sequence[RequestPlan]] = None
+    ) -> List[int]:
+        """Exact cycles per request on the hardware unit, from the cycle
+        engines' prediction fast path: admission needs service times, not
+        rankings, so no result objects are assembled.  ``plans`` are the
+        requests' plans, when the caller already looked them up."""
+        unit = self.hardware_unit
+        if unit is None:
+            raise ReproError(self.hardware_unavailable_reason or "no hardware unit")
+        return unit.predict_cycles(list(requests), engine=self.cycle_engine, plans=plans)
+
+    def software_cycles(
+        self, requests: Sequence, plans: Optional[Sequence[RequestPlan]] = None
+    ) -> List[int]:
+        """Exact cycles per request on the software path (see
+        :meth:`hardware_cycles`)."""
+        return self._software().predict_cycles(
+            list(requests), engine=self.cycle_engine, plans=plans
+        )
+
+    def _software_cycles_or_none(
+        self, requests: Sequence, plans: Optional[Sequence[RequestPlan]]
+    ) -> Optional[List[int]]:
+        """Software cycles, or ``None`` when the model cannot encode."""
         try:
-            return self.software_times_us(requests)
+            return self.software_cycles(requests, plans)
         except ReproError:
             if self.software_unavailable_reason is None:
                 raise
             return None
 
-    def _times_us(self, unit, clock_mhz: float, requests: Sequence) -> List[tuple]:
-        """Exact ``(cycles, service_us)`` per request from the cycle engines'
-        prediction fast path: admission needs service times, not rankings, so
-        no result objects are assembled."""
-        return [
-            (cycles, cycles / clock_mhz)
-            for cycles in unit.predict_cycles(list(requests), engine=self.cycle_engine)
-        ]
-
     def hardware_times_us(self, requests: Sequence) -> List[tuple]:
         """Exact ``(cycles, service_us)`` per request on the hardware unit."""
-        unit = self.hardware_unit
-        if unit is None:
-            raise ReproError(self.hardware_unavailable_reason or "no hardware unit")
-        return self._times_us(unit, unit.config.clock_mhz, requests)
+        cycles = self.hardware_cycles(requests)
+        clock_mhz = self.hardware_unit.config.clock_mhz  # type: ignore[union-attr]
+        return [(count, count / clock_mhz) for count in cycles]
 
     def software_times_us(self, requests: Sequence) -> List[tuple]:
         """Exact ``(cycles, service_us)`` per request on the software path."""
-        unit = self._software()
-        return self._times_us(unit, unit.cost_model.clock_mhz, requests)
+        cycles = self.software_cycles(requests)
+        clock_mhz = self._software().cost_model.clock_mhz
+        return [(count, count / clock_mhz) for count in cycles]
 
     # -- fleet images and worker health ------------------------------------------------
 
@@ -526,7 +540,7 @@ class AdmissionController:
         break on registration order, keeping routing deterministic.
         """
         best: Tuple[RetrievalWorker, float, float] = (workers[0], 0.0, 0.0)
-        best_finish = float("inf")
+        best_finish = math.inf
         injector = self.fault_injector
         for worker in workers:
             service = cycles / worker.clock_mhz
@@ -555,9 +569,11 @@ class AdmissionController:
         close_us: float,
         *,
         default_deadline_us: Optional[float] = None,
+        plans: Optional[Sequence[RequestPlan]] = None,
     ) -> List[AdmissionDecision]:
         """Deadline-check and route one dispatch batch; decision ``i`` covers
-        entry ``i``.
+        entry ``i`` (and ``plans[i]``, its request's plan on the case base's
+        encoded image, when the caller already looked the plans up).
 
         ``close_us`` is the batch's dispatch time (requests have waited
         ``close_us - arrival_us``); each entry's own ``deadline_us`` takes
@@ -577,16 +593,16 @@ class AdmissionController:
         requests = [entry.request for entry in entries]
         all_hardware = self._hardware_tier
         hardware_workers = self._routable(all_hardware, close_us)
-        hardware_times = (
-            self.hardware_times_us(requests) if hardware_workers else None
+        hardware_cycles = (
+            self.hardware_cycles(requests, plans) if hardware_workers else None
         )
         #: Software is priced up front only as the primary tier; behind
         #: hardware it is priced on the first miss, so an all-hardware batch
         #: never pays for the software model while a miss still amortises
         #: one vectorized sweep over the whole batch.
-        software_times: Optional[List[tuple]] = None
+        software_cycles: Optional[List[int]] = None
         if not all_hardware and self._software_tier:
-            software_times = self._software_times_or_none(requests)
+            software_cycles = self._software_cycles_or_none(requests, plans)
         all_software = self._software_tier
         if not all_hardware and not all_software:
             return self._assess_unpriced(entries, close_us, default_deadline_us)
@@ -602,7 +618,7 @@ class AdmissionController:
         quarantine_blocked = (bool(all_hardware) and not hardware_workers) or (
             bool(all_software) and software_gate and not software_workers
         )
-        software_probed = software_times is not None
+        software_probed = software_cycles is not None
         backlog_us = {
             name: max(0.0, free_at - close_us)
             for name, free_at in self.free_at_us.items()
@@ -618,7 +634,7 @@ class AdmissionController:
             chosen: Optional[Tuple[RetrievalWorker, float, float]] = None
             reason = self._software_primary_reason
             if hardware_workers:
-                cycles = hardware_times[index][0]
+                cycles = hardware_cycles[index]
                 candidate = self._best_candidate(
                     hardware_workers, cycles, close_us, backlog_us
                 )
@@ -629,9 +645,9 @@ class AdmissionController:
             if chosen is None and software_gate and software_workers:
                 if not software_probed:
                     software_probed = True
-                    software_times = self._software_times_or_none(requests)
-                if software_times is not None:
-                    cycles = software_times[index][0]
+                    software_cycles = self._software_cycles_or_none(requests, plans)
+                if software_cycles is not None:
+                    cycles = software_cycles[index]
                     candidate = self._best_candidate(
                         software_workers, cycles, close_us, backlog_us
                     )
@@ -648,20 +664,15 @@ class AdmissionController:
                 self.busy_us[name] += service_us
                 if close_us + backlog > self.last_completion_us:
                     self.last_completion_us = close_us + backlog
+                # Positional (the field order): a class call with keywords
+                # packs them into a dict first, which shows at one decision
+                # per request.
                 decisions.append(AdmissionDecision(
-                    verdict=(
-                        AdmissionVerdict.ADMIT_HARDWARE
-                        if worker.kind == HARDWARE
-                        else AdmissionVerdict.DEGRADE_SOFTWARE
-                    ),
-                    wait_us=wait_us,
-                    queue_us=queue_us,
-                    service_us=service_us,
-                    cycles=cycles,
-                    deadline_us=deadline,
-                    reason=reason,
-                    worker=name,
-                    worker_kind=worker.kind,
+                    AdmissionVerdict.ADMIT_HARDWARE
+                    if worker.kind == HARDWARE
+                    else AdmissionVerdict.DEGRADE_SOFTWARE,
+                    wait_us, queue_us, service_us, cycles, deadline,
+                    reason, name, worker.kind,
                 ))
                 if self.first_dispatch_us is None:
                     self.first_dispatch_us = close_us
@@ -703,14 +714,14 @@ class AdmissionController:
             #: assessment time (falling back to the unfiltered tier when
             #: quarantine emptied it).
             if all_hardware:
-                if hardware_times is None:
-                    hardware_times = self.hardware_times_us(requests)
-                diag_cycles = hardware_times[index][0]
+                if hardware_cycles is None:
+                    hardware_cycles = self.hardware_cycles(requests, plans)
+                diag_cycles = hardware_cycles[index]
                 diag_tier = hardware_workers or all_hardware
             else:
-                if software_times is None:
-                    software_times = self.software_times_us(requests)
-                diag_cycles = software_times[index][0]
+                if software_cycles is None:
+                    software_cycles = self.software_cycles(requests, plans)
+                diag_cycles = software_cycles[index]
                 diag_tier = software_workers or all_software
             _, queue_us, service_us = self._best_candidate(
                 diag_tier, diag_cycles, close_us, backlog_us

@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..allocation.feasibility import FeasibilityChecker
+from ..core.backends import VectorizedBackend
 from ..core.caching import RevisionTrackedCache
 from ..core.case_base import CaseBase
 from ..core.deltas import DeltaSummary, deltas_preserve_derived_bounds
@@ -42,7 +43,7 @@ from ..core.learning import CaseRetainer, CaseReviser, CBRCycle, CycleReport, Ou
 from ..core.request import FunctionRequest
 from ..core.retrieval import RetrievalEngine, RetrievalResult
 from ..hardware.retrieval_unit import HardwareConfig
-from ..memmap.image import UNSCREENED
+from ..memmap.image import UNSCREENED, DeltaTrackedImage, RequestPlan
 from ..observability import Observability, ObservabilityConfig, catalog
 from ..platform.fleet import DeviceFleet
 from ..resilience import FaultInjector
@@ -286,20 +287,18 @@ def _decided(
     decision: AdmissionDecision,
     status: ServingStatus,
     reason: str,
-    **outcome: object,
+    latency_us: Optional[float] = None,
+    result: Optional[RetrievalResult] = None,
+    worker: str = "",
 ) -> ServedRequest:
     """The record of one admission-assessed request."""
+    # Positional: a class call with keywords packs them into a dict first,
+    # which costs more than the rest of the construction at one record per
+    # request.
     return ServedRequest(
-        index=trace_index,
-        arrival_us=entry.arrival_us,
-        batch_index=batch_index,
-        status=status,
-        wait_us=decision.wait_us,
-        queue_us=decision.queue_us,
-        service_us=decision.service_us,
-        cycles=decision.cycles,
-        reason=reason,
-        **outcome,
+        trace_index, entry.arrival_us, batch_index, status,
+        decision.wait_us, decision.queue_us, decision.service_us,
+        latency_us, decision.cycles, result, reason, worker,
     )
 
 
@@ -364,16 +363,22 @@ class ServingSession:
         self.metrics.observe_batch(len(batch))
         produced: Dict[int, ServedRequest] = {}
         # Requeued carry-overs re-enter the dispatch ahead of this batch's
-        # arrivals (they are older); they were already screened when first
-        # dispatched, so they skip straight to admission.
+        # arrivals (they are older); they passed the screen when first
+        # dispatched, so only their plans are read and they go straight to
+        # admission.  Each request's plan is looked up once, here, and
+        # handed to pricing and retrieval: nothing mutates the case base
+        # before the learning feedback, so the batch's image and plans stay
+        # current until then.
         carried = self._requeued
         self._requeued = []
         requeue_attempts = {index: attempts for index, _, attempts, _, _ in carried}
-        dispatchable: List[Tuple[int, TimedRequest]] = [
-            (trace_index, entry) for trace_index, entry, _, _, _ in carried
+        image = engine._plan_image()
+        dispatchable: List[Tuple[int, TimedRequest, Optional[RequestPlan]]] = [
+            (trace_index, entry, engine._screen_plan(entry.request, image)[1])
+            for trace_index, entry, _, _, _ in carried
         ]
         for trace_index, entry in batch.entries:
-            failure = engine._screen(entry.request)
+            failure, plan = engine._screen_plan(entry.request, image)
             if failure is not None:
                 produced[trace_index] = ServedRequest(
                     index=trace_index,
@@ -384,17 +389,23 @@ class ServingSession:
                     reason=failure,
                 )
             else:
-                dispatchable.append((trace_index, entry))
+                dispatchable.append((trace_index, entry, plan))
         if dispatchable:
+            plans: Optional[List[RequestPlan]] = [plan for _, _, plan in dispatchable]
+            if image is None or (carried and any(plan is None for plan in plans)):
+                plans = None
             decisions = self.admission.assess_batch(
-                [entry for _, entry in dispatchable],
+                [entry for _, entry, _ in dispatchable],
                 batch.close_us,
                 default_deadline_us=engine.config.deadline_us,
+                plans=plans,
             )
             admitted: List[Tuple[int, TimedRequest, AdmissionDecision]] = []
-            for (trace_index, entry), decision in zip(dispatchable, decisions):
+            admitted_plans: List[Optional[RequestPlan]] = []
+            for (trace_index, entry, plan), decision in zip(dispatchable, decisions):
                 if decision.verdict.admitted:
                     admitted.append((trace_index, entry, decision))
+                    admitted_plans.append(plan)
                     continue
                 reason = decision.reason
                 if decision.verdict is AdmissionVerdict.REQUEUE:
@@ -413,13 +424,10 @@ class ServingSession:
                     ServingStatus.REJECTED_DEADLINE, reason,
                 )
             if admitted:
-                engine._retriever_tracker.ensure_current()
-                results = engine.retriever.retrieve_batch(
+                results = engine._retrieve(
                     [entry.request for _, entry, _ in admitted],
-                    n=engine.config.n_best,
-                    threshold=engine.config.threshold,
+                    admitted_plans if plans is not None else None,
                 )
-                engine._count_prefilter()
                 for (trace_index, entry, decision), result in zip(admitted, results):
                     infeasible = self.admission.feasibility_failure(result)
                     if infeasible is not None:
@@ -451,26 +459,12 @@ class ServingSession:
                             engine.learner.observe(entry.request, result)
         batch_records = [produced[index] for index in sorted(produced)]
         observability.end_batch()
+        records = self.records
         for record in batch_records:
-            self.records[record.index] = record
-            self.metrics.observe_request(
-                record.status.value,
-                latency_us=record.latency_us,
-                hardware_cycles=(
-                    record.cycles
-                    if record.status is ServingStatus.SERVED_HARDWARE
-                    else 0
-                ),
-                software_cycles=(
-                    record.cycles
-                    if record.status is ServingStatus.SERVED_SOFTWARE
-                    else 0
-                ),
-                wait_us=record.wait_us,
-                queue_us=record.queue_us,
-                service_us=record.service_us,
-            )
-            observability.record_request(record)
+            records[record.index] = record
+        # One call each per batch: the per-request cost is the observations.
+        self.metrics.observe_records(batch_records)
+        observability.record_requests(batch_records)
         return batch_records
 
     def _learning_section(self) -> Optional[Dict[str, object]]:
@@ -646,6 +640,8 @@ class ServingEngine:
         self.retriever = RetrievalEngine(
             self.case_base, backend=self.config.backend, prefilter=self.config.prefilter
         )
+        #: Only the vectorized backend keeps its rankings in the plans.
+        self._memoise_rankings = self.retriever.backend_name == VectorizedBackend.name
         #: Backend pre-filter counts already in the registry (new ones start at 0).
         self._prefilter_emitted = (0, 0, 0)
 
@@ -674,31 +670,93 @@ class ServingEngine:
         for outcome, count in (("pruned", pruned), ("evaluated", rows - pruned)):
             catalog.prefilter_rows(registry).labels(outcome=outcome).inc(count)
 
+    def _retrieve(
+        self,
+        requests: Sequence[FunctionRequest],
+        plans: Optional[Sequence[RequestPlan]],
+    ) -> List[RetrievalResult]:
+        """The configured ranking of every request, from its plan when it
+        holds one.
+
+        The vectorized backend's result is a pure function of the exact
+        request, ``n``, ``threshold``, the bounds table and the requested
+        type's implementations; the plan's trimming rule covers the type and
+        the key covers the rest, so a repeated request skips the kernel and
+        only the misses are scored (and stored).  The golden ``naive`` path,
+        and a batch without plans, always score.
+        """
+        config = self.config
+        retriever = self.retriever
+        if plans is None or not self._memoise_rankings:
+            results = retriever.retrieve_batch(
+                requests, n=config.n_best, threshold=config.threshold
+            )
+            self._count_prefilter()
+            return results
+        key = (config.n_best, config.threshold, retriever.bounds)
+        found: List[Optional[RetrievalResult]] = [plan.rankings.get(key) for plan in plans]
+        misses = [index for index, result in enumerate(found) if result is None]
+        if misses:
+            # Requests sharing a plan within the batch are scored once.
+            scoring: Dict[int, int] = {}
+            for index in misses:
+                scoring.setdefault(id(plans[index]), index)
+            scored = retriever.retrieve_batch(
+                [requests[index] for index in scoring.values()],
+                n=config.n_best,
+                threshold=config.threshold,
+            )
+            self._count_prefilter()
+            for index, result in zip(scoring.values(), scored):
+                plans[index].rankings[key] = result
+            for index in misses:
+                found[index] = plans[index].rankings[key]
+        return found  # type: ignore[return-value]
+
     # -- request screening ---------------------------------------------------------
 
-    def _screen(self, request: FunctionRequest) -> Optional[str]:
-        """Why a request cannot be dispatched at all, or ``None`` if it can.
-
-        Reads the case base for the requested type and the retriever's
-        bounds table (brought current first) for the attributes.  The
-        verdict is kept in the request's plan on the case base's encoded
-        image, whose invalidation rule covers everything it reads (a window
-        drops the plans of the types it touches, a bounds change rebuilds
-        the image), so repeated hot-template traffic screens with one
-        lookup.  Without an image -- the case base cannot encode, or a
-        malformed request holds an unhashable value -- it screens uncached.
-        """
+    def _plan_image(self) -> Optional[DeltaTrackedImage]:
+        """The batch's current encoded image (the retriever brought current
+        too), or ``None`` when the case base cannot encode."""
         self._retriever_tracker.ensure_current()
         unit = self.admission.hardware_unit
+        if unit is None:
+            return None
         try:
-            plan = unit.pricing_image().plan(request) if unit is not None else None
-        except (ReproError, TypeError):
-            plan = None
+            return unit.pricing_image()
+        except ReproError:
+            return None
+
+    def _screen_plan(
+        self, request: FunctionRequest, image: Optional[DeltaTrackedImage]
+    ) -> Tuple[Optional[str], Optional[RequestPlan]]:
+        """Why a request cannot be dispatched at all (``None`` if it can),
+        and its plan on the batch's ``image``.
+
+        Reads the case base for the requested type and the retriever's
+        bounds table for the attributes.  The verdict is kept in the
+        request's plan, whose invalidation rule covers everything it reads
+        (a window drops the plans of the types it touches, a bounds change
+        rebuilds the image), so repeated hot-template traffic screens with
+        one lookup.  Without a plan -- the case base or the request cannot
+        encode -- it screens uncached.
+        """
+        plan = None
+        if image is not None:
+            try:
+                plan = image.plan(request)
+            except ReproError:
+                pass
         if plan is None:
-            return self._screen_uncached(request)
-        if plan.verdict is UNSCREENED:
-            plan.verdict = self._screen_uncached(request)
-        return plan.verdict  # type: ignore[return-value]
+            return self._screen_uncached(request), None
+        verdict = plan.verdict
+        if verdict is UNSCREENED:
+            verdict = plan.verdict = self._screen_uncached(request)
+        return verdict, plan  # type: ignore[return-value]
+
+    def _screen(self, request: FunctionRequest) -> Optional[str]:
+        """Why one request cannot be dispatched at all, or ``None`` if it can."""
+        return self._screen_plan(request, self._plan_image())[0]
 
     def _screen_uncached(self, request: FunctionRequest) -> Optional[str]:
         case_base = self.case_base

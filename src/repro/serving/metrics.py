@@ -181,6 +181,33 @@ class MetricsCollector:
         if service_us is not None:
             self._stage_retrieval.observe(service_us)
 
+    def observe_records(self, records: Sequence) -> None:
+        """Record a micro-batch of terminal serving records
+        (:class:`~repro.serving.engine.ServedRequest`).
+
+        The same observations as one :meth:`observe_request` per record with
+        its status, modelled latency, cycles (booked to the tier that served
+        it) and all three stage timings, in record order.
+        """
+        children = self._status_children
+        for record in records:
+            status = record.status.value
+            child = children.get(status)
+            if child is None:
+                child = children[status] = self._requests.labels(status=status)
+            child.inc()
+            if record.cycles:
+                if status == "served_hardware":
+                    self._hardware_cycles.inc(record.cycles)
+                elif status == "served_software":
+                    self._software_cycles.inc(record.cycles)
+        self._latency_child.observe_many(
+            [record.latency_us for record in records if record.latency_us is not None]
+        )
+        self._stage_queue.observe_many([record.wait_us for record in records])
+        self._stage_admission.observe_many([record.queue_us for record in records])
+        self._stage_retrieval.observe_many([record.service_us for record in records])
+
     def observe_batch(self, size: int) -> None:
         """Record one dispatched batch."""
         self._batches_child.inc()

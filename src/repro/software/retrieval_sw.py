@@ -27,7 +27,7 @@ from ..core.case_base import CaseBase
 from ..core.exceptions import SoftwareModelError, UnknownFunctionTypeError
 from ..core.request import FunctionRequest
 from ..fixedpoint.qformat import QFormat, UQ0_16
-from ..memmap.image import DeltaTrackedImage
+from ..memmap.image import DeltaTrackedImage, RequestPlan
 from ..memmap.words import END_OF_LIST
 from .isa import CostModel, InstructionCounters, InstructionEmitter, microblaze_cost_model
 
@@ -176,6 +176,7 @@ class SoftwareRetrievalUnit:
         requests: Sequence[FunctionRequest],
         *,
         engine: Union[str, "CycleEngine", None] = "auto",
+        plans: Optional[Sequence[RequestPlan]] = None,
     ) -> List[int]:
         """Exact execution cycle count per request, without full results.
 
@@ -184,11 +185,13 @@ class SoftwareRetrievalUnit:
         <repro.hardware.retrieval_unit.HardwareRetrievalUnit.predict_cycles>`:
         identical counts to ``[r.cycles for r in run_batch(requests)]`` on
         every engine, skipping result assembly on the vectorized path.
+        ``plans`` are the requests' plans on the shared image, when the
+        caller already looked them up.
         """
         from ..cosim.engine import resolve_cycle_engine
 
         selected = resolve_cycle_engine(engine, prefer_vectorized=True)
-        return selected.software_cycles(self, list(requests))
+        return selected.software_cycles(self, list(requests), plans)
 
     def run_on_words(self, request_words: List[int]) -> SoftwareRetrievalResult:
         """Execute one run on an already encoded request word image."""

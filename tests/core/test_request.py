@@ -30,6 +30,19 @@ class TestRequestAttribute:
         with pytest.raises(RequestError, match="weight"):
             FunctionRequest(1, [(1, 5, weight)], normalize_weights=False)
 
+    @pytest.mark.parametrize(
+        "value", [[1, 2], (1, 2), {"a": 1}, "fast", None, math.nan, math.inf, -math.inf]
+    )
+    def test_value_that_is_not_a_finite_real_number_rejected(self, value):
+        with pytest.raises(RequestError, match="finite real number"):
+            RequestAttribute(1, value)
+        with pytest.raises(RequestError, match="finite real number"):
+            FunctionRequest(1, [(1, value)])
+
+    @pytest.mark.parametrize("value", [16, 16.0, -3, 2.5, 10 ** 30])
+    def test_finite_real_values_accepted(self, value):
+        assert RequestAttribute(1, value).value == value
+
 
 class TestFunctionRequest:
     def test_weights_are_normalised_by_default(self):

@@ -145,6 +145,21 @@ class TestErrorBodies:
         assert status == 200
         assert body["status"] in ("served_hardware", "served_software")
 
+    @pytest.mark.parametrize("value", ["[1, 2]", '{"a": 1}', '"fast"', "NaN", "Infinity"])
+    def test_value_that_is_not_a_finite_number_is_a_400(self, daemon, value):
+        _, client = daemon
+        raw = (
+            '{"type_id": 1, "attributes": '
+            f'[{{"attribute_id": 1, "value": {value}, "weight": 1.0}}]}}'
+        )
+        status, body = client.call("POST", "/retrieve", raw=raw)
+        assert status == 400
+        assert body["error"] == "bad-request"
+        assert "finite real number" in body["reason"]
+        status, body = client.call("POST", "/retrieve", PAPER_WIRE)
+        assert status == 200
+        assert body["status"] in ("served_hardware", "served_software")
+
     def test_impossible_deadline_is_a_503_rejection(self, daemon):
         _, client = daemon
         # deadline_ms maps through the wall-clock-to-cycles path; 1 ns of

@@ -213,10 +213,11 @@ class TestRobustness:
 
     def test_unencodable_value_fails_without_aborting_the_replay(self, table3):
         """A non-integer constraint value (reachable via a requests JSON file)
-        must produce a FAILED record, not abort the whole replay."""
+        must produce a FAILED record, not abort the whole replay.  (A value
+        that is not a number at all is refused when the request is built.)"""
         case_base, _ = table3
         good = synthetic_trace(case_base, 3, seed=8)
-        bad = FunctionRequest(1, [(1, "fast")])
+        bad = FunctionRequest(1, [(1, 16.5)])
         trace = trace_from_requests(
             [good[0].request, bad, good[1].request, good[2].request],
             interarrival_us=10.0,
