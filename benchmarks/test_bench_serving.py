@@ -6,7 +6,7 @@ that promise on a Table-3-sized case base under *hot-template traffic* --
 requests drawn from a small set of templates (shared function type and
 attribute set, jittered values and weights), the access pattern of a
 production front-end serving many clients of a few popular functions, and
-the shape the vectorized backend's signature grouping is built for:
+the shape the vectorized backend's per-type grouping is built for:
 
 * micro-batched serving (``max_batch=128``) must beat one-at-a-time serving
   (``max_batch=1``) by at least :data:`SPEEDUP_GATE` in throughput, with

@@ -7,16 +7,16 @@ execution strategies for that path:
 * :class:`NaiveBackend` -- the original pure-Python loop over
   :meth:`RetrievalEngine.score`, one implementation at a time.  It is the
   golden reference: every other backend must reproduce its rankings,
-  similarities and :class:`~repro.core.retrieval.RetrievalStatistics`
-  bit for bit (error *ordering* in doubly-erroneous batches is the one
-  documented exception -- see :meth:`VectorizedBackend.retrieve_batch`).
+  similarities, :class:`~repro.core.retrieval.RetrievalStatistics` and
+  errors (raised in the same order) bit for bit.
 * :class:`VectorizedBackend` -- a software-vectorization data point for the
   section-4.1 cost argument.  It reads the case base's one columnar image
   (:class:`~repro.core.columnar.TypeTables`: per function type a dense
   attribute table in ascending attribute-ID order) with the paper's
-  ``1 / (1 + dmax)`` reciprocals baked in (exactly the supplemental-list
-  trick of the hardware unit, Fig. 4 right), and evaluates whole *batches*
-  of requests as array operations.
+  ``1 / (1 + dmax)`` reciprocals gathered per column (exactly the
+  supplemental-list trick of the hardware unit, Fig. 4 right), and
+  evaluates whole *batches* of requests as array operations, one padded
+  pass per function type.
 
 Bit-identical equivalence is achieved by mirroring the scalar arithmetic of
 :class:`~repro.core.similarity.LocalSimilarity` and
@@ -38,12 +38,12 @@ which rebuilds the shared image and the case base's encoded CB-MEM words.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .amalgamation import WeightedSum
-from .columnar import TypeTable
+from .columnar import PAD_BLOCK, TypeTable
 from .exceptions import RetrievalError
 from .request import FunctionRequest
 from .similarity import LocalSimilarity, ManhattanDistance
@@ -85,6 +85,18 @@ def _check_threshold(threshold: float) -> None:
     """Shared threshold argument validation (identical across all backends)."""
     if not 0.0 <= threshold <= 1.0:
         raise RetrievalError(f"threshold must lie within [0, 1], got {threshold}")
+
+
+class _Padded(NamedTuple):
+    """One type's requests left-padded to the widest (``R`` slots); a padded
+    slot holds :data:`~repro.core.columnar.PAD_BLOCK`."""
+
+    columns: np.ndarray  # (b, R) table column per slot (padding: the sentinel)
+    values: np.ndarray  # (b, R) request values
+    weights: np.ndarray  # (b, R) normalised weights
+    lengths: List[int]  # the requests' own attribute counts
+    compared: List[int]  # present (implementation, attribute) pairs per request
+    masked: bool  # whether any requested cell is absent
 
 
 class RetrievalBackend:
@@ -244,6 +256,9 @@ class VectorizedBackend(RetrievalBackend):
     the hardware unit implements.  :meth:`supports` reports compatibility;
     the engine transparently falls back to :class:`NaiveBackend` for custom
     metrics or amalgamations.
+
+    Every mode is :meth:`retrieve_batch` over one request, after the
+    argument checks the naive modes make before scoring.
     """
 
     name = "vectorized"
@@ -255,10 +270,6 @@ class VectorizedBackend(RetrievalBackend):
 
     def __init__(self) -> None:
         super().__init__()
-        #: ``1 / (1 + dmax)`` per attribute ID.  Bounds entries are never
-        #: replaced (:meth:`~repro.core.attributes.BoundsTable.add` refuses duplicates), so in-place
-        #: case-base edits cannot make these stale.
-        self._reciprocals: Dict[int, float] = {}
         #: Pre-filter effectiveness counters (plain ints; the serving layer
         #: folds them into its metrics registry).
         self.prefilter_requests = 0
@@ -276,21 +287,20 @@ class VectorizedBackend(RetrievalBackend):
             and type(engine.local_similarity.metric) is ManhattanDistance
         )
 
-    # -- cache management --------------------------------------------------------
+    # -- validation ----------------------------------------------------------------
 
-    def _reciprocal(self, attribute_id: int) -> float:
-        """The cached ``1 / (1 + dmax)`` constant of one attribute type."""
-        reciprocal = self._reciprocals.get(attribute_id)
-        if reciprocal is None:
-            bound = self.engine.local_similarity.bounds.get(attribute_id)
-            reciprocal = bound.reciprocal
-            self._reciprocals[attribute_id] = reciprocal
-        return reciprocal
+    def _validate(
+        self, request: FunctionRequest, *, current: bool = False
+    ) -> Tuple[TypeTable, Tuple]:
+        """Mirror the error behaviour of the naive scoring path, in its order.
 
-    # -- the vectorized kernel ----------------------------------------------------
-
-    def _validate(self, request: FunctionRequest, *, current: bool = False) -> TypeTable:
-        """Mirror the error behaviour of the naive scoring path."""
+        Returns the type's table and the request's kernel inputs.  The naive
+        loop scores implementation by implementation, looking ``dmax`` up for
+        each attribute the implementation holds, so a missing bounds entry is
+        raised for the first row holding an unbounded requested attribute, on
+        its lowest such ID; attributes no implementation holds never reach
+        the bounds table.
+        """
         table = self.engine.case_base.type_tables.table(request.type_id, current=current)
         if len(table.implementations) == 0:
             raise RetrievalError(
@@ -298,94 +308,97 @@ class VectorizedBackend(RetrievalBackend):
             )
         if len(request) == 0:
             raise RetrievalError("cannot score a request without constraining attributes")
-        return table
-
-    def _signature_kernel(self, table: TypeTable, attribute_ids: Tuple[int, ...]) -> Tuple:
-        """Gathered kernel inputs for one ``(type, constrained-IDs)`` signature.
-
-        Serving traffic repeats a few hot signatures, so the per-signature
-        gather -- the ``(A, I)`` case-value rows, the ``(A, 1)`` reciprocal
-        column and the ``(A, I)`` absent-cell mask (``None`` when every cell
-        is present) -- is cached on the type's table (and dropped with it
-        on any content change), keyed with the engine's bounds table the
-        reciprocals come from.  An attribute no implementation holds reads
-        the sentinel row: zeros, all absent, and no reciprocal lookup --
-        its placeholder arithmetic is overwritten before use.
-        """
+        inputs = request.kernel_inputs()
         bounds = self.engine.local_similarity.bounds
-        kernel = table.kernels.get((attribute_ids, bounds))
-        if kernel is not None:
-            return kernel
-        _, columns = table.locate(attribute_ids)
-        held = table.holders[columns]
-        reciprocals = np.array(
-            [
-                self._reciprocal(attribute_id) if count else 0.0
-                for attribute_id, count in zip(attribute_ids, held.tolist())
-            ],
+        while True:
+            gaps = table.reciprocals(bounds)[1]
+            unbounded = [a for a in inputs[0] if a in gaps] if gaps else None
+            if not unbounded:
+                return table, inputs
+            present = table.present[table.locate(unbounded)[1]]
+            row = int(present.any(axis=0).argmax())
+            bounds.get(unbounded[int(present[:, row].argmax())])
+            table.factors = None  # the entry was added since: rebuild the vector
+
+    # -- the vectorized kernel ----------------------------------------------------
+
+    @staticmethod
+    def _pad(table: TypeTable, inputs: Sequence[Tuple]) -> _Padded:
+        """Left-pad one type's requests (their kernel inputs) to the widest."""
+        lengths = [len(ids) for ids, _, _ in inputs]
+        width = max(lengths)
+        slots = [width - length for length in lengths]
+        pad_id, pad_value, pad_weight = PAD_BLOCK
+        ids = np.array(
+            [(pad_id,) * pad + row[0] for pad, row in zip(slots, inputs)], dtype=np.int64
+        )
+        values = np.array(
+            [(pad_value,) * pad + row[1] for pad, row in zip(slots, inputs)],
             dtype=np.float64,
-        )[:, None]
-        missing_count = len(table.implementations) * len(attribute_ids) - int(held.sum())
-        absent = ~table.present[columns] if missing_count else None
-        kernel = (table.values[columns], reciprocals, absent, missing_count)
-        if len(table.kernels) >= TypeTable.KERNEL_CACHE_CAPACITY:
-            table.kernels.clear()
-        table.kernels[(attribute_ids, bounds)] = kernel
-        return kernel
+        )
+        weights = np.array(
+            [(pad_weight,) * pad + row[2] for pad, row in zip(slots, inputs)],
+            dtype=np.float64,
+        )
+        columns = table.locate(ids)[1]
+        compared = table.holders[columns].sum(axis=1).tolist()
+        masked = sum(compared) < len(table.implementations) * sum(lengths)
+        return _Padded(columns, values, weights, lengths, compared, masked)
 
-    def _similarity_rows(
-        self,
-        table: TypeTable,
-        attribute_ids: Tuple[int, ...],
-        request_values: np.ndarray,
-        weight_rows: np.ndarray,
-        rows: Optional[slice] = None,
-    ) -> Tuple[np.ndarray, int, int]:
-        """Global similarities for a group of same-signature requests.
+    def _similarities(
+        self, table: TypeTable, padded: _Padded, rows: slice = slice(None)
+    ) -> np.ndarray:
+        """``(b, I)`` global similarities of one type's padded requests.
 
-        ``request_values`` and ``weight_rows`` are ``(B, A)`` arrays; the
-        return value is the ``(B, I)`` global-similarity matrix plus the
-        per-request ``(missing, compared)`` attribute counts (identical for
-        every request in the group, because the signature is shared).
-        ``rows`` restricts the evaluation to a run of implementations --
-        per row the identical operation sequence on the identical operands,
-        hence bit-identical to the full evaluation.
+        ``rows`` restricts the evaluation to a run of implementations -- per
+        row the identical operation sequence on the identical operands, hence
+        bit-identical to the full evaluation.
 
         The arithmetic is the golden scalar computation, operation for
         operation: element-wise ``1 - d * (1/(1+dmax))`` (one tensor op over
         all attributes at once is bit-identical to the per-attribute form),
         clamped, missing cells forced to ``missing_similarity``, and the
-        weighted sum folded attribute by attribute in ascending-ID order
-        exactly like the scalar ``sum()``.
+        weighted sum folded slot by slot.  Padding comes first and adds exact
+        zeros (its sentinel cell scores ``1 - 0 * 0``, or the missing
+        similarity, times weight 0), then the real attributes follow in
+        ascending-ID order exactly like the scalar ``sum()``.
         """
         local = self.engine.local_similarity
-        sub_values, reciprocals, absent, missing_count = self._signature_kernel(
-            table, attribute_ids
-        )
-        if rows is not None:
-            sub_values = sub_values[:, rows]
-            absent = None if absent is None else absent[:, rows]
-        similarities = np.abs(request_values[:, :, None] - sub_values[None, :, :])
-        similarities *= reciprocals
-        np.subtract(1.0, similarities, out=similarities)
+        factors = table.reciprocals(local.bounds)[0]
+        columns = padded.columns
+        cells = np.abs(padded.values[:, :, None] - table.values[columns, rows])
+        cells *= factors[columns][:, :, None]
+        np.subtract(1.0, cells, out=cells)
         if local.clamp:
             # clip == minimum(maximum(x, 0), 1); direct ufunc calls skip the
             # np.clip dispatch overhead that dominates single-request batches.
-            np.maximum(similarities, 0.0, out=similarities)
-            np.minimum(similarities, 1.0, out=similarities)
-        if absent is not None:
-            similarities[:, absent] = local.missing_similarity
+            np.maximum(cells, 0.0, out=cells)
+            np.minimum(cells, 1.0, out=cells)
+        if padded.masked:
+            np.copyto(cells, local.missing_similarity, where=~table.present[columns, rows])
         # One element-wise multiply for all weights at once, then a strictly
-        # sequential fold over the attributes in ascending-ID order -- the
-        # same additions, in the same order, as the scalar ``sum()``.
-        similarities *= weight_rows[:, :, None]
-        accumulator = np.zeros(
-            (request_values.shape[0], similarities.shape[2]), dtype=np.float64
-        )
-        for column_index in range(len(attribute_ids)):
-            accumulator += similarities[:, column_index]
-        compared_count = len(table.implementations) * len(attribute_ids) - missing_count
-        return accumulator, missing_count, compared_count
+        # sequential fold over the slots.
+        cells *= padded.weights[:, :, None]
+        accumulator = np.zeros((cells.shape[0], cells.shape[2]), dtype=np.float64)
+        for slot in range(cells.shape[1]):
+            accumulator += cells[:, slot]
+        return accumulator
+
+    @staticmethod
+    def _account(
+        statistics: "RetrievalStatistics",
+        table: TypeTable,
+        attribute_count: int,
+        compared: int,
+    ) -> None:
+        """Book the same algorithmic-effort counters the naive loop accumulates."""
+        pairs = len(table.implementations) * attribute_count
+        statistics.implementations_visited += len(table.implementations)
+        statistics.attributes_requested += pairs
+        statistics.attribute_lookups += pairs
+        statistics.missing_attributes += pairs - compared
+        statistics.attribute_compares += compared
+        statistics.multiplications += compared
 
     # -- the bounds pre-filter (two-stage exact retrieval) -------------------------
     #
@@ -412,34 +425,33 @@ class VectorizedBackend(RetrievalBackend):
     def _block_upper_bounds(
         self,
         table: TypeTable,
-        attribute_ids: Tuple[int, ...],
-        values: Tuple[float, ...],
-        weights: Tuple[float, ...],
+        columns: np.ndarray,
+        values: np.ndarray,
+        weights: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(starts, bounds)``: a per-block upper bound on the row similarities.
+        """``(starts, bounds)``: a per-block upper bound on the row similarities
+        of one request (its ``(R,)`` columns, values and weights).
 
         Weights are guaranteed non-negative (``RequestAttribute`` rejects
         negative weights), so multiplying a per-cell upper bound by the
         weight keeps it an upper bound.
         """
         local = self.engine.local_similarity
+        factors = table.reciprocals(local.bounds)[0]
         starts, block_min, block_max, any_present, any_absent = table.block_summaries()
         upper = np.zeros(len(starts), dtype=np.float64)
-        columns = table.locate(attribute_ids)[1].tolist()
-        for column_index, (attribute_id, column) in enumerate(zip(attribute_ids, columns)):
-            weight = weights[column_index]
+        for column, value, weight in zip(columns.tolist(), values.tolist(), weights.tolist()):
             if not table.holders[column]:
                 # Every cell takes the missing-similarity placeholder exactly.
                 upper += local.missing_similarity * weight
                 continue
-            value = values[column_index]
             # Min distance from the request value to the block's [min, max]
             # interval: 0 inside, else the gap -- computed with the same
             # subtractions the kernel's |v - value_i| resolves to at the
             # interval endpoints, so rounding keeps the bound rigorous.
             distance = np.maximum(block_min[column] - value, value - block_max[column])
             np.maximum(distance, 0.0, out=distance)
-            column_upper = 1.0 - distance * self._reciprocal(attribute_id)
+            column_upper = 1.0 - distance * factors[column]
             if local.clamp:
                 np.maximum(column_upper, 0.0, out=column_upper)
                 np.minimum(column_upper, 1.0, out=column_upper)
@@ -458,14 +470,10 @@ class VectorizedBackend(RetrievalBackend):
         self,
         request: FunctionRequest,
         table: TypeTable,
-        attribute_ids: Tuple[int, ...],
-        values: Tuple[float, ...],
-        weights: Tuple[float, ...],
-        statistics: "RetrievalStatistics",
+        inputs: Tuple,
         *,
         n: Optional[int],
         threshold: Optional[float],
-        record_threshold: Optional[float],
     ) -> "RetrievalResult":
         """Two-stage ranked retrieval: screen blocks, evaluate survivors exactly.
 
@@ -473,22 +481,22 @@ class VectorizedBackend(RetrievalBackend):
         (``n is None and threshold is None``) never reaches this path because
         its ``best_updates`` counter is defined over the full scan order.
         """
-        RetrievalResult, _, _ = _result_types()
+        RetrievalResult, RetrievalStatistics, ScoredImplementation = _result_types()
         implementation_count = len(table.implementations)
-        *_, missing_count = self._signature_kernel(table, attribute_ids)
-        compared = implementation_count * len(attribute_ids) - missing_count
-        self._account(statistics, table, attribute_ids, missing_count, compared)
-        request_values = np.array([values], dtype=np.float64)
-        weight_rows = np.array([weights], dtype=np.float64)
-        starts, upper = self._block_upper_bounds(table, attribute_ids, values, weights)
+        padded = self._pad(table, [inputs])
+        statistics = RetrievalStatistics()
+        self._account(statistics, table, padded.lengths[0], padded.compared[0])
+        starts, upper = self._block_upper_bounds(
+            table, padded.columns[0], padded.values[0], padded.weights[0]
+        )
         block = table.BLOCK_ROWS
 
         #: ``(start, stop, similarities)`` of every evaluated run of rows.
         scored: List[Tuple[int, int, np.ndarray]] = []
 
         def evaluate(blocks: np.ndarray) -> None:
-            """Score the rows of ``blocks``, one slice per run of adjacent
-            blocks (a view of the kernel rows, not a gather)."""
+            """Score the rows of ``blocks``, one row slice of the table per
+            run of adjacent blocks."""
             runs: List[List[int]] = []
             for index in sorted(blocks.tolist()):
                 if runs and runs[-1][1] == index:
@@ -497,9 +505,9 @@ class VectorizedBackend(RetrievalBackend):
                     runs.append([index, index + 1])
             for first, last in runs:
                 start, stop = first * block, min(last * block, implementation_count)
-                scored.append((start, stop, self._similarity_rows(
-                    table, attribute_ids, request_values, weight_rows, slice(start, stop)
-                )[0][0]))
+                scored.append((start, stop, self._similarities(
+                    table, padded, slice(start, stop)
+                )[0]))
 
         # Stage 1: threshold screening -- a block bounded strictly below the
         # threshold cannot contribute a row reaching it.
@@ -548,173 +556,49 @@ class VectorizedBackend(RetrievalBackend):
         self.prefilter_rows_total += implementation_count
         self.prefilter_rows_pruned += implementation_count - len(rows)
         # Rank the survivors: rows ascend by implementation ID, so a stable
-        # descending-similarity sort reproduces the full path's lexsort ties.
+        # descending-similarity sort reproduces the full path's ranking ties.
         order = np.argsort(-similarities, kind="stable")
         if threshold is not None:
             order = order[similarities[order] >= threshold]
         if n is not None:
             order = order[:n]
-        _, _, ScoredImplementation = _result_types()
         implementations = table.implementations
         ranked = [
             ScoredImplementation(request.type_id, implementations[row], similarity)
             for row, similarity in zip(rows[order].tolist(), similarities[order].tolist())
         ]
         statistics.best_updates += len(ranked)
-        return RetrievalResult(
-            request.type_id, ranked, statistics, threshold=record_threshold
-        )
-
-    def _evaluate_one(
-        self, request: FunctionRequest, statistics: "RetrievalStatistics"
-    ) -> Tuple[TypeTable, np.ndarray]:
-        """Similarity row for one request, with statistics accounting."""
-        table = self._validate(request)
-        attribute_ids, values, weights = request.kernel_inputs()
-        request_values = np.array([values], dtype=np.float64)
-        weight_rows = np.array([weights], dtype=np.float64)
-        similarities, missing, compared = self._similarity_rows(
-            table, attribute_ids, request_values, weight_rows
-        )
-        self._account(statistics, table, attribute_ids, missing, compared)
-        return table, similarities[0]
-
-    @staticmethod
-    def _account(
-        statistics: "RetrievalStatistics",
-        table: TypeTable,
-        attribute_ids: Tuple[int, ...],
-        missing: int,
-        compared: int,
-    ) -> None:
-        """Book the same algorithmic-effort counters the naive loop accumulates."""
-        implementation_count = len(table.implementations)
-        statistics.implementations_visited += implementation_count
-        statistics.attributes_requested += implementation_count * len(attribute_ids)
-        statistics.attribute_lookups += implementation_count * len(attribute_ids)
-        statistics.missing_attributes += missing
-        statistics.attribute_compares += compared
-        statistics.multiplications += compared
-
-    # -- result construction -------------------------------------------------------
-
-    def _scored(
-        self,
-        request: FunctionRequest,
-        table: TypeTable,
-        similarities: np.ndarray,
-        index: int,
-    ) -> "ScoredImplementation":
-        _, _, ScoredImplementation = _result_types()
-        return ScoredImplementation(
-            type_id=request.type_id,
-            implementation=table.implementations[index],
-            similarity=float(similarities[index]),
-        )
-
-    @staticmethod
-    def _ranking_order(table: TypeTable, similarities: np.ndarray) -> np.ndarray:
-        """Indices sorted by descending similarity, ascending implementation ID."""
-        return np.lexsort((table.impl_ids, -similarities))
-
-    def _best_result(
-        self,
-        request: FunctionRequest,
-        table: TypeTable,
-        similarities: np.ndarray,
-        statistics: "RetrievalStatistics",
-    ) -> "RetrievalResult":
-        RetrievalResult, _, _ = _result_types()
-        # The hardware's strict S > S_best update rule: count prefix maxima so
-        # the best_updates counter matches the sequential scan exactly.
-        running = np.maximum.accumulate(similarities)
-        statistics.best_updates += 1 + int(
-            np.count_nonzero(similarities[1:] > running[:-1])
-        )
-        best_index = int(np.argmax(similarities))
-        ranked = [self._scored(request, table, similarities, best_index)]
-        return RetrievalResult(request.type_id, ranked, statistics)
-
-    def _ranked_result(
-        self,
-        request: FunctionRequest,
-        table: TypeTable,
-        similarities: np.ndarray,
-        statistics: "RetrievalStatistics",
-        *,
-        n: Optional[int],
-        threshold: Optional[float],
-        record_threshold: Optional[float],
-    ) -> "RetrievalResult":
-        """Build a ranked result: the threshold filter, then the ``n`` cut."""
-        RetrievalResult, _, _ = _result_types()
-        order = self._ranking_order(table, similarities)
-        if threshold is not None:
-            order = order[similarities[order] >= threshold]
-        if n is not None:
-            order = order[:n]
-        ranked = [
-            self._scored(request, table, similarities, int(index)) for index in order
-        ]
-        statistics.best_updates += len(ranked)
-        return RetrievalResult(
-            request.type_id, ranked, statistics, threshold=record_threshold
-        )
+        return RetrievalResult(request.type_id, ranked, statistics, threshold=threshold)
 
     # -- RetrievalBackend interface -------------------------------------------------
 
     def score_all(
         self, request: FunctionRequest, statistics: "RetrievalStatistics"
     ) -> List["ScoredImplementation"]:
-        table, similarities = self._evaluate_one(request, statistics)
+        _, _, ScoredImplementation = _result_types()
+        table, inputs = self._validate(request)
+        padded = self._pad(table, [inputs])
+        similarities = self._similarities(table, padded)[0]
+        self._account(statistics, table, padded.lengths[0], padded.compared[0])
         return [
-            self._scored(request, table, similarities, index)
-            for index in range(len(table.implementations))
+            ScoredImplementation(request.type_id, implementation, similarity)
+            for implementation, similarity in zip(
+                table.implementations, similarities.tolist()
+            )
         ]
 
     def retrieve_best(self, request: FunctionRequest) -> "RetrievalResult":
-        _, RetrievalStatistics, _ = _result_types()
-        statistics = RetrievalStatistics()
-        table, similarities = self._evaluate_one(request, statistics)
-        return self._best_result(request, table, similarities, statistics)
+        return self.retrieve_batch([request])[0]
 
     def retrieve_n_best(self, request: FunctionRequest, n: int) -> "RetrievalResult":
-        _, RetrievalStatistics, _ = _result_types()
         _check_n(n)
-        statistics = RetrievalStatistics()
-        if self._prefilter_active():
-            table = self._validate(request)
-            if len(table.implementations) >= self.PREFILTER_MIN_ROWS:
-                attribute_ids, values, weights = request.kernel_inputs()
-                return self._retrieve_pruned(
-                    request, table, attribute_ids, values, weights, statistics,
-                    n=n, threshold=None, record_threshold=None,
-                )
-        table, similarities = self._evaluate_one(request, statistics)
-        return self._ranked_result(
-            request, table, similarities, statistics,
-            n=n, threshold=None, record_threshold=None,
-        )
+        return self.retrieve_batch([request], n=n)[0]
 
     def retrieve_above_threshold(
         self, request: FunctionRequest, threshold: float
     ) -> "RetrievalResult":
-        _, RetrievalStatistics, _ = _result_types()
         _check_threshold(threshold)
-        statistics = RetrievalStatistics()
-        if self._prefilter_active():
-            table = self._validate(request)
-            if len(table.implementations) >= self.PREFILTER_MIN_ROWS:
-                attribute_ids, values, weights = request.kernel_inputs()
-                return self._retrieve_pruned(
-                    request, table, attribute_ids, values, weights, statistics,
-                    n=None, threshold=threshold, record_threshold=threshold,
-                )
-        table, similarities = self._evaluate_one(request, statistics)
-        return self._ranked_result(
-            request, table, similarities, statistics,
-            n=None, threshold=threshold, record_threshold=threshold,
-        )
+        return self.retrieve_batch([request], threshold=threshold)[0]
 
     def retrieve(
         self,
@@ -723,37 +607,7 @@ class VectorizedBackend(RetrievalBackend):
         n: Optional[int] = None,
         threshold: Optional[float] = None,
     ) -> "RetrievalResult":
-        _, RetrievalStatistics, _ = _result_types()
-        if n is None and threshold is None:
-            return self.retrieve_best(request)
-        statistics = RetrievalStatistics()
-        if self._prefilter_active():
-            table = self._validate(request)
-            if len(table.implementations) >= self.PREFILTER_MIN_ROWS:
-                attribute_ids, values, weights = request.kernel_inputs()
-                # Surface kernel-level scoring errors (e.g. a bounds-table
-                # gap) before the mode-argument checks, mirroring the
-                # unpruned path's evaluate-then-validate order.
-                self._signature_kernel(table, attribute_ids)
-                if threshold is not None:
-                    _check_threshold(threshold)
-                if n is not None:
-                    _check_n(n)
-                return self._retrieve_pruned(
-                    request, table, attribute_ids, values, weights, statistics,
-                    n=n, threshold=threshold, record_threshold=threshold,
-                )
-        table, similarities = self._evaluate_one(request, statistics)
-        # Validation order mirrors the naive combined entry point (arguments
-        # are checked only after scoring).
-        if threshold is not None:
-            _check_threshold(threshold)
-        if n is not None:
-            _check_n(n)
-        return self._ranked_result(
-            request, table, similarities, statistics,
-            n=n, threshold=threshold, record_threshold=threshold,
-        )
+        return self.retrieve_batch([request], n=n, threshold=threshold)[0]
 
     def retrieve_batch(
         self,
@@ -762,122 +616,108 @@ class VectorizedBackend(RetrievalBackend):
         n: Optional[int] = None,
         threshold: Optional[float] = None,
     ) -> List["RetrievalResult"]:
-        """Grouped matrix evaluation of a whole request batch.
+        """Per-type matrix evaluation of a whole request batch.
 
-        Requests sharing a ``(type_id, constrained-attribute-set)`` signature
-        are stacked into one ``(B, A)`` value matrix and evaluated against the
-        type table in a single broadcast pass; weights may
-        differ freely within a group.
+        The requests of one function type are left-padded to the widest and
+        evaluated against the type table in one ``(b, R, I)`` pass, whatever
+        attributes, values and weights each names.  Huge types under the
+        bounds pre-filter are ranked request by request instead.
 
-        Error-ordering caveat: scoring errors only detectable inside the
-        kernel (e.g. a constrained attribute missing from the bounds table)
-        surface during group evaluation, *after* the mode-argument checks --
-        whereas the sequential naive loop scores request 0 completely before
-        validating ``n``/``threshold``.  For batches that are erroneous in
-        both ways at once the two backends may therefore raise different
-        (equally valid) ``RetrievalError``\\ s.
+        Errors surface in the order of the sequential naive loop: each
+        request is validated in turn (its bounds entries included), and the
+        mode arguments right after request 0.
         """
         RetrievalResult, RetrievalStatistics, ScoredImplementation = _result_types()
         requests = list(requests)
-        # Validate in request order: request 0's structural and weight checks,
-        # then the mode arguments, then the remaining requests.  (Scoring
-        # errors only detectable inside the kernel -- e.g. a bounds-table gap
-        # -- surface later, during group evaluation.)
         self.engine.case_base.type_tables.tracker.ensure_current()  # once per batch
-        groups: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
-        tables_by_request: List[TypeTable] = []
-        kernel_inputs_by_request: List[Tuple] = []
+        groups: Dict[int, Tuple[TypeTable, List[int]]] = {}
+        inputs: List[Tuple] = []
         for index, request in enumerate(requests):
-            table = self._validate(request, current=True)
-            kernel_inputs_by_request.append(request.kernel_inputs())
+            table, request_inputs = self._validate(request, current=True)
+            inputs.append(request_inputs)
             if index == 0:
                 if threshold is not None:
                     _check_threshold(threshold)
                 if n is not None:
                     _check_n(n)
-            tables_by_request.append(table)
-            key = (request.type_id, kernel_inputs_by_request[index][0])
-            groups.setdefault(key, []).append(index)
+            group = groups.get(request.type_id)
+            if group is None:
+                group = groups[request.type_id] = (table, [])
+            group[1].append(index)
         results: List[Optional["RetrievalResult"]] = [None] * len(requests)
         prefilter = self._prefilter_active() and not (n is None and threshold is None)
-        for (type_id, attribute_ids), member_indices in groups.items():
-            table = tables_by_request[member_indices[0]]
+        for table, member_indices in groups.values():
             if prefilter and len(table.implementations) >= self.PREFILTER_MIN_ROWS:
-                # Huge types: per-request block pruning beats the grouped
-                # full-matrix broadcast.  Statistics stay the group-constant
-                # full-scan counters, booked inside the pruned path.
+                # Huge types: per-request block pruning beats the full-matrix
+                # pass.
                 for index in member_indices:
-                    request = requests[index]
-                    statistics = RetrievalStatistics()
-                    _, values, weights = kernel_inputs_by_request[index]
                     results[index] = self._retrieve_pruned(
-                        request, table, attribute_ids, values, weights, statistics,
-                        n=n, threshold=threshold, record_threshold=threshold,
+                        requests[index], table, inputs[index], n=n, threshold=threshold
                     )
                 continue
-            request_values = np.array(
-                [kernel_inputs_by_request[index][1] for index in member_indices],
-                dtype=np.float64,
-            )
-            weight_rows = np.array(
-                [kernel_inputs_by_request[index][2] for index in member_indices],
-                dtype=np.float64,
-            )
-            similarity_rows, missing, compared = self._similarity_rows(
-                table, attribute_ids, request_values, weight_rows
-            )
             implementations = table.implementations
             implementation_count = len(implementations)
+            padded = self._pad(table, [inputs[index] for index in member_indices])
+            similarity_rows = self._similarities(table, padded)
             ranked_rows = None
             if n is not None or threshold is not None:
                 # One stable sort for the whole group: descending similarity
                 # with ties in row-index order, which is ascending
-                # implementation ID by construction -- exactly the
-                # per-request lexsort of :meth:`_ranking_order`.
+                # implementation ID by construction.
                 orders = np.argsort(-similarity_rows, axis=1, kind="stable")
                 # Each row ranks its prefix reaching the threshold, cut to n;
                 # the group gathers it into Python lists once, not per request.
                 width = min(n or implementation_count, implementation_count)
-                lengths = [width] * len(member_indices)
+                cuts = [width] * len(member_indices)
                 if threshold is not None:
                     reaching = (similarity_rows >= threshold).sum(axis=1)
-                    lengths = np.minimum(reaching, width).tolist()
-                    width = max(lengths)
+                    cuts = np.minimum(reaching, width).tolist()
+                    width = max(cuts)
                 top = orders[:, :width]
                 rows = np.arange(len(member_indices))[:, None]
                 ranked_rows = zip(
-                    top.tolist(), similarity_rows[rows, top].tolist(), lengths
+                    top.tolist(), similarity_rows[rows, top].tolist(), cuts
                 )
-            # Group-constant effort counters (see :meth:`_account`), built
-            # directly into each request's statistics record.
-            attribute_total = implementation_count * len(attribute_ids)
             for row, index in enumerate(member_indices):
                 request = requests[index]
-                statistics = RetrievalStatistics(
-                    implementations_visited=implementation_count,
-                    attributes_requested=attribute_total,
-                    attribute_lookups=attribute_total,
-                    attribute_compares=compared,
-                    missing_attributes=missing,
-                    multiplications=compared,
-                )
+                statistics = RetrievalStatistics()
+                self._account(statistics, table, padded.lengths[row], padded.compared[row])
                 if ranked_rows is None:
                     results[index] = self._best_result(
                         request, table, similarity_rows[row], statistics
                     )
                     continue
-                row_indices, row_similarities, length = next(ranked_rows)
+                row_indices, row_similarities, cut = next(ranked_rows)
                 ranked = [
-                    ScoredImplementation(type_id, implementations[i], similarity)
-                    for i, similarity in zip(
-                        row_indices[:length], row_similarities[:length]
-                    )
+                    ScoredImplementation(request.type_id, implementations[i], similarity)
+                    for i, similarity in zip(row_indices[:cut], row_similarities[:cut])
                 ]
                 statistics.best_updates += len(ranked)
                 results[index] = RetrievalResult(
-                    type_id, ranked, statistics, threshold=threshold
+                    request.type_id, ranked, statistics, threshold=threshold
                 )
         return results
+
+    @staticmethod
+    def _best_result(
+        request: FunctionRequest,
+        table: TypeTable,
+        similarities: np.ndarray,
+        statistics: "RetrievalStatistics",
+    ) -> "RetrievalResult":
+        RetrievalResult, _, ScoredImplementation = _result_types()
+        # The hardware's strict S > S_best update rule: count prefix maxima so
+        # the best_updates counter matches the sequential scan exactly.
+        running = np.maximum.accumulate(similarities)
+        statistics.best_updates += 1 + int(
+            np.count_nonzero(similarities[1:] > running[:-1])
+        )
+        best_index = int(np.argmax(similarities))
+        ranked = [ScoredImplementation(
+            request.type_id, table.implementations[best_index],
+            float(similarities[best_index]),
+        )]
+        return RetrievalResult(request.type_id, ranked, statistics)
 
 
 #: Registry of constructable backend names (used by the engine, manager and CLI).

@@ -11,7 +11,8 @@ through :attr:`CaseBase.type_tables
   implementations on first use;
 * one :class:`~repro.core.caching.RevisionTrackedCache` subscription that
   patches the built tables once per delta window (untouched types keep
-  their tables, and with them their per-signature kernel caches);
+  their tables, and with them their reciprocal vectors and pre-filter
+  block summaries);
 * an :meth:`TypeTables.invalidate` that also invalidates the case base's
   encoded CB-MEM image, so no consumer ever pairs a rebuilt table with
   stale CB-MEM words.
@@ -24,7 +25,7 @@ exactly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,11 +33,20 @@ from .caching import RevisionTrackedCache
 from .deltas import DeltaSummary, NetImplementationEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
+    from .attributes import BoundsTable
     from .case_base import CaseBase, Implementation
 
 #: ID of the all-absent sentinel column: greater than any 16-bit attribute
 #: ID, so it sorts last and never matches a request attribute.
 PAD_ID = 1 << 17
+
+#: Left padding of a type's shorter requests, one ``(ID, value, weight)``
+#: block per missing slot, for retrieval and pricing alike: the ID is below
+#: every attribute ID, so it reads the all-absent sentinel column and
+#: insertion index 0, where no entry lies below -- a padded slot is never
+#: present, adds an exact ``+0.0`` to a similarity and drops out of every
+#: count.
+PAD_BLOCK = (-1, 0, 0)
 
 
 class TypeTable:
@@ -51,7 +61,7 @@ class TypeTable:
     the level-1 list order of the CB-MEM tree.
 
     Memory: ``9 * I * (U + 1)`` bytes for ``present`` and ``values`` plus
-    ``24 * (U + 1)`` for the vectors.
+    ``32 * (U + 1)`` for the vectors (the reciprocals included).
     """
 
     __slots__ = (
@@ -63,12 +73,9 @@ class TypeTable:
         "values",
         "holders",
         "below",
-        "kernels",
+        "factors",
         "block_stats",
     )
-
-    #: Signature-kernel cache entries kept per type (cleared wholesale beyond).
-    KERNEL_CACHE_CAPACITY = 128
 
     #: Implementations per pre-filter block: the bounds screen summarises
     #: (and prunes) the table in runs of this many consecutive rows.
@@ -135,8 +142,8 @@ class TypeTable:
 
     def _dropped(self) -> None:
         """Drop the content-derived caches (after any content change)."""
-        #: Per-signature gathered kernels of the retrieval backend.
-        self.kernels: Dict[Tuple, Tuple] = {}
+        #: ``(bounds table, reciprocal per column, held IDs it lacks)`` (lazy).
+        self.factors: Optional[Tuple] = None
         #: Per-block column summaries of the bounds pre-filter (lazy).
         self.block_stats: Optional[Tuple] = None
 
@@ -158,6 +165,24 @@ class TypeTable:
             self.attribute_ids[insertion] == ids, insertion, len(self.attribute_ids) - 1
         )
         return insertion, column
+
+    def reciprocals(self, bounds: "BoundsTable") -> Tuple[np.ndarray, FrozenSet[int]]:
+        """``1 / (1 + dmax)`` per column under ``bounds``, shape ``(U + 1,)``.
+
+        The sentinel column and every held ID without a ``bounds`` entry read
+        0; those IDs are returned as the second element, so a caller can
+        raise the missing-bounds error where the scalar path would.
+        """
+        if self.factors is None or self.factors[0] is not bounds:
+            factors = np.zeros(len(self.attribute_ids), dtype=np.float64)
+            gaps = set()
+            for column, attribute_id in enumerate(self.attribute_ids[:-1].tolist()):
+                if attribute_id in bounds:
+                    factors[column] = bounds.get(attribute_id).reciprocal
+                else:
+                    gaps.add(attribute_id)
+            self.factors = (bounds, factors, frozenset(gaps))
+        return self.factors[1], self.factors[2]
 
     def block_summaries(self) -> Tuple:
         """Per-block per-column summaries backing the bounds pre-filter.

@@ -281,10 +281,10 @@ class RetrievalEngine:
     ) -> List[RetrievalResult]:
         """Evaluate a batch of requests; result ``i`` belongs to request ``i``.
 
-        Per-request semantics match :meth:`retrieve`.  The vectorized backend
-        groups requests by ``(type_id, constrained-attribute-set)`` signature
-        and evaluates each group as one broadcast matrix operation, which is
-        where the batch API's speedup comes from; the naive backend simply
-        loops, which the differential test suite uses as the oracle.
+        Per-request semantics, errors included, match :meth:`retrieve`.  The
+        vectorized backend groups requests by function type and evaluates
+        each group as one padded matrix pass, which is where the batch API's
+        speedup comes from; the naive backend simply loops, which the
+        differential test suite uses as the oracle.
         """
         return self.backend.retrieve_batch(requests, n=n, threshold=threshold)

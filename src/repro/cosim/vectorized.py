@@ -74,7 +74,7 @@ from ..core.exceptions import (
     SoftwareModelError,
     UnknownFunctionTypeError,
 )
-from ..core.columnar import TypeTable
+from ..core.columnar import PAD_BLOCK, TypeTable
 from ..core.request import FunctionRequest
 from ..fixedpoint.vectorized import (
     divide_fraction_array,
@@ -98,14 +98,6 @@ from ..software.retrieval_sw import (
 )
 from ..memmap.image import DeltaTrackedImage, RequestPlan
 from .engine import CycleEngine
-
-
-#: Left padding of a type group's shorter requests, one ``(ID, value,
-#: weight)`` block per missing slot: the ID is below every attribute ID, so
-#: it reads the table's all-absent sentinel column and insertion index 0,
-#: where no entry lies below -- a padded slot is never present, contributes
-#: 0 to the similarity and drops out of every count.
-_PAD_BLOCK = (-1, 0, 0)
 
 
 @dataclass
@@ -268,7 +260,7 @@ def _type_pass(
     width = max(lengths)
     block = np.array(
         [
-            _PAD_BLOCK * (width - length) + words[1:-1]
+            PAD_BLOCK * (width - length) + words[1:-1]
             for length, words in zip(lengths, group.words)
         ],
         dtype=np.int64,

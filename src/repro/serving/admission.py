@@ -404,18 +404,6 @@ class AdmissionController:
                 raise
             return None
 
-    def hardware_times_us(self, requests: Sequence) -> List[tuple]:
-        """Exact ``(cycles, service_us)`` per request on the hardware unit."""
-        cycles = self.hardware_cycles(requests)
-        clock_mhz = self.hardware_unit.config.clock_mhz  # type: ignore[union-attr]
-        return [(count, count / clock_mhz) for count in cycles]
-
-    def software_times_us(self, requests: Sequence) -> List[tuple]:
-        """Exact ``(cycles, service_us)`` per request on the software path."""
-        cycles = self.software_cycles(requests)
-        clock_mhz = self._software().cost_model.clock_mhz
-        return [(count, count / clock_mhz) for count in cycles]
-
     # -- fleet images and worker health ------------------------------------------------
 
     def _sync(self, now_us: float) -> None:

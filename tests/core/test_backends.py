@@ -3,7 +3,8 @@
 The vectorized backend must be indistinguishable from the golden naive loop:
 identical rankings, bit-identical similarities and identical algorithmic
 statistics, across randomized case bases (including missing attributes),
-every retrieval mode and the batch API.
+every retrieval mode and the batch API, under the default and a
+non-default local similarity.
 """
 
 import pytest
@@ -14,11 +15,13 @@ from repro.core import (
     ExecutionTarget,
     FunctionRequest,
     Implementation,
+    LocalSimilarity,
     MinimumAmalgamation,
     NaiveBackend,
     OutcomeRecord,
     RetrievalEngine,
     RetrievalError,
+    SchemaError,
     ThresholdLocalSimilarity,
     UnknownFunctionTypeError,
     VectorizedBackend,
@@ -26,6 +29,7 @@ from repro.core import (
     paper_case_base,
     paper_request,
 )
+from repro.core.attributes import BoundsTable
 from repro.hardware import HardwareConfig, HardwareRetrievalUnit
 from repro.software import SoftwareRetrievalUnit
 from repro.tools import CaseBaseGenerator, GeneratorSpec
@@ -43,18 +47,56 @@ RANDOM_SPECS = [
 ]
 
 
-def engine_pair(case_base):
-    naive = RetrievalEngine(case_base, backend="naive")
-    vectorized = RetrievalEngine(case_base, backend="vectorized")
+#: Local-similarity settings of the differential suites: the paper's, and
+#: one where a missing attribute scores 0.25 and a distance beyond ``dmax``
+#: goes negative (no clamp), so padded and absent cells cannot hide.
+LOCAL_SIMILARITIES = [{}, {"missing_similarity": 0.25, "clamp": False}]
+
+
+def engine_pair(case_base, **similarity):
+    naive, vectorized = (
+        RetrievalEngine(
+            case_base,
+            backend=backend,
+            local_similarity=LocalSimilarity(case_base.bounds, **similarity),
+        )
+        for backend in ("naive", "vectorized")
+    )
     assert naive.backend_name == "naive"
     assert vectorized.backend_name == "vectorized"
     return naive, vectorized
 
 
+def widened_requests(generator, spec):
+    """Same-type requests of one attribute and of every attribute, each
+    again with an extra attribute ID that no implementation holds (and the
+    bounds table lacks), the wide one with values far beyond the bounds."""
+    low, high = spec.value_range
+    unheld = (spec.attribute_type_count + 1, low, 1.0)
+    requests = []
+    for salt in range(4):
+        type_id = 1 + salt % spec.type_count
+        narrow = generator.request(type_id, 1, salt=salt)
+        wide = generator.request(type_id, spec.attribute_type_count, salt=salt)
+        far = [
+            (attribute.attribute_id, attribute.value + 3 * (high - low), attribute.weight)
+            for attribute in wide.sorted_attributes()
+        ]
+        near = [(a.attribute_id, a.value, a.weight) for a in narrow.sorted_attributes()]
+        requests += [
+            narrow,
+            wide,
+            FunctionRequest(type_id, near + [unheld]),
+            FunctionRequest(type_id, far + [unheld]),
+        ]
+    return requests
+
+
 def assert_results_identical(reference, candidate):
     assert candidate.ids() == reference.ids()
-    assert [entry.similarity for entry in candidate] == [
-        entry.similarity for entry in reference
+    # float.hex tells 0.0 from -0.0: the doubles must agree to the sign bit.
+    assert [entry.similarity.hex() for entry in candidate] == [
+        entry.similarity.hex() for entry in reference
     ]
     assert candidate.statistics == reference.statistics
     assert candidate.threshold == reference.threshold
@@ -100,67 +142,69 @@ class TestBackendSelection:
 @pytest.mark.parametrize("seed", [1, 17])
 class TestDifferentialEquivalence:
     def _engines(self, spec_index, seed):
-        generator = CaseBaseGenerator(RANDOM_SPECS[spec_index], seed=seed)
+        """``(naive, vectorized, requests)`` per local-similarity setting."""
+        spec = RANDOM_SPECS[spec_index]
+        generator = CaseBaseGenerator(spec, seed=seed)
         case_base = generator.case_base()
-        naive, vectorized = engine_pair(case_base)
         requests = [
             generator.request(salt=salt, attribute_count=4) for salt in range(12)
-        ]
-        return naive, vectorized, requests
+        ] + widened_requests(generator, spec)
+        for similarity in LOCAL_SIMILARITIES:
+            yield (*engine_pair(case_base, **similarity), requests)
 
     def test_retrieve_best_identical(self, spec_index, seed):
-        naive, vectorized, requests = self._engines(spec_index, seed)
-        for request in requests:
-            assert_results_identical(
-                naive.retrieve_best(request), vectorized.retrieve_best(request)
-            )
+        for naive, vectorized, requests in self._engines(spec_index, seed):
+            for request in requests:
+                assert_results_identical(
+                    naive.retrieve_best(request), vectorized.retrieve_best(request)
+                )
 
     def test_retrieve_n_best_identical(self, spec_index, seed):
-        naive, vectorized, requests = self._engines(spec_index, seed)
-        for request in requests:
-            for n in (1, 2, 100):
-                assert_results_identical(
-                    naive.retrieve_n_best(request, n),
-                    vectorized.retrieve_n_best(request, n),
-                )
+        for naive, vectorized, requests in self._engines(spec_index, seed):
+            for request in requests:
+                for n in (1, 2, 100):
+                    assert_results_identical(
+                        naive.retrieve_n_best(request, n),
+                        vectorized.retrieve_n_best(request, n),
+                    )
 
     def test_retrieve_above_threshold_identical(self, spec_index, seed):
-        naive, vectorized, requests = self._engines(spec_index, seed)
-        for request in requests:
-            for threshold in (0.0, 0.5, 0.9, 1.0):
-                assert_results_identical(
-                    naive.retrieve_above_threshold(request, threshold),
-                    vectorized.retrieve_above_threshold(request, threshold),
-                )
+        for naive, vectorized, requests in self._engines(spec_index, seed):
+            for request in requests:
+                for threshold in (0.0, 0.5, 0.9, 1.0):
+                    assert_results_identical(
+                        naive.retrieve_above_threshold(request, threshold),
+                        vectorized.retrieve_above_threshold(request, threshold),
+                    )
 
     def test_combined_retrieve_identical(self, spec_index, seed):
-        naive, vectorized, requests = self._engines(spec_index, seed)
-        for request in requests:
-            assert_results_identical(
-                naive.retrieve(request, n=3, threshold=0.4),
-                vectorized.retrieve(request, n=3, threshold=0.4),
-            )
+        for naive, vectorized, requests in self._engines(spec_index, seed):
+            for request in requests:
+                assert_results_identical(
+                    naive.retrieve(request, n=3, threshold=0.4),
+                    vectorized.retrieve(request, n=3, threshold=0.4),
+                )
 
     def test_retrieve_batch_identical(self, spec_index, seed):
-        naive, vectorized, requests = self._engines(spec_index, seed)
-        for kwargs in ({}, {"n": 2}, {"threshold": 0.6}, {"n": 3, "threshold": 0.3}):
-            naive_results = naive.retrieve_batch(requests, **kwargs)
-            vector_results = vectorized.retrieve_batch(requests, **kwargs)
-            assert len(naive_results) == len(vector_results) == len(requests)
-            for reference, candidate in zip(naive_results, vector_results):
-                assert_results_identical(reference, candidate)
+        for naive, vectorized, requests in self._engines(spec_index, seed):
+            for kwargs in ({}, {"n": 2}, {"threshold": 0.6}, {"n": 3, "threshold": 0.3}):
+                naive_results = naive.retrieve_batch(requests, **kwargs)
+                vector_results = vectorized.retrieve_batch(requests, **kwargs)
+                assert len(naive_results) == len(vector_results) == len(requests)
+                for reference, candidate in zip(naive_results, vector_results):
+                    assert_results_identical(reference, candidate)
 
     def test_score_all_identical(self, spec_index, seed):
-        naive, vectorized, requests = self._engines(spec_index, seed)
-        for request in requests:
-            naive_scored = naive.score_all(request)
-            vector_scored = vectorized.score_all(request)
-            assert [entry.implementation_id for entry in naive_scored] == [
-                entry.implementation_id for entry in vector_scored
-            ]
-            assert [entry.similarity for entry in naive_scored] == [
-                entry.similarity for entry in vector_scored
-            ]
+        for naive, vectorized, requests in self._engines(spec_index, seed):
+            for request in requests:
+                naive_scored = naive.score_all(request)
+                vector_scored = vectorized.score_all(request)
+                assert [entry.implementation_id for entry in naive_scored] == [
+                    entry.implementation_id for entry in vector_scored
+                ]
+                assert [entry.similarity.hex() for entry in naive_scored] == [
+                    entry.similarity.hex() for entry in vector_scored
+                ]
 
 
 class TestVectorizedStatistics:
@@ -271,6 +315,43 @@ class TestErrorParity:
         for engine in (naive, vectorized):
             with pytest.raises(RetrievalError, match="weights must not all be zero"):
                 engine.retrieve_batch([zero_weight, unknown_type])
+
+
+    def test_bounds_gap_raises_before_mode_arguments(self, paper_cb):
+        """A held, requested attribute without a bounds entry fails request 0
+        before its mode arguments are checked, like the sequential loop."""
+        request = FunctionRequest(1, [(1, 16), (4, 40)])
+        bounds = BoundsTable([b for b in paper_cb.bounds if b.attribute_id != 4])
+        engines = [
+            RetrievalEngine(paper_cb, bounds=bounds, backend=backend)
+            for backend in ("naive", "vectorized")
+        ]
+        for engine in engines:
+            with pytest.raises(SchemaError, match="attribute 4"):
+                engine.retrieve_batch([request], n=0)
+            with pytest.raises(SchemaError, match="attribute 4"):
+                engine.retrieve(request, n=0)
+            # No request names the gap, or no implementation holds it.
+            assert engine.retrieve_batch([FunctionRequest(1, [(1, 16)])], n=1)
+            assert engine.retrieve_batch([FunctionRequest(1, [(1, 16), (77, 3)])], n=1)
+        # An entry defined after the failures is read from then on.
+        bounds.add(paper_cb.bounds.get(4))
+        naive, vectorized = engines
+        assert_results_identical(naive.retrieve(request, n=3), vectorized.retrieve(request, n=3))
+
+    def test_bounds_gap_raised_at_first_holding_row(self):
+        """Two unbounded attributes: the error names the one the first row
+        holding either of them holds, not the lower ID."""
+        bounds = BoundsTable()
+        bounds.define(1, 0, 10)
+        case_base = CaseBase(bounds=bounds)
+        case_base.add_type(1)
+        case_base.add_implementation(1, Implementation(1, ExecutionTarget.GPP, {1: 1, 3: 2}))
+        case_base.add_implementation(1, Implementation(2, ExecutionTarget.GPP, {1: 1, 2: 2}))
+        request = FunctionRequest(1, [(1, 1), (2, 2), (3, 3)])
+        for engine in engine_pair(case_base):
+            with pytest.raises(SchemaError, match="attribute 3"):
+                engine.retrieve_batch([request])
 
 
 class TestCacheInvalidation:

@@ -10,8 +10,10 @@ per-attribute breakdowns the vectorized kernel never materialises).
 
 The suite shrinks ``TypeTable.BLOCK_ROWS`` / ``PREFILTER_MIN_ROWS`` so
 the screen engages on test-sized case bases, checks every retrieval mode
-and the batch path across the backend x prefilter axes, and proves
-non-vacuity on a
+and the batch path across the backend x prefilter axes -- under the
+paper's local similarity and under one with ``missing_similarity=0.25``
+and no clamp, with same-type requests of one and of every attribute and
+an attribute ID no implementation holds -- and proves non-vacuity on a
 locality-structured case base where the screen demonstrably prunes (uniform
 random columns give every block a full-range bound, which never prunes --
 the counters keep that honest).
@@ -24,7 +26,7 @@ import contextlib
 
 import pytest
 
-from repro.core import RetrievalEngine
+from repro.core import LocalSimilarity, RetrievalEngine
 from repro.core.attributes import AttributeSchema, BoundsTable
 from repro.core.backends import VectorizedBackend
 from repro.core.columnar import TypeTable
@@ -100,36 +102,92 @@ def check_pruned_equals_unpruned(seed: int, salt: int, n: int, threshold: float)
         assert off.backend.prefilter_requests == 0
 
 
+#: The paper's local similarity, and one where absent cells score 0.25 and
+#: distances beyond ``dmax`` go negative.
+LOCAL_SIMILARITIES = [{}, {"missing_similarity": 0.25, "clamp": False}]
+
+
+def make_engine(case_base, backend, prefilter="off", similarity=None):
+    return RetrievalEngine(
+        case_base,
+        backend=backend,
+        prefilter=prefilter,
+        local_similarity=LocalSimilarity(case_base.bounds, **(similarity or {})),
+    )
+
+
+def widened_requests(generator, salt: int):
+    """Same-type requests of one attribute and of every attribute, each
+    again with an extra attribute ID that no implementation holds, the wide
+    one with values far beyond the bounds."""
+    low, high = SPEC.value_range
+    unheld = (SPEC.attribute_type_count + 1, low, 1.0)
+    type_id = 1 + salt % SPEC.type_count
+    narrow = generator.request(type_id, 1, salt=salt)
+    wide = generator.request(type_id, SPEC.attribute_type_count, salt=salt)
+    far = [
+        (attribute.attribute_id, attribute.value + 3 * (high - low), attribute.weight)
+        for attribute in wide.sorted_attributes()
+    ]
+    near = [(a.attribute_id, a.value, a.weight) for a in narrow.sorted_attributes()]
+    return [
+        narrow,
+        wide,
+        FunctionRequest(type_id, near + [unheld]),
+        FunctionRequest(type_id, far + [unheld]),
+    ]
+
+
+def _exact_view(result):
+    """The cross-backend view with each double down to its sign bit."""
+    return [(entry.implementation_id, entry.similarity.hex()) for entry in result.ranked]
+
+
 def check_pruned_equals_naive(seed: int, salt: int, n: int) -> None:
     """Pruned vectorized vs the naive golden loop: ids, similarities, stats."""
     generator = CaseBaseGenerator(SPEC, seed=seed % 50)
     case_base = generator.case_base()
-    request = generator.request(salt=salt, attribute_count=4)
+    requests = [generator.request(salt=salt, attribute_count=4)]
+    requests += widened_requests(generator, salt)
+    modes = (
+        lambda engine, request: engine.retrieve_n_best(request, n),
+        lambda engine, request: engine.retrieve_above_threshold(request, 0.5),
+        lambda engine, request: engine.retrieve(request, n=n, threshold=0.25),
+    )
     with small_blocks():
-        naive = RetrievalEngine(case_base, backend="naive")
-        pruned = RetrievalEngine(case_base, backend="vectorized", prefilter="bounds")
-        expected = naive.retrieve_n_best(request, n)
-        observed = pruned.retrieve_n_best(request, n)
-        assert _slim_view(observed) == _slim_view(expected)
-        assert observed.statistics == expected.statistics
+        for similarity in LOCAL_SIMILARITIES:
+            naive = make_engine(case_base, "naive", similarity=similarity)
+            pruned = make_engine(case_base, "vectorized", "bounds", similarity)
+            for mode in modes:
+                for request in requests:
+                    expected, observed = mode(naive, request), mode(pruned, request)
+                    assert _exact_view(observed) == _exact_view(expected)
+                    assert observed.statistics == expected.statistics
 
 
 def check_batch_prefilter(seed: int, backend: str) -> None:
-    """The prefilter axis leaves batch retrieval bit-identical."""
+    """The prefilter axis leaves batch retrieval bit-identical, and equal to
+    the naive loop."""
     generator = CaseBaseGenerator(SPEC, seed=seed % 50)
     case_base = generator.case_base()
     requests = [generator.request(salt=salt, attribute_count=3) for salt in range(6)]
+    requests += widened_requests(generator, seed)
     with small_blocks():
-        off = RetrievalEngine(case_base, backend=backend, prefilter="off")
-        on = RetrievalEngine(case_base, backend=backend, prefilter="bounds")
-        expected = off.retrieve_batch(requests, n=4)
-        observed = on.retrieve_batch(requests, n=4)
-        assert [_slim_view(result) for result in observed] == [
-            _slim_view(result) for result in expected
-        ]
-        assert [result.statistics for result in observed] == [
-            result.statistics for result in expected
-        ]
+        for similarity in LOCAL_SIMILARITIES:
+            off = make_engine(case_base, backend, "off", similarity)
+            on = make_engine(case_base, backend, "bounds", similarity)
+            expected = make_engine(case_base, "naive", similarity=similarity).retrieve_batch(
+                requests, n=4
+            )
+            for observed in (
+                off.retrieve_batch(requests, n=4), on.retrieve_batch(requests, n=4)
+            ):
+                assert [_exact_view(result) for result in observed] == [
+                    _exact_view(result) for result in expected
+                ]
+                assert [result.statistics for result in observed] == [
+                    result.statistics for result in expected
+                ]
 
 
 def clustered_case_base(rows: int = 256) -> CaseBase:
@@ -157,15 +215,18 @@ def test_screen_prunes_on_locality_structured_data():
     case_base = clustered_case_base()
     request = FunctionRequest(1, [(1, 1020), (2, 4)])
     with small_blocks():
-        off = RetrievalEngine(case_base, backend="vectorized", prefilter="off")
-        on = RetrievalEngine(case_base, backend="vectorized", prefilter="bounds")
-        expected = off.retrieve_n_best(request, 3)
-        observed = on.retrieve_n_best(request, 3)
-        assert _full_view(observed) == _full_view(expected)
-        assert observed.statistics == expected.statistics
-        backend = on.backend
-        assert backend.prefilter_rows_pruned > 0
-        assert backend.prefilter_rows_pruned < backend.prefilter_rows_total
+        for similarity in LOCAL_SIMILARITIES:
+            off = make_engine(case_base, "vectorized", "off", similarity)
+            on = make_engine(case_base, "vectorized", "bounds", similarity)
+            expected = off.retrieve_n_best(request, 3)
+            observed = on.retrieve_n_best(request, 3)
+            assert _full_view(observed) == _full_view(expected)
+            naive = make_engine(case_base, "naive", similarity=similarity)
+            assert _exact_view(observed) == _exact_view(naive.retrieve_n_best(request, 3))
+            assert observed.statistics == expected.statistics
+            backend = on.backend
+            assert backend.prefilter_rows_pruned > 0
+            assert backend.prefilter_rows_pruned < backend.prefilter_rows_total
 
 
 def test_small_types_fall_through_without_counting():

@@ -26,7 +26,8 @@ class TestServiceTimes:
         case_base, trace = table3
         controller = AdmissionController(case_base)
         requests = [entry.request for entry in trace[:6]]
-        times = controller.hardware_times_us(requests)
+        clock_mhz = controller.hardware_unit.config.clock_mhz
+        times = [(count, count / clock_mhz) for count in controller.hardware_cycles(requests)]
         reference = HardwareRetrievalUnit(case_base).run_batch(requests)
         assert times == [(result.cycles, result.time_us) for result in reference]
 
@@ -34,7 +35,8 @@ class TestServiceTimes:
         case_base, trace = table3
         controller = AdmissionController(case_base)
         requests = [entry.request for entry in trace[:6]]
-        times = controller.software_times_us(requests)
+        clock_mhz = controller._software_cost_model.clock_mhz
+        times = [(count, count / clock_mhz) for count in controller.software_cycles(requests)]
         reference = SoftwareRetrievalUnit(case_base).run_batch(requests)
         assert times == [(result.cycles, result.time_us) for result in reference]
 
@@ -147,8 +149,10 @@ class TestValidation:
         assert controller.clock_mhz == 33.0
         assert controller._software_cost_model.clock_mhz == 33.0
         request = synthetic_trace(paper_case_base(), 1, seed=0)[0].request
-        (hw_cycles, hw_us), = controller.hardware_times_us([request])
-        (sw_cycles, sw_us), = controller.software_times_us([request])
+        hw_cycles, = controller.hardware_cycles([request])
+        sw_cycles, = controller.software_cycles([request])
+        hw_us = hw_cycles / controller.hardware_unit.config.clock_mhz
+        sw_us = sw_cycles / controller._software_cost_model.clock_mhz
         assert hw_us == hw_cycles / 33.0
         assert sw_us == sw_cycles / 33.0
 
@@ -183,7 +187,7 @@ class TestOutOfCoreAdmission:
         assert controller.hardware_unit is None
         assert "does not fit" in controller.hardware_unavailable_reason
         with pytest.raises(ReproError, match="does not fit"):
-            controller.hardware_times_us([trace[0].request])
+            controller.hardware_cycles([trace[0].request])
 
     def test_unpriced_serving_admits_within_the_wait_budget(self, huge):
         case_base, trace = huge

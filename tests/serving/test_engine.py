@@ -291,7 +291,9 @@ class TestCrossBatchBacklog:
         deadline even when every batch holds a single request."""
         case_base = paper_case_base()
         request = synthetic_trace(case_base, 1, seed=0)[0].request
-        hw_time = ServingEngine(case_base).admission.hardware_times_us([request])[0][1]
+        admission = ServingEngine(case_base).admission
+        clock_mhz = admission.hardware_unit.config.clock_mhz
+        hw_time = admission.hardware_cycles([request])[0] / clock_mhz
         # Arrivals 10x faster than the service rate; deadline allows a few
         # requests' worth of queueing, so the head of the stream is served
         # and the saturated tail is rejected.
@@ -317,7 +319,9 @@ class TestCrossBatchBacklog:
         """A trace slower than the service rate never accumulates backlog."""
         case_base = paper_case_base()
         request = synthetic_trace(case_base, 1, seed=0)[0].request
-        hw_time = ServingEngine(case_base).admission.hardware_times_us([request])[0][1]
+        admission = ServingEngine(case_base).admission
+        clock_mhz = admission.hardware_unit.config.clock_mhz
+        hw_time = admission.hardware_cycles([request])[0] / clock_mhz
         trace = trace_from_requests(
             [request] * 10, interarrival_us=hw_time * 10.0, deadline_us=hw_time * 2.0
         )
