@@ -41,6 +41,9 @@ __all__ = [
     "daemon_ready",
     "daemon_pending",
     "daemon_reconfiguring",
+    "daemon_retained_requests",
+    "daemon_retained_records",
+    "process_resident_bytes",
     "HEALTH_LEVELS",
     "STAGES",
 ]
@@ -65,7 +68,6 @@ def request_latency(registry: MetricsRegistry) -> MetricFamily:
         "repro_request_latency_us",
         "End-to-end modelled latency (virtual microseconds) of served requests.",
         buckets=LATENCY_BUCKETS_US,
-        track_values=True,
     )
 
 
@@ -90,7 +92,6 @@ def batch_size(registry: MetricsRegistry) -> MetricFamily:
         "repro_batch_size",
         "Requests per dispatched micro-batch.",
         buckets=BATCH_SIZE_BUCKETS,
-        track_values=True,
     )
 
 
@@ -224,3 +225,23 @@ def daemon_reconfiguring(registry: MetricsRegistry) -> MetricFamily:
         "1 while queued mutations hold the reconfiguration window open.",
     )
 
+
+def daemon_retained_requests(registry: MetricsRegistry) -> MetricFamily:
+    return registry.gauge(
+        "repro_daemon_retained_requests",
+        "Stamped requests the daemon holds in memory (its trace).",
+    )
+
+
+def daemon_retained_records(registry: MetricsRegistry) -> MetricFamily:
+    return registry.gauge(
+        "repro_daemon_retained_records",
+        "Terminal serving records the daemon's session holds in memory.",
+    )
+
+
+def process_resident_bytes(registry: MetricsRegistry) -> MetricFamily:
+    return registry.gauge(
+        "repro_process_resident_bytes",
+        "Resident set size of the serving process, in bytes.",
+    )

@@ -15,10 +15,11 @@ Design notes:
   instrumentation points share series by name without passing handles
   around; re-declaring a name with a different kind or label set is an
   error rather than a silent fork.
-* Histograms keep cumulative-at-render bucket counts, and can optionally
-  retain raw observations (``track_values=True``) so exact nearest-rank
-  percentiles (:func:`repro.serving.metrics.percentile`) stay available to
-  the replay-scoped report without a second tally.
+* Sessions own their samples.  Histograms keep only per-bucket counts, a
+  sum and a count (cumulative at render), so a registry that outlives many
+  sessions stays bounded; a session's report keeps its own exact samples
+  (:class:`repro.serving.metrics.MetricsCollector`) for nearest-rank
+  percentiles.
 * Reads (exposition, snapshots) copy child dicts before iterating, so a
   scrape racing a recovery replay on another thread degrades to a slightly
   stale sample, never a ``RuntimeError``.
@@ -114,16 +115,11 @@ class Gauge:
 
 
 class Histogram:
-    """Bucketed observations with optional raw-value retention."""
+    """Bucketed observations: per-bucket counts, sum and count."""
 
-    __slots__ = ("buckets", "bucket_counts", "sum", "count", "values")
+    __slots__ = ("buckets", "bucket_counts", "sum", "count")
 
-    def __init__(
-        self,
-        buckets: Sequence[float] = LATENCY_BUCKETS_US,
-        *,
-        track_values: bool = False,
-    ) -> None:
+    def __init__(self, buckets: Sequence[float] = LATENCY_BUCKETS_US) -> None:
         ordered = tuple(sorted(float(bound) for bound in buckets))
         if not ordered:
             raise ReproError("histogram needs at least one bucket bound")
@@ -132,26 +128,21 @@ class Histogram:
         self.bucket_counts = [0] * (len(ordered) + 1)
         self.sum = 0.0
         self.count = 0
-        self.values: Optional[List[float]] = [] if track_values else None
 
     def observe(self, value: float) -> None:
         number = float(value)
         self.sum += number
         self.count += 1
         self.bucket_counts[bisect.bisect_left(self.buckets, number)] += 1
-        if self.values is not None:
-            self.values.append(number)
 
     def observe_many(self, values: Sequence[float]) -> None:
         """:meth:`observe` each value in order (one call per micro-batch)."""
-        buckets, counts, tracked = self.buckets, self.bucket_counts, self.values
+        buckets, counts = self.buckets, self.bucket_counts
         total = self.sum
         for value in values:
             number = float(value)
             total += number
             counts[bisect.bisect_left(buckets, number)] += 1
-            if tracked is not None:
-                tracked.append(number)
         self.sum = total
         self.count += len(values)
 
@@ -279,11 +270,9 @@ class MetricsRegistry:
 
     def histogram(self, name: str, help_text: str = "",
                   labels: Iterable[str] = (), *,
-                  buckets: Sequence[float] = LATENCY_BUCKETS_US,
-                  track_values: bool = False) -> MetricFamily:
+                  buckets: Sequence[float] = LATENCY_BUCKETS_US) -> MetricFamily:
         return self._family(
-            "histogram", name, help_text, labels,
-            buckets=buckets, track_values=track_values,
+            "histogram", name, help_text, labels, buckets=buckets
         )
 
     def get(self, name: str) -> Optional[MetricFamily]:

@@ -62,6 +62,7 @@ import asyncio
 import contextlib
 import json
 import logging
+import os
 import signal
 import threading
 import time
@@ -109,6 +110,17 @@ _STATUS_CODES = {
 
 def _record_status_code(record: ServedRequest) -> int:
     return _STATUS_CODES.get(record.status.value, 200)
+
+
+def _resident_bytes() -> Optional[int]:
+    """This process's resident set size, or ``None`` without
+    ``/proc/self/statm``."""
+    try:
+        with open("/proc/self/statm", "rb") as statm:
+            pages = int(statm.read().split()[1])
+    except (OSError, IndexError, ValueError):
+        return None
+    return pages * os.sysconf("SC_PAGE_SIZE")
 
 
 class _MicroBatcher:
@@ -835,6 +847,13 @@ class ServingDaemon:
             catalog.daemon_reconfiguring(registry).set(
                 1.0 if self.reconfiguring else 0.0
             )
+            catalog.daemon_retained_requests(registry).set(float(len(self.trace)))
+            catalog.daemon_retained_records(registry).set(
+                float(len(self.session.records))
+            )
+            resident = _resident_bytes()
+            if resident is not None:
+                catalog.process_resident_bytes(registry).set(float(resident))
         return registry.exposition()
 
     def _handle_trace(self, trace_id: str) -> Tuple[int, Dict[str, object]]:

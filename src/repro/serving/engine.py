@@ -738,8 +738,10 @@ class ServingEngine:
         request's plan, whose invalidation rule covers everything it reads
         (a window drops the plans of the types it touches, a bounds change
         rebuilds the image), so repeated hot-template traffic screens with
-        one lookup.  Without a plan -- the case base or the request cannot
-        encode -- it screens uncached.
+        one lookup, and a first sight looks its plan up once: the plan holds
+        the request's encoding, so only the checks ahead of the encode step
+        run.  Without a plan -- the case base or the request cannot encode
+        -- it screens uncached.
         """
         plan = None
         if image is not None:
@@ -751,14 +753,15 @@ class ServingEngine:
             return self._screen_uncached(request), None
         verdict = plan.verdict
         if verdict is UNSCREENED:
-            verdict = plan.verdict = self._screen_uncached(request)
+            verdict = plan.verdict = self._screen_structure(request)
         return verdict, plan  # type: ignore[return-value]
 
     def _screen(self, request: FunctionRequest) -> Optional[str]:
         """Why one request cannot be dispatched at all, or ``None`` if it can."""
         return self._screen_plan(request, self._plan_image())[0]
 
-    def _screen_uncached(self, request: FunctionRequest) -> Optional[str]:
+    def _screen_structure(self, request: FunctionRequest) -> Optional[str]:
+        """Every screen check but the encode step, in screening order."""
         case_base = self.case_base
         if request.type_id not in case_base:
             return f"function type {request.type_id} is not in the case base"
@@ -773,13 +776,18 @@ class ServingEngine:
         for attribute_id in request.attribute_ids():
             if attribute_id not in bounds:
                 return f"attribute {attribute_id} is not in the bounds table"
+        return None
+
+    def _screen_uncached(self, request: FunctionRequest) -> Optional[str]:
+        failure = self._screen_structure(request)
+        if failure is not None:
+            return failure
         try:
             # The memory-map encoder is the authoritative validator for value
-            # and weight encodability (non-integer values, 16-bit overflow);
-            # the encoding lands in the request's plan, so admission reuses
-            # it instead of paying twice.  On out-of-core case bases the
-            # hardware unit does not exist, but requests still honor the
-            # same word model -- encode them directly.
+            # and weight encodability (non-integer values, 16-bit overflow).
+            # On out-of-core case bases the hardware unit does not exist, but
+            # requests still honor the same word model -- encode them
+            # directly.
             unit = self.admission.hardware_unit
             if unit is not None:
                 unit.encoded_request_words(request)

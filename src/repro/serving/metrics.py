@@ -7,13 +7,13 @@ Latency percentiles use the nearest-rank method (the value reported is always
 one actually observed), on the *modelled* virtual-time latencies -- wall-clock
 numbers describe only the replay host and are reported separately.
 
-Since the observability PR the collector no longer keeps private tallies: it
-reads and writes a :class:`~repro.observability.MetricsRegistry` (the same
-store the daemon renders as Prometheus text exposition), capturing baselines
-at construction so each collector still reports only its own session even
-when several share one engine-level registry.  The historic attribute API
-(``status_counts``, ``latencies_us``, ``batch_sizes``, ...) survives as
-registry-backed views.
+Each collector keeps its own session's tallies -- status counts, modelled
+cycles per server, the latency samples and a batch size -> count map -- and
+its report reads only those.  It also feeds every observation to a
+:class:`~repro.observability.MetricsRegistry` (the store the daemon renders
+as Prometheus text exposition), whose histograms keep bucket counts only, so
+the long-lived engine registry stays bounded however many sessions and
+requests it sees.
 """
 
 from __future__ import annotations
@@ -75,73 +75,37 @@ def percentiles(
 class MetricsCollector:
     """Accumulates per-request and per-batch observations of one replay.
 
-    Backed by a :class:`~repro.observability.MetricsRegistry`: pass the
-    engine's registry to fold this session's observations into the live
+    The report reads the collector's own tallies.  Every observation also
+    lands in a :class:`~repro.observability.MetricsRegistry`: pass the
+    engine's registry to fold this session into the live
     (Prometheus-scrapable) series, or pass ``None`` for a private one.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._requests = catalog.requests_total(self.registry)
-        self._latency = catalog.request_latency(self.registry)
-        self._stages = catalog.stage_latency(self.registry)
-        self._batches = catalog.batches_total(self.registry)
-        self._batch_size = catalog.batch_size(self.registry)
-        self._cycles = catalog.modelled_cycles(self.registry)
-        # Materialise every stage series up front so the exposition always
-        # carries the full queue/admission/retrieval histogram set,
-        # and keep the bound children -- the per-request observation path
-        # is hot enough that repeated labels() lookups show up in replays.
-        for stage in catalog.STAGES:
-            self._stages.labels(stage=stage)
-        self._stage_queue = self._stages.labels(stage="queue")
-        self._stage_admission = self._stages.labels(stage="admission")
-        self._stage_retrieval = self._stages.labels(stage="retrieval")
-        self._latency_child = self._latency.child()
-        self._batches_child = self._batches.child()
-        self._batch_size_child = self._batch_size.child()
-        self._hardware_cycles = self._cycles.labels(server="hardware")
-        self._software_cycles = self._cycles.labels(server="software")
+        # Bind every series up front: the exposition always carries the
+        # full queue/admission/retrieval histogram set, and the per-request
+        # observation path is hot enough that repeated labels() lookups
+        # show up in replays.
+        stages = catalog.stage_latency(self.registry)
+        self._stage_queue, self._stage_admission, self._stage_retrieval = (
+            stages.labels(stage=stage) for stage in catalog.STAGES
+        )
+        self._latency_child = catalog.request_latency(self.registry).child()
+        self._batches_child = catalog.batches_total(self.registry).child()
+        self._batch_size_child = catalog.batch_size(self.registry).child()
+        cycles = catalog.modelled_cycles(self.registry)
+        self._hardware_child = cycles.labels(server="hardware")
+        self._software_child = cycles.labels(server="software")
         self._status_children: Dict[str, object] = {}
-        # Session baselines: everything before this point belongs to an
-        # earlier collector on the same registry.
-        self._base_statuses = self._requests.values()
-        self._base_cycles = self._cycles.values()
-        self._base_latencies = len(self._latency.child().values)
-        self._base_batches = len(self._batch_size.child().values)
+        #: This session's tallies (what :meth:`report` reads).
+        self.status_counts: Counter = Counter()
+        self.latencies_us: List[float] = []
+        self.batch_counts: Counter = Counter()
+        self.hardware_cycles = 0
+        self.software_cycles = 0
         self.wall_seconds = 0.0
-
-    # -- registry-backed views -----------------------------------------------------
-
-    @property
-    def status_counts(self) -> Counter:
-        counts: Counter = Counter()
-        for (status,), value in self._requests.values().items():
-            delta = int(value - self._base_statuses.get((status,), 0.0))
-            if delta:
-                counts[status] = delta
-        return counts
-
-    @property
-    def latencies_us(self) -> List[float]:
-        return list(self._latency.child().values[self._base_latencies:])
-
-    @property
-    def batch_sizes(self) -> List[int]:
-        values = self._batch_size.child().values[self._base_batches:]
-        return [int(size) for size in values]
-
-    @property
-    def hardware_cycles(self) -> int:
-        return self._cycles_delta("hardware")
-
-    @property
-    def software_cycles(self) -> int:
-        return self._cycles_delta("software")
-
-    def _cycles_delta(self, server: str) -> int:
-        now = self._cycles.values().get((server,), 0.0)
-        return int(now - self._base_cycles.get((server,), 0.0))
 
     # -- observations --------------------------------------------------------------
 
@@ -162,18 +126,16 @@ class MetricsCollector:
         (``queue`` = scheduler wait, ``admission`` = server-queue occupancy,
         ``retrieval`` = modelled service time).
         """
-        child = self._status_children.get(status)
-        if child is None:
-            child = self._status_children[status] = self._requests.labels(
-                status=status
-            )
-        child.inc()
+        self._observe_status(status)
         if latency_us is not None:
             self._latency_child.observe(latency_us)
+            self.latencies_us.append(float(latency_us))
         if hardware_cycles:
-            self._hardware_cycles.inc(hardware_cycles)
+            self._hardware_child.inc(hardware_cycles)
+            self.hardware_cycles += hardware_cycles
         if software_cycles:
-            self._software_cycles.inc(software_cycles)
+            self._software_child.inc(software_cycles)
+            self.software_cycles += software_cycles
         if wait_us is not None:
             self._stage_queue.observe(wait_us)
         if queue_us is not None:
@@ -189,40 +151,42 @@ class MetricsCollector:
         its status, modelled latency, cycles (booked to the tier that served
         it) and all three stage timings, in record order.
         """
-        children = self._status_children
         for record in records:
             status = record.status.value
-            child = children.get(status)
-            if child is None:
-                child = children[status] = self._requests.labels(status=status)
-            child.inc()
+            self._observe_status(status)
             if record.cycles:
                 if status == "served_hardware":
-                    self._hardware_cycles.inc(record.cycles)
+                    self._hardware_child.inc(record.cycles)
+                    self.hardware_cycles += record.cycles
                 elif status == "served_software":
-                    self._software_cycles.inc(record.cycles)
-        self._latency_child.observe_many(
-            [record.latency_us for record in records if record.latency_us is not None]
-        )
+                    self._software_child.inc(record.cycles)
+                    self.software_cycles += record.cycles
+        latencies = [
+            record.latency_us for record in records if record.latency_us is not None
+        ]
+        self._latency_child.observe_many(latencies)
+        self.latencies_us.extend(latencies)
         self._stage_queue.observe_many([record.wait_us for record in records])
         self._stage_admission.observe_many([record.queue_us for record in records])
         self._stage_retrieval.observe_many([record.service_us for record in records])
+
+    def _observe_status(self, status: str) -> None:
+        """Count one request's terminal status."""
+        child = self._status_children.get(status)
+        if child is None:
+            child = self._status_children[status] = self._requests.labels(
+                status=status
+            )
+        child.inc()
+        self.status_counts[status] += 1
 
     def observe_batch(self, size: int) -> None:
         """Record one dispatched batch."""
         self._batches_child.inc()
         self._batch_size_child.observe(size)
+        self.batch_counts[size] += 1
 
     # -- aggregation ---------------------------------------------------------------
-
-    @property
-    def request_count(self) -> int:
-        """Total number of requests observed."""
-        return sum(self.status_counts.values())
-
-    def batch_histogram(self) -> Dict[int, int]:
-        """``{batch size: occurrence count}`` over the replay."""
-        return dict(sorted(Counter(self.batch_sizes).items()))
 
     def report(self) -> Dict[str, object]:
         """The aggregate serving report (JSON-serialisable)."""
@@ -243,7 +207,8 @@ class MetricsCollector:
             "mean_us": (sum(samples) / len(samples)) if samples else None,
             "max_us": max(samples) if samples else None,
         }
-        batch_sizes = self.batch_sizes
+        batches = sum(self.batch_counts.values())
+        batched = sum(size * count for size, count in self.batch_counts.items())
         return {
             "requests": total,
             "served": served,
@@ -252,11 +217,9 @@ class MetricsCollector:
             "statuses": dict(sorted(statuses.items())),
             "latency": latency,
             "batches": {
-                "count": len(batch_sizes),
-                "mean_size": (
-                    sum(batch_sizes) / len(batch_sizes) if batch_sizes else 0.0
-                ),
-                "histogram": self.batch_histogram(),
+                "count": batches,
+                "mean_size": batched / batches if batches else 0.0,
+                "histogram": dict(sorted(self.batch_counts.items())),
             },
             "modelled_cycles": {
                 "hardware": self.hardware_cycles,

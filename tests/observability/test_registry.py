@@ -87,15 +87,6 @@ class TestHistogram:
         family.observe(10)
         assert family.child().cumulative()[0] == (10.0, 1)
 
-    def test_track_values_retains_raw_samples(self):
-        registry = MetricsRegistry()
-        family = registry.histogram(
-            "repro_raw_us", buckets=(10,), track_values=True
-        )
-        family.observe(3)
-        family.observe(7)
-        assert family.child().values == [3.0, 7.0]
-
 
 class TestExposition:
     def test_every_line_is_comment_or_valid_sample(self):

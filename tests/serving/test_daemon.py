@@ -12,7 +12,9 @@ import time
 
 import pytest
 
+from repro.observability import MetricsRegistry
 from repro.serving import DaemonThread, ServingSpec, replay_capture
+from repro.serving import daemon as daemon_module
 
 #: The paper's FIR-equalizer request (Fig. 3) in wire shorthand.
 PAPER_WIRE = {"type_id": 1, "constraints": {"1": 16, "3": 1, "4": 40}}
@@ -112,6 +114,32 @@ class TestRoutes:
         assert daemon_section["engine"] == "single"
         assert daemon_section["requests"] >= 1
         assert daemon_section["reconfiguring"] is False
+
+    def test_retained_state_and_memory_gauges(self, daemon, monkeypatch):
+        handle, client = daemon
+        for _ in range(3):
+            client.call("POST", "/retrieve", PAPER_WIRE)
+        connection = http.client.HTTPConnection(handle.host, handle.port, timeout=30)
+        connection.request("GET", "/metrics")
+        text = connection.getresponse().read().decode("utf-8")
+        connection.close()
+        samples = dict(
+            line.rsplit(" ", 1) for line in text.splitlines() if not line.startswith("#")
+        )
+        assert samples["repro_daemon_retained_requests"] == "3"
+        assert samples["repro_daemon_retained_records"] == "3"
+        assert int(samples["repro_process_resident_bytes"]) > 0
+        # Without /proc/self/statm the RSS gauge emits no sample.
+        def no_statm(path, *args, **kwargs):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(daemon_module, "open", no_statm, raising=False)
+        assert daemon_module._resident_bytes() is None
+        served = handle.daemon
+        monkeypatch.setattr(served.engine.observability, "registry", MetricsRegistry())
+        text = served._exposition()
+        assert "repro_daemon_retained_requests 3" in text
+        assert "repro_process_resident_bytes" not in text
 
 
 class TestErrorBodies:
