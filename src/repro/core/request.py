@@ -79,6 +79,7 @@ class FunctionRequest:
         self.type_id = type_id
         self.requester = requester
         self._attributes: Dict[int, RequestAttribute] = {}
+        self._signature: Optional[Tuple] = None
         self._kernel: Optional[Tuple] = None
         for entry in attributes:
             self.add(entry)
@@ -109,6 +110,7 @@ class FunctionRequest:
                 f"attribute {attribute.attribute_id} appears twice in the request"
             )
         self._attributes[attribute.attribute_id] = attribute
+        self._signature = None
         self._kernel = None
         return attribute
 
@@ -123,6 +125,7 @@ class FunctionRequest:
             )
             for attribute_id, attribute in self._attributes.items()
         }
+        self._signature = None
         self._kernel = None
 
     # -- inspection --------------------------------------------------------------
@@ -169,26 +172,28 @@ class FunctionRequest:
 
         Two requests share a signature only when every one of those is
         equal, so anything derived from the content alone -- bypass tokens,
-        request plans, batch grouping -- may key on it.  Computed on every
-        call, not memoized: a retained request would otherwise carry the
-        nested tuple for as long as it lives.  Attribute IDs are unique, so
-        sorting the triples orders them by ID and never compares a value.
+        request plans, batch grouping -- may key on it.  Memoized: requests
+        are only mutated through :meth:`add` / :meth:`normalize_weights`,
+        which invalidate the memo.
         """
-        return (
-            self.type_id,
-            tuple(sorted([
-                (a.attribute_id, a.value, a.weight)
-                for a in self._attributes.values()
-            ])),
-        )
+        if self._signature is None:
+            self._signature = (
+                self.type_id,
+                tuple(
+                    (a.attribute_id, a.value, a.weight)
+                    for a in self.sorted_attributes()
+                ),
+            )
+        return self._signature
 
     def kernel_inputs(self) -> Tuple[Tuple[int, ...], Tuple[float, ...], Tuple[float, ...]]:
         """Memoized ``(attribute IDs, float values, normalised weights)`` triple.
 
         The batch-retrieval hot path consumes exactly these three vectors per
-        request; they are computed once per request state (mutations through
-        :meth:`add` / :meth:`normalize_weights` invalidate the memo).  Weight
-        normalisation delegates to :meth:`AmalgamationFunction._normalised_weights
+        request; like :meth:`signature` they are computed once per request
+        state (mutations through :meth:`add` / :meth:`normalize_weights`
+        invalidate the memo).  Weight normalisation delegates to
+        :meth:`AmalgamationFunction._normalised_weights
         <repro.core.amalgamation.AmalgamationFunction._normalised_weights>`
         -- the canonical eq.-2 arithmetic -- so cached weights can never
         drift from the golden scalar path (nor can its error behaviour for
